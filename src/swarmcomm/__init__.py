@@ -13,10 +13,8 @@ from .dsl import (
     FeatureMap,
     Program,
     RandRule,
-    build_comm_graph,
     eval_program,
     eval_rule,
-    featurize,
     max_degree,
     parse_program,
     print_program,
@@ -42,7 +40,6 @@ from .policy import (
     NoCommPolicy,
     TfFullPolicy,
     TopKAttnPolicy,
-    hard_attention,
     make_policy,
 )
 from .synth import (
@@ -51,19 +48,16 @@ from .synth import (
     collect_dataset,
     mcmc_synthesize,
     propose,
-    surrogate_objective,
     synthesize_multiround,
 )
 from .training import TrainConfig, retrain, train_oracle
 from .transformer import (
     TransformerParams,
-    act,
     forward_policy,
     forward_round,
+    harden_rows,
     init_for_task,
     init_transformer,
-    message,
-    soft_attention,
     squash_action,
 )
 

@@ -48,7 +48,6 @@ class TapeRecord:
     op: str
     input_ids: tuple[int, ...]
     output_id: int
-    aux: Any
     vjp: Callable[[Array], tuple[Optional[Array], ...]]
 
 
@@ -60,7 +59,6 @@ class Tape:
         self.leaf_values: dict[int, Array] = {}
         self.leaf_requires_grad: dict[int, bool] = {}
         self._next_id = 0
-        self._produced: set[int] = set()
 
     def _alloc_id(self) -> int:
         node_id = self._next_id
@@ -84,34 +82,11 @@ class Tape:
         inputs: Sequence["Tensor"],
         out_data: Array,
         vjp: Callable[[Array], tuple[Optional[Array], ...]],
-        aux: Any = None,
     ) -> "Tensor":
         _check_finite(out_data, op)
         node_id = self._alloc_id()
-        if node_id in self._produced:
-            raise AutodiffError(f"node {node_id} produced twice")
-        self._produced.add(node_id)
-        self.records.append(
-            TapeRecord(op, tuple(t.node_id for t in inputs), node_id, aux, vjp)
-        )
+        self.records.append(TapeRecord(op, tuple(t.node_id for t in inputs), node_id, vjp))
         return Tensor(out_data, tape=self, node_id=node_id)
-
-    def replay(self, leaf_overrides: Optional[dict[int, Array]] = None) -> dict[int, Array]:
-        """Recompute every node value from leaf data, forward through the records.
-
-        Returns the full id -> value mapping. With no overrides this reproduces
-        the original computation bitwise.
-        """
-        values: dict[int, Array] = {k: v for k, v in self.leaf_values.items()}
-        if leaf_overrides:
-            for node_id, data in leaf_overrides.items():
-                if node_id not in values:
-                    raise AutodiffError(f"override for unknown leaf {node_id}")
-                values[node_id] = _as_array(data)
-        for rec in self.records:
-            fwd = _FORWARD_OPS[rec.op]
-            values[rec.output_id] = fwd([values[i] for i in rec.input_ids], rec.aux)
-        return values
 
 
 class Tensor:
@@ -218,38 +193,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-# ---------------------------------------------------------------------------
-# forward registry (used by Tape.replay)
-# ---------------------------------------------------------------------------
-
-_FORWARD_OPS: dict[str, Callable[[list[Array], Any], Array]] = {}
-
-
-def _register(name: str, fn: Callable[[list[Array], Any], Array]) -> None:
-    _FORWARD_OPS[name] = fn
-
-
-_register("add", lambda xs, aux: xs[0] + xs[1])
-_register("sub", lambda xs, aux: xs[0] - xs[1])
-_register("mul", lambda xs, aux: xs[0] * xs[1])
-_register("div", lambda xs, aux: xs[0] / xs[1])
-_register("matmul", lambda xs, aux: xs[0] @ xs[1])
-_register("tanh", lambda xs, aux: np.tanh(xs[0]))
-_register("relu", lambda xs, aux: np.maximum(xs[0], 0.0))
-_register("exp", lambda xs, aux: np.exp(xs[0]))
-_register("sqrt", lambda xs, aux: np.sqrt(xs[0]))
-_register("reshape", lambda xs, aux: xs[0].reshape(aux))
-_register("transpose", lambda xs, aux: np.transpose(xs[0], aux))
-_register("getitem", lambda xs, aux: xs[0][aux])
-_register("concat", lambda xs, aux: np.concatenate(xs, axis=aux))
-_register("sum", lambda xs, aux: xs[0].sum(axis=aux[0], keepdims=aux[1]))
-_register("max", lambda xs, aux: xs[0].max(axis=aux[0], keepdims=aux[1]))
-_register("softmax", lambda xs, aux: _softmax_raw(xs[0]))
-_register("l1_norm", lambda xs, aux: np.abs(xs[0]).sum(axis=-1))
-_register("l2_norm", lambda xs, aux: np.sqrt((xs[0] ** 2).sum(axis=-1)))
-_register("take_along_last", lambda xs, aux: np.take_along_axis(xs[0], aux, axis=-1))
 
 
 def _softmax_raw(x: Array) -> Array:
@@ -362,7 +305,7 @@ def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
     def vjp(g: Array):
         return tuple(np.split(g, splits, axis=axis))
 
-    return tape.emit("concat", items, out, vjp, aux=axis)
+    return tape.emit("concat", items, out, vjp)
 
 
 def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
@@ -376,7 +319,7 @@ def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
     def vjp(g: Array):
         return (g.reshape(orig),)
 
-    return tape.emit("reshape", (ta,), out, vjp, aux=shape)
+    return tape.emit("reshape", (ta,), out, vjp)
 
 
 def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
@@ -390,7 +333,7 @@ def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
     def vjp(g: Array):
         return (np.transpose(g, inverse),)
 
-    return tape.emit("transpose", (ta,), out, vjp, aux=axes)
+    return tape.emit("transpose", (ta,), out, vjp)
 
 
 def getitem(a: TensorLike, key) -> Tensor:
@@ -405,7 +348,7 @@ def getitem(a: TensorLike, key) -> Tensor:
         np.add.at(full, key, g)
         return (full,)
 
-    return tape.emit("getitem", (ta,), np.array(out, copy=True), vjp, aux=key)
+    return tape.emit("getitem", (ta,), np.array(out, copy=True), vjp)
 
 
 def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
@@ -421,7 +364,7 @@ def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, shape).copy(),)
 
-    return tape.emit("sum", (ta,), np.asarray(out, dtype=np.float64), vjp, aux=(axis, keepdims))
+    return tape.emit("sum", (ta,), np.asarray(out, dtype=np.float64), vjp)
 
 
 def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
@@ -442,7 +385,7 @@ def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (mask * g_exp,)
 
-    return tape.emit("max", (ta,), np.asarray(out, dtype=np.float64), vjp, aux=(axis, keepdims))
+    return tape.emit("max", (ta,), np.asarray(out, dtype=np.float64), vjp)
 
 
 def relu(a: TensorLike) -> Tensor:
@@ -560,7 +503,7 @@ def take_along_last(a: TensorLike, indices: Array) -> Tensor:
         np.add.at(flat_full, (rows, flat_idx.ravel()), flat_g.ravel())
         return (full,)
 
-    return tape.emit("take_along_last", (ta,), out, vjp, aux=idx)
+    return tape.emit("take_along_last", (ta,), out, vjp)
 
 
 # ---------------------------------------------------------------------------

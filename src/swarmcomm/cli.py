@@ -2,14 +2,16 @@
 
 Every stage writes a RunManifest next to its primary output; `swarmcomm rerun
 <manifest>` replays the stage with the recorded arguments and seed, which must
-reproduce the outputs byte for byte. The SWARM_SEED environment variable
-overrides any configured seed.
+reproduce the outputs byte for byte; it refuses to run when an input file
+changed since. The SWARM_SEED environment variable overrides any configured
+seed, except in a rerun.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,7 +21,7 @@ import numpy as np
 from . import dsl, env, harness, synth
 from .dsl import parse_program, print_program
 from .env import RewardParams, TaskConfig, rollout
-from .harness import RunManifest, evaluate, report, resolve_seed
+from .harness import RunManifest, evaluate, file_sha256, report, resolve_seed
 from .policy import POLICY_NAMES, make_policy
 from .synth import SynthConfig, SynthDataset, collect_dataset, mcmc_synthesize, synthesize_multiround, write_chain_csv
 from .training import TrainConfig, retrain, train_oracle, write_curve_csv
@@ -48,7 +50,17 @@ def _load_params(path: str) -> TransformerParams:
         raise CliError("missing-input", f"parameter file not found: {path}")
     try:
         return TransformerParams.load(p)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError("bad-config", f"{path}: {exc}") from exc
+
+
+def _load_dataset(path: str) -> SynthDataset:
+    p = Path(path)
+    if not p.exists():
+        raise CliError("missing-input", f"dataset not found: {path}")
+    try:
+        return SynthDataset.load_jsonl(p)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise CliError("bad-config", f"{path}: {exc}") from exc
 
 
@@ -138,10 +150,7 @@ def _round_out_paths(out: str, rounds: int) -> list[Path]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    path = Path(args.dataset)
-    if not path.exists():
-        raise CliError("missing-input", f"dataset not found: {args.dataset}")
-    dataset = SynthDataset.load_jsonl(path)
+    dataset = _load_dataset(args.dataset)
     seed = resolve_seed(args.seed)
     cfg = SynthConfig(
         degree_weight=args.tradeoff,
@@ -165,8 +174,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         outputs.append(out_path)
         print(f"round {r + 1}: objective {result.objective:.4f} -> {out_path}")
     if args.chain_log:
-        write_chain_csv(args.chain_log, results[0].chain)
-        outputs.append(args.chain_log)
+        for result, chain_path in zip(results, _round_out_paths(args.chain_log, dataset.rounds)):
+            write_chain_csv(chain_path, result.chain)
+            outputs.append(chain_path)
     _write_manifest("synthesize", args, seed, [args.dataset], outputs, _manifest_path(args.out))
     return 0
 
@@ -240,10 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    path = Path(args.dataset)
-    if not path.exists():
-        raise CliError("missing-input", f"dataset not found: {args.dataset}")
-    dataset = SynthDataset.load_jsonl(path)
+    dataset = _load_dataset(args.dataset)
     cfg, rewards = _load_task(args.config)
     seed = resolve_seed(args.seed)
     base = SynthConfig(mcmc_steps=args.steps, seed=seed)
@@ -335,8 +342,20 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     handler = _HANDLERS.get(manifest.command)
     if handler is None:
         raise CliError("bad-config", f"manifest references unknown command {manifest.command!r}")
-    replay = argparse.Namespace(**manifest.args)
-    return handler(replay)
+    changed = [
+        p for p, digest in manifest.input_hashes.items()
+        if not Path(p).exists() or file_sha256(p) != digest
+    ]
+    if changed:
+        raise CliError("changed-input", f"inputs differ from the recorded run: {', '.join(changed)}")
+    # the recorded seed wins over SWARM_SEED, which would otherwise override it
+    replay = argparse.Namespace(**{**manifest.args, "seed": manifest.seed})
+    saved = os.environ.pop("SWARM_SEED", None)
+    try:
+        return handler(replay)
+    finally:
+        if saved is not None:
+            os.environ["SWARM_SEED"] = saved
 
 
 _HANDLERS = {

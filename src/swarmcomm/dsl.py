@@ -69,16 +69,8 @@ def _angles(x: Array, y: Array) -> Array:
     return np.where((x == 0.0) & (y == 0.0), 0.0, out)
 
 
-def featurize(s_i: Array, o_ij: Array, fmap: FeatureMap) -> Array:
-    """Feature vector for one (state, observation) pair."""
-    s_i = np.asarray(s_i, dtype=np.float64)
-    o_ij = np.asarray(o_ij, dtype=np.float64)
-    batch = featurize_pairs(s_i.reshape(1, -1), o_ij.reshape(1, 2), fmap)
-    return batch[0]
-
-
 def featurize_pairs(states: Array, obs: Array, fmap: FeatureMap) -> Array:
-    """Vectorized featurize: states (..., ds) and obs (..., 2) -> (..., d')."""
+    """Features of (state, observation) pairs: states (..., ds), obs (..., 2) -> (..., d')."""
     states = np.asarray(states, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
     lead = states.shape[:-1]
@@ -179,12 +171,12 @@ def true_predicate(fmap: FeatureMap, state_dim: int) -> PredicateAtom:
 # ---------------------------------------------------------------------------
 
 
-def _eval_pred_values(pred: Predicate, feats: Array) -> Array:
-    """Boolean array over candidate rows (M, d') -> (M,)."""
+def _eval_pred(pred: Predicate, feats: Array) -> Array:
+    """Boolean mask over feature rows: (..., d') -> (...)."""
     if isinstance(pred, PredicateAtom):
         return feats @ np.asarray(pred.weights) >= 0.0
-    left = _eval_pred_values(pred.left, feats)
-    right = _eval_pred_values(pred.right, feats)
+    left = _eval_pred(pred.left, feats)
+    right = _eval_pred(pred.right, feats)
     return left & right if pred.op == "and" else left | right
 
 
@@ -207,7 +199,7 @@ def eval_rule(
     obs = np.stack([np.asarray(o, dtype=np.float64) for _, o in candidates])
     states = np.broadcast_to(np.asarray(s_i, dtype=np.float64), (len(candidates), len(s_i)))
     feats = featurize_pairs(states, obs, fmap)
-    keep = _eval_pred_values(rule.pred, feats)
+    keep = _eval_pred(rule.pred, feats)
     if not keep.any():
         return None
     if isinstance(rule, RandRule):
@@ -240,14 +232,6 @@ def eval_program(
 # ---------------------------------------------------------------------------
 
 
-def _eval_pred_batch(pred: Predicate, feats: Array) -> Array:
-    if isinstance(pred, PredicateAtom):
-        return feats @ np.asarray(pred.weights) >= 0.0
-    left = _eval_pred_batch(pred.left, feats)
-    right = _eval_pred_batch(pred.right, feats)
-    return left & right if pred.op == "and" else left | right
-
-
 def eval_program_batch(
     program: Program,
     feats: Array,
@@ -267,7 +251,7 @@ def eval_program_batch(
     eye = np.eye(n, dtype=bool)
     selected = np.zeros(lead + (n, n), dtype=bool)
     for r_idx, rule in enumerate(program.rules):
-        keep = _eval_pred_batch(rule.pred, feats)
+        keep = _eval_pred(rule.pred, feats)
         keep = keep & ~eye
         count = keep.sum(axis=-1)
         if isinstance(rule, DetRule):
@@ -328,21 +312,6 @@ class CommGraph:
         for j, i in self.edges:
             out[i].add(j)
         return out
-
-
-def build_comm_graph(
-    program: Program,
-    states: Array,
-    obs: Array,
-    rng: np.random.Generator,
-) -> CommGraph:
-    """Evaluate the program for every agent and collect the requested edges."""
-    n = states.shape[0]
-    selections = []
-    for i in range(n):
-        candidates = [(j, obs[i, j]) for j in range(n) if j != i]
-        selections.append(eval_program(program, states[i], candidates, rng))
-    return CommGraph.from_selections(selections)
 
 
 def degree_stats(graph: CommGraph) -> tuple[int, int, int]:

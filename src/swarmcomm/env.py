@@ -134,7 +134,13 @@ class RewardParams:
 
 
 def load_config(path: Union[str, Path]) -> tuple[TaskConfig, RewardParams]:
+    """Read a flat task config; a key that is no TaskConfig or RewardParams field is an error."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise EnvError("a task config must be a JSON object")
+    unknown = sorted(set(doc) - set(TaskConfig.__dataclass_fields__) - set(RewardParams.__dataclass_fields__))
+    if unknown:
+        raise EnvError(f"unknown config key(s): {', '.join(unknown)}")
     return TaskConfig.from_json_dict(doc), RewardParams.from_json_dict(doc)
 
 
@@ -427,29 +433,6 @@ class Trajectory:
 
     def discounted_reward(self, gamma: float) -> float:
         return float(sum((gamma ** t) * s.reward for t, s in enumerate(self.steps)))
-
-    def to_jsonl(self) -> str:
-        n = self.steps[0].state.n_agents if self.steps else self.final_state.n_agents
-        lines = [json.dumps({"kind": "trajectory", "n_agents": n, "length": len(self.steps)}, sort_keys=True)]
-        for t, s in enumerate(self.steps):
-            lines.append(
-                json.dumps(
-                    {
-                        "t": t,
-                        "positions": s.state.positions.tolist(),
-                        "goals": s.state.goals.tolist(),
-                        "edges": sorted(list(s.graph.edges)),
-                        "attention": [a.tolist() for a in s.attentions],
-                        "action": s.action.data.tolist(),
-                        "reward": s.reward,
-                    },
-                    sort_keys=True,
-                )
-            )
-        lines.append(
-            json.dumps({"final_positions": self.final_state.positions.tolist()}, sort_keys=True)
-        )
-        return "\n".join(lines) + "\n"
 
 
 def rollout(

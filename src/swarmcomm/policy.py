@@ -13,7 +13,7 @@ toward degrees.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,23 +23,6 @@ from .env import Deliver, GlobalAction, GlobalState, PolicyStep
 from .transformer import TransformerParams, forward_policy
 
 Array = np.ndarray
-
-
-def hard_attention(row: Array, selection: Iterable[int]) -> Array:
-    """Mask a soft attention row to a selection set and renormalize.
-
-    An empty selection yields the all-zero row: the receiver consumes no
-    messages and acts on its own state alone.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    keep = np.zeros(row.shape[0], dtype=bool)
-    for j in selection:
-        keep[j] = True
-    z = row[keep].sum()
-    out = np.zeros_like(row)
-    if z > 0.0:
-        out[keep] = row[keep] / z
-    return out
 
 
 def dist_mask_select(positions: Array, i: int, k: int) -> list[int]:

@@ -37,7 +37,7 @@ from .dsl import (
 )
 from .env import RewardParams, TaskConfig, rollout
 from .policy import TfFullPolicy
-from .transformer import TransformerParams
+from .transformer import TransformerParams, _mlp, harden_rows, output_head
 
 Array = np.ndarray
 
@@ -234,27 +234,6 @@ def collect_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _mlp_np(weights: dict[str, Array], net: str, x: Array) -> Array:
-    h = np.tanh(x @ weights[f"{net}.w1"] + weights[f"{net}.b1"])
-    return h @ weights[f"{net}.w2"] + weights[f"{net}.b2"]
-
-
-def _squash_np(u: Array, v_max: float) -> Array:
-    norm = np.sqrt((u * u).sum(axis=-1, keepdims=True) + 1e-24)
-    return u * (v_max * np.tanh(norm) / norm)
-
-
-def _softmax_np(x: Array) -> Array:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _harden_np(soft: Array, sel: Array) -> Array:
-    masked = soft * sel
-    z = masked.sum(axis=-1, keepdims=True)
-    return np.divide(masked, z, out=np.zeros_like(masked), where=z > 0)
-
-
 @dataclass
 class ObjectiveBreakdown:
     objective: float
@@ -332,55 +311,34 @@ class SurrogateEvaluator:
         total_deg = 0.0
         for block, sel in zip(ds.blocks, masks):
             m, n = block.n_tuples, block.n_agents
-            sel_f = sel.astype(np.float64)
-            hard = _harden_np(block.attention[r], sel_f)
+            hard = harden_rows(block.attention[r], sel).data
             received = block.messages[r].transpose(0, 2, 1, 3)
             msg_sum = np.einsum("mij,mijd->mid", hard, received)
             if ds.rounds == 2 and r == 0:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round
-                h = _mlp_np(
+                h = _mlp(
                     weights,
                     "internal",
                     np.concatenate([block.states, msg_sum], axis=-1).reshape(m * n, -1),
-                ).reshape(m, n, -1)
+                ).data.reshape(m, n, -1)
                 h_tiled = np.broadcast_to(h[:, :, None, :], (m, n, n, h.shape[-1]))
-                msg2 = _mlp_np(
+                msg2 = _mlp(
                     weights,
                     "msg2",
                     np.concatenate([h_tiled, block.obs], axis=-1).reshape(m * n * n, -1),
-                ).reshape(m, n, n, -1)
+                ).data.reshape(m, n, n, -1)
                 received2 = msg2.transpose(0, 2, 1, 3)
                 msg_sum = np.einsum("mij,mijd->mid", block.attention[1], received2)
-            u = _mlp_np(
-                weights,
-                "out",
-                np.concatenate([block.states, msg_sum], axis=-1).reshape(m * n, -1),
-            ).reshape(m, n, -1)
-            if ds.task.task_kind == "unlabeled-goals":
-                local = _softmax_np(u)
-                recon = np.take_along_axis(local, block.goal_perm_inv, axis=-1)
-            else:
-                recon = _squash_np(u, ds.task.v_max)
+            recon = output_head(
+                ds.params, weights, block.states, msg_sum, ds.task.v_max, block.goal_perm_inv
+            ).data
             total_imit += float(np.abs(block.actions - recon).sum())
             indeg = sel.sum(axis=-1)
             outdeg = sel.sum(axis=-2)
             total_deg += float((indeg + outdeg).max(axis=-1).sum())
         n_tuples = ds.n_tuples
         return total_imit / n_tuples, total_deg / n_tuples
-
-
-def surrogate_objective(
-    program: Program,
-    dataset: SynthDataset,
-    degree_weight: float,
-    rng: np.random.Generator,
-    round_index: int = 0,
-    rand_samples: int = 1,
-) -> float:
-    """One-off objective evaluation (the chain holds its own evaluator)."""
-    ev = SurrogateEvaluator(dataset, degree_weight, round_index, rand_samples, rng)
-    return ev.evaluate(program)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +554,7 @@ def write_chain_csv(path: Union[str, Path], chain: Sequence[ChainRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step", "objective_current", "objective_incumbent", "accepted"])
         for row in chain:
-            writer.writerow([row.step, repr(row.current), repr(row.incumbent), int(row.accepted)])
+            writer.writerow([row.step, repr(float(row.current)), repr(float(row.incumbent)), int(row.accepted)])
 
 
 ProposeFn = Callable[[Program, np.random.Generator], Program]

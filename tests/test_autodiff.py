@@ -213,23 +213,6 @@ class TestFiniteDifferences:
 
 
 class TestTapeMechanics:
-    def test_replay_is_bitwise_identical(self):
-        rng = make_rng(20)
-        tape = Tape()
-        x = tape.leaf(rng.normal(size=(3, 3)), requires_grad=True)
-        y = ad.softmax(ad.tanh(ad.matmul(x, x)))
-        out = ad.tensor_sum(ad.mul(y, 2.0))
-        values = tape.replay()
-        assert np.array_equal(values[out.node_id], out.data)
-        assert np.array_equal(values[y.node_id], y.data)
-
-    def test_replay_with_override(self):
-        tape = Tape()
-        x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
-        out = ad.tensor_sum(ad.mul(x, x))
-        values = tape.replay({x.node_id: np.array([3.0, 4.0])})
-        np.testing.assert_allclose(values[out.node_id], 25.0)
-
     def test_mixed_tape_rejected(self):
         t1, t2 = Tape(), Tape()
         a = t1.leaf(np.ones(2))

@@ -14,13 +14,11 @@ from swarmcomm.dsl import (
     Program,
     RandRule,
     ScoreExpr,
-    build_comm_graph,
     degree_stats,
     eval_program,
     eval_program_batch,
     eval_rule,
     feature_names,
-    featurize,
     featurize_pairs,
     max_degree,
     parse_program,
@@ -29,6 +27,7 @@ from swarmcomm.dsl import (
 )
 
 from conftest import make_rng
+from reference import build_comm_graph, featurize
 
 FMAP = FeatureMap("v1")
 STATE_DIM = 4  # formation-style state: own position + goal

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -343,12 +342,3 @@ class TestRollout:
         for t1, t2 in zip(forward, reversed(reversed_runs)):
             assert np.array_equal(t1.final_state.positions, t2.final_state.positions)
             assert t1.total_reward() == t2.total_reward()
-
-    def test_trajectory_jsonl(self):
-        cfg = cross_cfg(horizon=2, group_presence_prob=1.0)
-        traj = rollout(ZeroPolicy(), cfg, make_rng(15))
-        lines = traj.to_jsonl().strip().split("\n")
-        assert len(lines) == 2 + 2  # header + steps + final state
-        header = json.loads(lines[0])
-        assert header["length"] == 2
-        assert json.loads(lines[1])["t"] == 0

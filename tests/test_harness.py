@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -441,6 +442,85 @@ class TestCli:
         assert rc == 0
         assert data.read_bytes() == original
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        doc = {**TaskConfig().to_json_dict(), **RewardParams().to_json_dict(), "n_agents_per_grop": 1}
+        (tmp_path / "task.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "train-oracle", "--config", str(tmp_path / "task.json"),
+            "--out", str(tmp_path / "oracle.json"), "--rollouts", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[bad-config]" in err
+        assert "n_agents_per_grop" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "oracle.json").exists()
+
+    def test_params_values_not_fitting_shape_categorized(self, cli_workspace, tmp_path, capsys):
+        doc = json.loads((cli_workspace / "oracle.json").read_text())
+        entry = doc["params"]["out.b2"]
+        entry["values"] = entry["values"][:-1]
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main([
+            "evaluate", "--params", str(bad), "--config", str(cli_workspace / "task.json"),
+            "--policy", "tf-full", "--rollouts", "1", "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[bad-config]" in err
+        assert str(bad) in err
+
+    def test_truncated_dataset_line_categorized(self, cli_workspace, tmp_path, capsys):
+        text = (cli_workspace / "data.jsonl").read_text()
+        bad = tmp_path / "data.jsonl"
+        bad.write_text(text[: len(text) - 40])
+        rc = cli.main([
+            "synthesize", "--dataset", str(bad), "--steps", "2", "--out", str(tmp_path / "p.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[bad-config]" in err
+        assert str(bad) in err
+
+    def test_rerun_refuses_changed_input(self, cli_workspace, tmp_path, capsys):
+        cfg = tmp_path / "task.json"
+        cfg.write_bytes((cli_workspace / "task.json").read_bytes())
+        out = tmp_path / "data.jsonl"
+        assert cli.main([
+            "collect", "--params", str(cli_workspace / "oracle.json"), "--config", str(cfg),
+            "--rollouts", "1", "--out", str(out), "--seed", "1",
+        ]) == 0
+        original = out.read_bytes()
+        doc = json.loads(cfg.read_text())
+        doc["horizon"] = 5
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["rerun", str(out) + ".manifest.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[changed-input]" in err
+        assert str(cfg) in err
+        assert out.read_bytes() == original
+
+    def test_rerun_replays_recorded_seed_despite_swarm_seed(self, cli_workspace, tmp_path, monkeypatch):
+        def collect(out):
+            return cli.main([
+                "collect", "--params", str(cli_workspace / "oracle.json"),
+                "--config", str(cli_workspace / "task.json"), "--rollouts", "1", "--out", str(out),
+                "--seed", "1",
+            ])
+
+        monkeypatch.delenv("SWARM_SEED", raising=False)
+        out = tmp_path / "data.jsonl"
+        assert collect(out) == 0
+        original = out.read_bytes()
+        monkeypatch.setenv("SWARM_SEED", "99")
+        assert collect(tmp_path / "other.jsonl") == 0
+        assert (tmp_path / "other.jsonl").read_bytes() != original
+        assert cli.main(["rerun", str(out) + ".manifest.json"]) == 0
+        assert out.read_bytes() == original
+        assert os.environ["SWARM_SEED"] == "99"
+
     def test_two_round_pipeline(self, tmp_path):
         # coverage task: synthesize emits one program file per round and the
         # combined policy consumes both
@@ -458,9 +538,16 @@ class TestCli:
         assert cli.main([
             "synthesize", "--dataset", str(tmp_path / "data.jsonl"),
             "--rules", "1", "--steps", "15", "--out", str(tmp_path / "program.txt"), "--seed", "2",
+            "--chain-log", str(tmp_path / "chain.csv"),
         ]) == 0
         assert (tmp_path / "program.txt").exists()
         assert (tmp_path / "program.round2.txt").exists()
+        # one chain log per round, named like the programs, both in the manifest
+        chains = [tmp_path / "chain.csv", tmp_path / "chain.round2.csv"]
+        for chain in chains:
+            assert len(chain.read_text().strip().split("\n")) == 15 + 1
+        manifest = json.loads((tmp_path / "program.txt.manifest.json").read_text())
+        assert {str(c) for c in chains} <= set(manifest["outputs"])
         assert cli.main([
             "evaluate", "--params", str(tmp_path / "oracle.json"),
             "--config", str(tmp_path / "task.json"), "--policy", "combined",

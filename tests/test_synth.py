@@ -14,12 +14,11 @@ from swarmcomm.synth import (
     mh_accept,
     propose,
     propose_with_move,
-    surrogate_objective,
     synthesize_multiround,
     write_chain_csv,
     _MOVES,
 )
-from swarmcomm.transformer import init_for_task
+from swarmcomm.transformer import _mlp, harden_rows, init_for_task, squash_action
 
 from conftest import make_rng
 
@@ -115,14 +114,12 @@ class TestSurrogateObjective:
         block.actions = block.actions + 0.0  # keep dtype
         recon_gap = probe.imitation
         # replace actions with the exact reconstruction, then J = -0.5 * 3
-        from swarmcomm.synth import _harden_np, _mlp_np, _squash_np
-
         weights = dataset.params.store.params
-        hard = _harden_np(block.attention[0], sel.astype(float))
+        hard = harden_rows(block.attention[0], sel).data
         received = block.messages[0].transpose(0, 2, 1, 3)
         msum = np.einsum("mij,mijd->mid", hard, received)
-        u = _mlp_np(weights, "out", np.concatenate([block.states, msum], axis=-1).reshape(3, -1)).reshape(1, 3, 2)
-        block.actions = _squash_np(u, dataset.task.v_max)
+        u = _mlp(weights, "out", np.concatenate([block.states, msum], axis=-1).reshape(3, -1)).data.reshape(1, 3, 2)
+        block.actions = squash_action(u, dataset.task.v_max).data
         exact = ev.objective_for_masks([sel])
         assert exact.imitation == pytest.approx(0.0, abs=1e-12)
         assert exact.mean_max_degree == pytest.approx(3.0)
@@ -130,10 +127,10 @@ class TestSurrogateObjective:
         # shift one action by total L1 0.3 with degree 2: J = -0.3 - 1.0 * 2
         sel2 = np.zeros((1, 3, 3), dtype=bool)
         sel2[0, 0, 1] = sel2[0, 0, 2] = True
-        hard2 = _harden_np(block.attention[0], sel2.astype(float))
+        hard2 = harden_rows(block.attention[0], sel2).data
         msum2 = np.einsum("mij,mijd->mid", hard2, received)
-        u2 = _mlp_np(weights, "out", np.concatenate([block.states, msum2], axis=-1).reshape(3, -1)).reshape(1, 3, 2)
-        block.actions = _squash_np(u2, dataset.task.v_max)
+        u2 = _mlp(weights, "out", np.concatenate([block.states, msum2], axis=-1).reshape(3, -1)).data.reshape(1, 3, 2)
+        block.actions = squash_action(u2, dataset.task.v_max).data
         block.actions[0, 1, 0] += 0.2
         block.actions[0, 2, 1] -= 0.1
         ev2 = SurrogateEvaluator(dataset, 1.0, rng=make_rng(0))
@@ -145,8 +142,8 @@ class TestSurrogateObjective:
     def test_doubling_tradeoff_strictly_decreases_objective(self):
         dataset = tiny_dataset(n_rollouts=3)
         program = nearest_program(dataset.state_dim)
-        j1 = surrogate_objective(program, dataset, 0.5, make_rng(1))
-        j2 = surrogate_objective(program, dataset, 1.0, make_rng(1))
+        j1 = SurrogateEvaluator(dataset, 0.5, rng=make_rng(1)).evaluate(program)
+        j2 = SurrogateEvaluator(dataset, 1.0, rng=make_rng(1)).evaluate(program)
         assert j2 < j1
 
     def test_full_mask_with_self_reconstructs_oracle_actions(self):
@@ -181,11 +178,11 @@ class TestSurrogateObjective:
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
         dataset = tiny_dataset(n_rollouts=2, cfg=cfg)
         program = nearest_program(dataset.state_dim)
-        j0 = surrogate_objective(program, dataset, 0.5, make_rng(5), round_index=0)
-        j1 = surrogate_objective(program, dataset, 0.5, make_rng(5), round_index=1)
+        j0 = SurrogateEvaluator(dataset, 0.5, round_index=0, rng=make_rng(5)).evaluate(program)
+        j1 = SurrogateEvaluator(dataset, 0.5, round_index=1, rng=make_rng(5)).evaluate(program)
         assert np.isfinite(j0) and np.isfinite(j1)
         with pytest.raises(SynthError):
-            surrogate_objective(program, dataset, 0.5, make_rng(5), round_index=2)
+            SurrogateEvaluator(dataset, 0.5, round_index=2, rng=make_rng(5)).evaluate(program)
 
 
 class TestPropose:
@@ -284,6 +281,10 @@ class TestChain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,objective_current,objective_incumbent,accepted"
         assert len(lines) == 11
+        for line, row in zip(lines[1:], result.chain):
+            _, current, incumbent, _ = line.split(",")
+            assert float(current) == row.current
+            assert float(incumbent) == row.incumbent
 
     def test_mini_grid_space_finds_exhaustive_optimum(self):
         # enumerable space: one rule, threshold on d from a 5-value grid,

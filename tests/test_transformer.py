@@ -4,17 +4,15 @@ import pytest
 from swarmcomm import autodiff as ad
 from swarmcomm.transformer import (
     TransformerParams,
-    act,
     forward_policy,
     forward_round,
     harden_rows,
     init_transformer,
-    message,
-    soft_attention,
     squash_action,
 )
 
 from conftest import central_difference, make_rng, relative_error
+from reference import act, message, soft_attention
 
 
 def small_params(task="random-cross", state_dim=4, action_dim=2, rounds=1, seed=0, **kw):
@@ -254,6 +252,13 @@ class TestHardenRows:
         mask = np.zeros((1, 2, 3))
         hard = harden_rows(soft, mask)
         np.testing.assert_array_equal(hard.data, np.zeros((1, 2, 3)))
+
+    def test_kept_mass_is_renormalized_exactly(self):
+        # the kept weight is ~5e-9 of the row; dividing by exactly z gives 1.0
+        soft = ad.softmax(np.array([[0.0, 50.0, 1.0]]))
+        hard = harden_rows(soft, np.array([[1.0, 0.0, 0.0]]))
+        assert hard.data[0, 0] == 1.0
+        np.testing.assert_array_equal(hard.data[0, 1:], [0.0, 0.0])
 
     def test_gradient_flows_through_kept_weights_only(self):
         tape = ad.Tape()
