@@ -13,9 +13,9 @@ from .dsl import (
     FeatureMap,
     Program,
     RandRule,
+    degree_stats,
     eval_program,
-    eval_rule,
-    max_degree,
+    eval_program_batch,
     parse_program,
     print_program,
 )
@@ -26,12 +26,10 @@ from .env import (
     TaskConfig,
     Trajectory,
     apply_link_failure,
-    observe,
-    reward_formation,
-    reward_unlabeled,
     rollout,
     sample_initial,
-    step,
+    simulate,
+    world_step,
 )
 from .harness import Metrics, RunManifest, evaluate, report, sweep
 from .policy import (

@@ -23,7 +23,7 @@ from .dsl import parse_program, print_program
 from .env import RewardParams, TaskConfig, rollout
 from .harness import RunManifest, evaluate, file_sha256, report, resolve_seed
 from .policy import POLICY_NAMES, make_policy
-from .synth import SynthConfig, SynthDataset, collect_dataset, mcmc_synthesize, synthesize_multiround, write_chain_csv
+from .synth import SynthConfig, SynthDataset, collect_dataset, synthesize_multiround, write_chain_csv
 from .training import TrainConfig, retrain, train_oracle, write_curve_csv
 from .transformer import TransformerParams
 
@@ -64,17 +64,43 @@ def _load_dataset(path: str) -> SynthDataset:
         raise CliError("bad-config", f"{path}: {exc}") from exc
 
 
-def _load_programs(paths: Sequence[str]) -> list[dsl.Program]:
+def _load_programs(paths: Sequence[str], params: TransformerParams) -> list[dsl.Program]:
     programs = []
     for path in paths:
         p = Path(path)
         if not p.exists():
             raise CliError("missing-input", f"program file not found: {path}")
         try:
-            programs.append(parse_program(p.read_text()))
+            programs.append(parse_program(p.read_text(), params.state_dim))
+        except dsl.DimensionMismatch as exc:
+            raise CliError("dim-mismatch", f"{path}: {exc} by the parameters") from exc
         except dsl.ParseError as exc:
             raise CliError("bad-config", f"{path}: {exc}") from exc
+    if len(programs) != params.rounds:
+        raise CliError(
+            "dim-mismatch",
+            f"{params.rounds} communication rounds need {params.rounds} program files, got {len(programs)}",
+        )
     return programs
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CliError("usage", message)
+
+
+def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
+    try:
+        return TrainConfig(
+            n_rollouts=args.rollouts,
+            batch_size=args.batch,
+            discount=args.discount,
+            learning_rate=args.lr,
+            grad_clip=args.clip,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from exc
 
 
 def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
@@ -107,16 +133,9 @@ def _manifest_path(primary_output: str) -> Path:
 
 
 def cmd_train_oracle(args: argparse.Namespace) -> int:
-    cfg, rewards = _load_task(args.config)
     seed = resolve_seed(args.seed)
-    train_cfg = TrainConfig(
-        n_rollouts=args.rollouts,
-        batch_size=args.batch,
-        discount=args.discount,
-        learning_rate=args.lr,
-        grad_clip=args.clip,
-        seed=seed,
-    )
+    train_cfg = _train_config(args, seed)
+    cfg, rewards = _load_task(args.config)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = train_oracle(cfg, train_cfg, rng, rewards)
     result.params.save(args.out)
@@ -130,6 +149,7 @@ def cmd_train_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
+    _require(args.rollouts >= 1, "--rollouts must be >= 1")
     cfg, rewards = _load_task(args.config)
     params = _load_params(args.params)
     _check_dims(params, cfg)
@@ -162,11 +182,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         rand_rule_samples=args.samples,
         seed=seed,
     )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if dataset.rounds == 1:
-        results = [mcmc_synthesize(dataset, cfg, rng)]
-    else:
-        results = synthesize_multiround(dataset, cfg, rng)
+    results = synthesize_multiround(dataset, cfg, np.random.Generator(np.random.PCG64(seed)))
     outputs = []
     out_paths = _round_out_paths(args.out, dataset.rounds)
     for r, (result, out_path) in enumerate(zip(results, out_paths)):
@@ -182,24 +198,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_retrain(args: argparse.Namespace) -> int:
+    seed = resolve_seed(args.seed)
+    train_cfg = _train_config(args, seed)
     cfg, rewards = _load_task(args.config)
     params = _load_params(args.params)
     _check_dims(params, cfg)
-    programs = _load_programs(args.program)
-    if len(programs) != params.rounds:
-        raise CliError(
-            "dim-mismatch",
-            f"{params.rounds} communication rounds need {params.rounds} program files, got {len(programs)}",
-        )
-    seed = resolve_seed(args.seed)
-    train_cfg = TrainConfig(
-        n_rollouts=args.rollouts,
-        batch_size=args.batch,
-        discount=args.discount,
-        learning_rate=args.lr,
-        grad_clip=args.clip,
-        seed=seed,
-    )
+    programs = _load_programs(args.program, params)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = retrain(params, programs, cfg, train_cfg, rng, rewards)
     result.params.save(args.out)
@@ -214,12 +218,7 @@ def cmd_retrain(args: argparse.Namespace) -> int:
 
 
 def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: TaskConfig):
-    programs = _load_programs(args.program) if args.program else None
-    if args.policy == "combined" and programs is not None and len(programs) != params.rounds:
-        raise CliError(
-            "dim-mismatch",
-            f"{params.rounds} communication rounds need {params.rounds} program files, got {len(programs)}",
-        )
+    programs = _load_programs(args.program, params) if args.policy == "combined" and args.program else None
     try:
         return make_policy(args.policy, params, v_max=cfg.v_max, k=args.k, programs=programs)
     except ValueError as exc:
@@ -227,6 +226,7 @@ def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: Task
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _require(args.rollouts >= 1, "--rollouts must be >= 1")
     cfg, rewards = _load_task(args.config)
     params = _load_params(args.params)
     _check_dims(params, cfg)
@@ -250,6 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _require(args.val_rollouts >= 1, "--val-rollouts must be >= 1")
     dataset = _load_dataset(args.dataset)
     cfg, rewards = _load_task(args.config)
     seed = resolve_seed(args.seed)
@@ -288,10 +289,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     best_json = out_dir / "sweep_best.json"
     best_json.write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
-    best_prog = out_dir / "sweep_best_program.txt"
-    best_prog.write_text(print_program(result.best.result.program, dataset.state_dim))
+    best_progs = _round_out_paths(str(out_dir / "sweep_best_program.txt"), dataset.rounds)
+    for cell_result, path in zip(result.best.results, best_progs):
+        path.write_text(print_program(cell_result.program, dataset.state_dim))
     _write_manifest(
-        "sweep", args, seed, [args.dataset, args.config], [cells_csv, best_json, best_prog],
+        "sweep", args, seed, [args.dataset, args.config], [cells_csv, best_json, *best_progs],
         out_dir / "sweep.manifest.json",
     )
     print(

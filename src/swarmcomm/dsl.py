@@ -18,7 +18,7 @@ chunks are named positionally (``sx0, sy0, sn0, sa0, ...``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,7 +167,7 @@ def true_predicate(fmap: FeatureMap, state_dim: int) -> PredicateAtom:
 
 
 # ---------------------------------------------------------------------------
-# interpreter (reference, one agent at a time)
+# interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -180,71 +180,17 @@ def _eval_pred(pred: Predicate, feats: Array) -> Array:
     return left & right if pred.op == "and" else left | right
 
 
-def eval_rule(
-    rule: Rule,
-    s_i: Array,
-    candidates: Sequence[tuple[int, Array]],
-    fmap: FeatureMap,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Apply one rule to the candidate list [(agent_id, o_ij), ...], self excluded.
-
-    Deterministic rules return the passing candidate with the highest score
-    (ties to the lowest agent id); nondeterministic rules pick uniformly among
-    the passing candidates. Returns None when nothing passes the filter.
-    """
-    if not candidates:
-        return None
-    ids = np.asarray([j for j, _ in candidates], dtype=np.int64)
-    obs = np.stack([np.asarray(o, dtype=np.float64) for _, o in candidates])
-    states = np.broadcast_to(np.asarray(s_i, dtype=np.float64), (len(candidates), len(s_i)))
-    feats = featurize_pairs(states, obs, fmap)
-    keep = _eval_pred(rule.pred, feats)
-    if not keep.any():
-        return None
-    if isinstance(rule, RandRule):
-        passing = ids[keep]
-        return int(passing[rng.integers(0, len(passing))])
-    scores = feats @ np.asarray(rule.score.weights)
-    scores = np.where(keep, scores, -np.inf)
-    best = scores.max()
-    winners = ids[scores == best]
-    return int(winners.min())
-
-
-def eval_program(
-    program: Program,
-    s_i: Array,
-    candidates: Sequence[tuple[int, Array]],
-    rng: np.random.Generator,
-) -> set[int]:
-    """Selection set for one agent: each rule picks at most one sender."""
-    chosen: set[int] = set()
-    for rule in program.rules:
-        picked = eval_rule(rule, s_i, candidates, program.feature_map, rng)
-        if picked is not None:
-            chosen.add(picked)
-    return chosen
-
-
-# ---------------------------------------------------------------------------
-# vectorized interpreter (synthesis / retraining hot path)
-# ---------------------------------------------------------------------------
-
-
-def eval_program_batch(
-    program: Program,
-    feats: Array,
-    rand_u: Optional[Array] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Array:
+def eval_program_batch(program: Program, feats: Array, rand_u: Optional[Array] = None) -> Array:
     """Selection mask over batches of worlds.
 
     feats: (..., N, N, d') features for every ordered (receiver, sender) pair.
-    rand_u: optional uniforms (..., N, K) shared across candidate programs for
-    the nondeterministic rules; drawn from rng when omitted.
+    rand_u: uniforms (..., N, K), column k driving rule k when it is
+    nondeterministic; required when the program has such a rule.
     Returns a boolean mask (..., N, N) with mask[..., i, j] = True when agent i
-    selects sender j. The diagonal is always False.
+    selects sender j. The diagonal is always False. Deterministic rules pick
+    the passing sender with the highest score, ties to the lowest id; a
+    nondeterministic rule picks passing sender number floor(u * count) in id
+    order.
     """
     n = feats.shape[-2]
     lead = feats.shape[:-3]
@@ -259,12 +205,9 @@ def eval_program_batch(
             scores = np.where(keep, scores, -np.inf)
             pick = np.argmax(scores, axis=-1)
         else:
-            if rand_u is not None:
-                u = rand_u[..., r_idx]
-            elif rng is not None:
-                u = rng.random(lead + (n,))
-            else:
-                raise DslError("nondeterministic rule needs rand_u or rng")
+            if rand_u is None:
+                raise DslError("a nondeterministic rule needs rand_u")
+            u = rand_u[..., r_idx]
             target = np.minimum(np.floor(u * count), np.maximum(count - 1, 0)).astype(np.int64) + 1
             cum = np.cumsum(keep, axis=-1)
             hit = (cum == target[..., None]) & keep
@@ -276,6 +219,13 @@ def eval_program_batch(
     return selected
 
 
+def eval_program(program: Program, states: Array, obs: Array, rand_u: Optional[Array] = None) -> Array:
+    """Selection mask (B, N, N) from agent states (B, N, ds) and observations (B, N, N, 2)."""
+    b, n, ds = states.shape
+    tiled = np.broadcast_to(states[:, :, None, :], (b, n, n, ds))
+    return eval_program_batch(program, featurize_pairs(tiled, obs, program.feature_map), rand_u)
+
+
 # ---------------------------------------------------------------------------
 # communication graph
 # ---------------------------------------------------------------------------
@@ -283,7 +233,7 @@ def eval_program_batch(
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Directed requested-communication graph; edge (j, i) means j -> i."""
+    """Directed delivered-communication graph of one step; edge (j, i) means j -> i."""
 
     n_agents: int
     edges: frozenset[tuple[int, int]]
@@ -296,45 +246,30 @@ class CommGraph:
                 raise DslError("edge endpoint out of range")
 
     @classmethod
-    def from_selections(cls, selections: Sequence[Iterable[int]]) -> "CommGraph":
-        n = len(selections)
-        edges = frozenset((j, i) for i, sel in enumerate(selections) for j in sel)
-        return cls(n, edges)
-
-    def in_degree(self, i: int) -> int:
-        return sum(1 for _, dst in self.edges if dst == i)
-
-    def out_degree(self, j: int) -> int:
-        return sum(1 for src, _ in self.edges if src == j)
-
-    def selections(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.n_agents)]
-        for j, i in self.edges:
-            out[i].add(j)
-        return out
+    def from_mask(cls, mask: Array) -> "CommGraph":
+        """Graph of a (N, N) mask whose entry [i, j] means receiver i hears sender j."""
+        receivers, senders = np.nonzero(mask)
+        return cls(mask.shape[0], frozenset(zip(senders.tolist(), receivers.tolist())))
 
 
-def degree_stats(graph: CommGraph) -> tuple[int, int, int]:
-    """(max in-degree, max out-degree, max total degree) over the nodes."""
-    indeg = [0] * graph.n_agents
-    outdeg = [0] * graph.n_agents
-    for j, i in graph.edges:
-        outdeg[j] += 1
-        indeg[i] += 1
-    if graph.n_agents == 0:
-        return 0, 0, 0
-    totals = [a + b for a, b in zip(indeg, outdeg)]
-    return max(indeg, default=0), max(outdeg, default=0), max(totals, default=0)
+def degree_stats(mask: Array) -> tuple[Array, Array, Array]:
+    """Max in-, out- and total degree over the nodes of masks (..., N, N).
 
-
-def max_degree(graph: CommGraph) -> int:
-    """Maximum over nodes of in-degree plus out-degree."""
-    return degree_stats(graph)[2]
+    mask[..., i, j] means receiver i hears sender j, so row sums are
+    in-degrees and column sums out-degrees.
+    """
+    indeg = mask.sum(axis=-1)
+    outdeg = mask.sum(axis=-2)
+    return indeg.max(axis=-1), outdeg.max(axis=-1), (indeg + outdeg).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # surface syntax
 # ---------------------------------------------------------------------------
+
+
+class DimensionMismatch(DslError):
+    pass
 
 
 class ParseError(DslError):
@@ -532,7 +467,8 @@ def parse_program(text: str, state_dim: Optional[int] = None) -> Program:
     """Parse the textual program format.
 
     The first non-empty line is a header: ``#dsl v1 features=V1|V2 rules=K
-    state_dim=D``; each following non-empty line is one rule.
+    state_dim=D``; each following non-empty line is one rule. A given
+    state_dim must match the header's.
     """
     lines = text.splitlines()
     header = None
@@ -562,10 +498,13 @@ def parse_program(text: str, state_dim: Optional[int] = None) -> Program:
     if version not in FEATURE_VERSIONS:
         raise ParseError(f"unknown feature version {meta.get('features')!r}", header_line, 1)
     fmap = FeatureMap(version)
+    declared = int(meta["state_dim"]) if "state_dim" in meta else None
     if state_dim is None:
-        if "state_dim" not in meta:
+        if declared is None:
             raise ParseError("header is missing state_dim", header_line, 1)
-        state_dim = int(meta["state_dim"])
+        state_dim = declared
+    elif declared is not None and declared != state_dim:
+        raise DimensionMismatch(f"program is for state_dim {declared}, expected {state_dim}")
     names = feature_names(fmap, state_dim)
     rules = []
     for lineno, line in rule_lines:

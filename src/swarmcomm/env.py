@@ -6,9 +6,11 @@ while penalizing near-collisions; ``unlabeled-goals`` drives N agents to cover N
 interchangeable goal points by emitting weight vectors over the goals.
 
 Dynamics are single-integrator (x' = x + a*dt). Observations are noisy relative
-positions with the diagonal pinned to zero. Rollouts are bit-reproducible given
-a seeded generator; concurrent rollouts should each own a generator spawned from
-one master SeedSequence.
+positions with the diagonal pinned to zero. One step function, ``world_step``,
+advances B stacked worlds that share the agent count; training runs it on the
+autodiff tape, rollouts and evaluation without one. Rollouts are
+bit-reproducible given a seeded generator; concurrent rollouts should each own
+a generator spawned from one master SeedSequence.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
+from typing import Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .dsl import CommGraph
 
 Array = np.ndarray
@@ -204,20 +208,6 @@ class GlobalAction:
         return self.data.shape[0]
 
 
-def _validate_action(action: GlobalAction, cfg: TaskConfig) -> None:
-    if not np.all(np.isfinite(action.data)):
-        raise EnvError("non-finite action rejected")
-    if cfg.formation:
-        norms = np.linalg.norm(action.data, axis=1)
-        if np.any(norms > cfg.v_max + 1e-9):
-            raise EnvError("velocity exceeds v_max")
-    else:
-        if np.any(action.data < -1e-9):
-            raise EnvError("goal weights must be nonnegative")
-        if np.any(np.abs(action.data.sum(axis=1) - 1.0) > 1e-6):
-            raise EnvError("goal weights must sum to 1")
-
-
 _MAX_RESAMPLES = 1000
 
 
@@ -315,104 +305,244 @@ def _sample_unlabeled(cfg: TaskConfig, rng: np.random.Generator) -> GlobalState:
     )
 
 
-def observe(state: GlobalState, sigma: float, rng: np.random.Generator) -> Array:
-    """Noisy relative positions o[i, j] = x_j - x_i + noise; diagonal exactly zero."""
-    if sigma < 0:
-        raise EnvError("sigma must be >= 0")
-    x = state.positions
-    rel = x[None, :, :] - x[:, None, :]
-    if sigma > 0:
-        rel = rel + sigma * rng.standard_normal(rel.shape)
-    n = state.n_agents
-    rel[np.arange(n), np.arange(n)] = 0.0
-    return rel
+# ---------------------------------------------------------------------------
+# one batched world step
+# ---------------------------------------------------------------------------
 
 
-def step(state: GlobalState, action: GlobalAction, cfg: TaskConfig) -> GlobalState:
-    _validate_action(action, cfg)
-    if cfg.formation:
-        velocity = action.data
-    else:
-        # weights are in global goal order, rows sum to 1: v = P @ g - x
-        velocity = action.data @ state.goals - state.positions
-    return replace(state, positions=state.positions + velocity * cfg.dt)
+def _per_world(rngs: Sequence[np.random.Generator], shape: tuple[int, ...], kind: str) -> Array:
+    first = rngs[0]
+    if all(g is first for g in rngs):
+        return getattr(first, kind)((len(rngs),) + tuple(shape))
+    return np.stack([getattr(g, kind)(shape) for g in rngs])
 
 
-def reward_formation(state: GlobalState, action: GlobalAction, params: RewardParams) -> float:
-    x = state.positions
-    goal_term = float(np.linalg.norm(x - state.goals, axis=1).sum())
-    diff = x[:, None, :] - x[None, :, :]
-    dists = np.linalg.norm(diff, axis=-1)
-    hinge = np.maximum(params.collision_weight * (2.0 - dists / params.collision_distance), 0.0)
-    np.fill_diagonal(hinge, 0.0)
-    return -(goal_term + float(hinge.sum()))
+def uniforms(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> Array:
+    """(B, *shape) uniforms in [0, 1); block b comes from rngs[b].
+
+    Blocks of one generator shared by all B worlds come in one draw of shape
+    (B, *shape), the same stream as drawing them one after another.
+    """
+    return _per_world(rngs, shape, "random")
 
 
-def reward_unlabeled(action: GlobalAction) -> float:
-    weights = action.data
-    n = weights.shape[0]
-    return float(weights.max(axis=0).sum() - n)
+def apply_link_failure(requested: Array, p_fail: float, rngs: Sequence[np.random.Generator]) -> Array:
+    """Drop each requested link of (B, N, N) masks independently with probability p_fail.
 
-
-def reward_for(state: GlobalState, action: GlobalAction, cfg: TaskConfig, params: RewardParams) -> float:
-    if cfg.formation:
-        return reward_formation(state, action, params)
-    return reward_unlabeled(action)
-
-
-def apply_link_failure(
-    selections: Sequence[Iterable[int]], p_fail: float, rng: np.random.Generator
-) -> list[set[int]]:
-    """Drop each requested edge independently with probability p_fail."""
+    When p_fail > 0, world b draws one (N, N) block of uniforms from rngs[b];
+    entry (i, j) survives when u >= p_fail.
+    """
     if not (0.0 <= p_fail <= 1.0):
         raise EnvError("p_fail must be in [0, 1]")
     if p_fail == 0.0:
-        return [set(sel) for sel in selections]
-    delivered: list[set[int]] = []
-    for sel in selections:
-        ordered = sorted(sel)
-        if not ordered:
-            delivered.append(set())
-            continue
-        keep = rng.random(len(ordered)) >= p_fail
-        delivered.append({j for j, ok in zip(ordered, keep) if ok})
-    return delivered
+        return requested
+    return requested & (uniforms(rngs, requested.shape[-2:]) >= p_fail)
+
+
+@dataclass
+class WorldBatch:
+    """The constant parts of B worlds of one task that share the agent count N."""
+
+    formation: bool
+    positions: Array  # (B, N, 2) at t = 0
+    goals: Array  # (B, N, 2)
+    goal_block: Optional[Array] = None  # unlabeled: (B, N, 2N), each agent's goals in its t=0 order
+    goal_perm_inv: Optional[Array] = None  # unlabeled: (B, N, N)
+
+    @classmethod
+    def stack(cls, worlds: Sequence[GlobalState]) -> "WorldBatch":
+        n = worlds[0].n_agents
+        if any(w.n_agents != n for w in worlds):
+            raise EnvError("all worlds in a batch must share the agent count")
+        positions = np.stack([w.positions for w in worlds])
+        goals = np.stack([w.goals for w in worlds])
+        if worlds[0].task_kind != "unlabeled-goals":
+            return cls(True, positions, goals)
+        block = np.stack([w.goals[w.goal_order].reshape(n, 2 * n) for w in worlds])
+        return cls(False, positions, goals, block, np.stack([w.goal_perm_inv() for w in worlds]))
+
+    def agent_states(self, pos: ad.TensorLike) -> Tensor:
+        """Network inputs (B, N, state_dim): position first, then the goal or the goal block."""
+        return ad.concat([pos, self.goals if self.formation else self.goal_block], axis=-1)
+
+
+@dataclass
+class PolicyStep:
+    """What a policy did in one step of B worlds."""
+
+    actions: Tensor  # (B, N, action_dim); coverage weights in global goal order
+    delivered: list[Array]  # per round, (B, N, N) bool: [b, i, j] = receiver i got sender j's message
+    attentions: list[Array]  # per round, (B, N, N) rows actually applied
+    messages: list[Array]  # per round, (B, N, N, msg_dim), [b, j, i] = sender j -> receiver i
+
+
+class Policy(Protocol):
+    """Acts in B worlds at once: per round a (B, N, N) request mask, links
+    dropped by apply_link_failure, actions from the delivered links only."""
+
+    name: str
+    full_comm: bool
+
+    def step(
+        self,
+        states: Tensor,
+        obs: Tensor,
+        rngs: Sequence[np.random.Generator],
+        p_fail: float,
+        goal_perm_inv: Optional[Array] = None,
+        weights: Optional[dict] = None,
+    ) -> PolicyStep: ...
+
+
+@dataclass
+class RewardTerms:
+    """The per-agent parts of one step's rewards."""
+
+    goal: Tensor  # (B, N) formation: distance to the own goal; coverage: largest weight on each goal
+    hinge: Optional[Tensor] = None  # formation: (B, N, N) collision hinge, zero diagonal
+
+    def total(self) -> Tensor:
+        """The B worlds' rewards summed into one scalar, as the training objective adds them."""
+        if self.hinge is not None:
+            return ad.mul(ad.add(ad.tensor_sum(self.goal), ad.tensor_sum(self.hinge)), -1.0)
+        b, n = self.goal.shape
+        return ad.sub(ad.tensor_sum(self.goal), float(n * b))
+
+    def per_world(self) -> Array:
+        """(B,) rewards."""
+        if self.hinge is not None:
+            return -(self.goal.data.sum(axis=1) + self.hinge.data.sum(axis=(1, 2)))
+        return self.goal.data.sum(axis=1) - self.goal.shape[1]
+
+
+def step_rewards(
+    pos: ad.TensorLike,
+    rel: ad.TensorLike,
+    goals: ad.TensorLike,
+    actions: ad.TensorLike,
+    formation: bool,
+    params: RewardParams,
+) -> RewardTerms:
+    """Formation: -(sum of goal distances + collision hinge over ordered pairs).
+    Coverage: sum over goals of the largest weight any agent puts on it, minus N.
+    rel: (B, N, N, 2) relative positions x_j - x_i.
+    """
+    if not formation:
+        return RewardTerms(ad.tensor_max(actions, axis=1))
+    goal_dists = ad.l2_norm(ad.sub(pos, goals))
+    pair_dists = ad.l2_norm(rel)
+    hinge = ad.relu(
+        ad.mul(ad.sub(2.0, ad.div(pair_dists, params.collision_distance)), params.collision_weight)
+    )
+    n = pair_dists.shape[-1]
+    return RewardTerms(goal_dists, ad.mul(hinge, (1.0 - np.eye(n))[None]))
+
+
+def advance(pos: ad.TensorLike, goals: ad.TensorLike, actions: ad.TensorLike, cfg: TaskConfig) -> Tensor:
+    """x' = x + v dt; v is the action (formation) or the weighted goals minus x (coverage)."""
+    if cfg.formation:
+        velocity = actions
+    else:
+        b, n = actions.shape[0], actions.shape[1]
+        weighted = ad.mul(ad.reshape(actions, (b, n, n, 1)), ad.reshape(goals, (b, 1, n, 2)))
+        velocity = ad.sub(ad.tensor_sum(weighted, axis=2), pos)
+    return ad.add(pos, ad.mul(velocity, cfg.dt))
+
+
+def check_actions(actions: Array, cfg: TaskConfig) -> None:
+    """Reject non-finite actions, velocities above v_max and goal weights off the simplex."""
+    if not np.all(np.isfinite(actions)):
+        raise EnvError("non-finite action rejected")
+    if cfg.formation:
+        if np.any(np.linalg.norm(actions, axis=-1) > cfg.v_max + 1e-9):
+            raise EnvError("velocity exceeds v_max")
+    else:
+        if np.any(actions < -1e-9):
+            raise EnvError("goal weights must be nonnegative")
+        if np.any(np.abs(actions.sum(axis=-1) - 1.0) > 1e-6):
+            raise EnvError("goal weights must sum to 1")
+
+
+@dataclass
+class WorldStep:
+    positions: Tensor  # (B, N, 2) before the step
+    states: Tensor  # (B, N, state_dim)
+    obs: Tensor  # (B, N, N, 2)
+    policy: PolicyStep
+    rewards: RewardTerms
+    next_positions: Tensor
+
+
+def world_step(
+    policy: Policy,
+    cfg: TaskConfig,
+    reward_params: RewardParams,
+    worlds: WorldBatch,
+    pos: Tensor,
+    rngs: Sequence[np.random.Generator],
+    weights: Optional[dict] = None,
+) -> WorldStep:
+    """One step of B stacked worlds: observe, act, reward, move.
+
+    Observations are o[i, j] = x_j - x_i + noise with the diagonal +0.0.
+    World b draws only from rngs[b]: noise of shape (N, N, 2) when sigma > 0,
+    then per round the policy's rule uniforms and, when links fail, one
+    (N, N) block (see apply_link_failure). Training passes one generator for
+    all B worlds and the step runs on its tape; rollouts pass plain tensors.
+    """
+    b, n = pos.shape[0], pos.shape[1]
+    pos_i = ad.reshape(pos, (b, n, 1, 2))
+    pos_j = ad.reshape(pos, (b, 1, n, 2))
+    rel = ad.sub(pos_j, pos_i)
+    offdiag = (1.0 - np.eye(n))[None, :, :, None]
+    if cfg.obs_noise_sigma > 0:
+        noise = cfg.obs_noise_sigma * _per_world(rngs, (n, n, 2), "standard_normal")
+        noise[:, np.arange(n), np.arange(n)] = 0.0
+        obs = ad.mul(ad.add(rel, noise), offdiag)
+    else:
+        obs = ad.mul(rel, offdiag)
+    states = worlds.agent_states(pos)
+    acted = policy.step(states, obs, rngs, cfg.link_failure_prob, worlds.goal_perm_inv, weights)
+    rewards = step_rewards(pos, rel, worlds.goals, acted.actions, cfg.formation, reward_params)
+    return WorldStep(pos, states, obs, acted, rewards, advance(pos, worlds.goals, acted.actions, cfg))
+
+
+def simulate(
+    policy: Policy,
+    cfg: TaskConfig,
+    worlds: Sequence[GlobalState],
+    rngs: Sequence[np.random.Generator],
+    reward_params: Optional[RewardParams] = None,
+) -> Iterator[tuple[WorldStep, Array]]:
+    """Step B worlds that share the agent count in lockstep for cfg.horizon steps.
+
+    Yields every step with its (B,) rewards; world b draws only from rngs[b].
+    """
+    params = reward_params or RewardParams()
+    batch = WorldBatch.stack(worlds)
+    pos = Tensor(batch.positions)
+    for _ in range(cfg.horizon):
+        out = world_step(policy, cfg, params, batch, pos, rngs)
+        check_actions(out.policy.actions.data, cfg)
+        rewards = out.rewards.per_world()
+        if not np.all(np.isfinite(rewards)):
+            raise RolloutError("non-finite reward")
+        if not np.all(np.isfinite(out.next_positions.data)):
+            raise RolloutError("non-finite state")
+        yield out, rewards
+        pos = out.next_positions
 
 
 # ---------------------------------------------------------------------------
 # rollouts
 # ---------------------------------------------------------------------------
 
-Deliver = Callable[[Sequence[Iterable[int]]], list[set[int]]]
-
-
-@dataclass
-class PolicyStep:
-    action: GlobalAction
-    graph: CommGraph
-    round_graphs: list[CommGraph]
-    attentions: list[Array]  # per round, (N, N) rows actually used
-    messages: list[Array]  # per round, (N, N, msg_dim), entry [j, i] = sender j -> receiver i
-
-
-class Policy(Protocol):
-    name: str
-    full_comm: bool
-
-    def step(
-        self,
-        state: GlobalState,
-        obs: Array,
-        rng: np.random.Generator,
-        deliver: Deliver,
-    ) -> PolicyStep: ...
-
 
 @dataclass
 class TrajectoryStep:
     state: GlobalState
     obs: Array
-    graph: CommGraph
+    graph: CommGraph  # delivered edges of all rounds
     round_graphs: list[CommGraph]
     attentions: list[Array]
     messages: list[Array]
@@ -442,37 +572,30 @@ def rollout(
     reward_params: Optional[RewardParams] = None,
     initial_state: Optional[GlobalState] = None,
 ) -> Trajectory:
-    """Run the policy for cfg.horizon steps and record everything.
+    """Run one world for cfg.horizon steps and record everything.
 
-    Bit-identical under a fixed generator state; link failure is applied to the
-    policy's requested senders before messages flow or degrees are counted.
+    Bit-identical under a fixed generator state: the world draws its initial
+    state (unless one is given), then every step's draws (see world_step).
     """
-    params = reward_params or RewardParams()
     state = initial_state if initial_state is not None else sample_initial(cfg, rng)
-    p_fail = cfg.link_failure_prob
-
-    def deliver(selections: Sequence[Iterable[int]]) -> list[set[int]]:
-        return apply_link_failure(selections, p_fail, rng)
-
     steps: list[TrajectoryStep] = []
-    for _ in range(cfg.horizon):
-        obs = observe(state, cfg.obs_noise_sigma, rng)
-        pstep = policy.step(state, obs, rng, deliver)
-        if not np.all(np.isfinite(pstep.action.data)):
-            raise RolloutError("policy produced a non-finite action")
-        r = reward_for(state, pstep.action, cfg, params)
-        if not np.isfinite(r):
-            raise RolloutError("non-finite reward")
-        next_state = step(state, pstep.action, cfg)
-        if not np.all(np.isfinite(next_state.positions)):
-            raise RolloutError("non-finite state")
+    final = state.positions
+    for out, rewards in simulate(policy, cfg, [state], [rng], reward_params):
+        delivered = [d[0] for d in out.policy.delivered]
         steps.append(
             TrajectoryStep(
-                state, obs, pstep.graph, pstep.round_graphs, pstep.attentions, pstep.messages, pstep.action, r
+                state=replace(state, positions=out.positions.data[0]),
+                obs=out.obs.data[0],
+                graph=CommGraph.from_mask(np.logical_or.reduce(delivered)),
+                round_graphs=[CommGraph.from_mask(d) for d in delivered],
+                attentions=[a[0] for a in out.policy.attentions],
+                messages=[m[0] for m in out.policy.messages],
+                action=GlobalAction(cfg.task_kind, out.policy.actions.data[0]),
+                reward=float(rewards[0]),
             )
         )
-        state = next_state
-    return Trajectory(steps, state)
+        final = out.next_positions.data[0]
+    return Trajectory(steps, replace(state, positions=final))
 
 
 def spawn_rollout_rngs(master_seed: int, count: int) -> list[np.random.Generator]:

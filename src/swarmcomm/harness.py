@@ -15,15 +15,15 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dsl import CommGraph, degree_stats
-from .env import Policy, RewardParams, TaskConfig, rollout, spawn_rollout_rngs
-from .synth import SynthConfig, SynthDataset, SynthResult, mcmc_synthesize
+from .dsl import degree_stats
+from .env import Policy, RewardParams, TaskConfig, sample_initial, simulate, spawn_rollout_rngs
+from .synth import SynthConfig, SynthDataset, SynthResult, synthesize_multiround
 
 Array = np.ndarray
 
@@ -92,13 +92,11 @@ class Metrics:
         ]
 
 
-def _recount_degrees(graph: CommGraph) -> tuple[int, int, int]:
-    """Independent brute-force adjacency recount used in verification mode."""
-    adj = np.zeros((graph.n_agents, graph.n_agents), dtype=np.int64)
-    for j, i in graph.edges:
-        adj[j, i] = 1
-    indeg = adj.sum(axis=0)
-    outdeg = adj.sum(axis=1)
+def _recount_degrees(mask: Array) -> tuple[int, int, int]:
+    """Independent recount from the edge list of one (N, N) mask, used in verification mode."""
+    receivers, senders = np.nonzero(mask)
+    indeg = np.bincount(receivers, minlength=mask.shape[0])
+    outdeg = np.bincount(senders, minlength=mask.shape[0])
     return int(indeg.max()), int(outdeg.max()), int((indeg + outdeg).max())
 
 
@@ -107,71 +105,67 @@ def evaluate(
     cfg: TaskConfig,
     n_rollouts: int,
     comm_weight: float,
-    rng_or_seed: Union[np.random.Generator, int],
+    seed: int,
     reward_params: Optional[RewardParams] = None,
     gamma: float = 0.99,
-    seed_label: int = 0,
     verify_degrees: bool = False,
 ) -> Metrics:
     """Run evaluation rollouts and aggregate loss and degree statistics.
 
+    Rollout k draws from the k-th generator of ``spawn_rollout_rngs(seed,
+    n_rollouts)``: first its initial state, then its steps. Rollouts that share
+    an agent count step in lockstep; the results do not depend on the grouping.
     The combined objective is the discounted cumulative reward minus
     comm_weight times the summed per-step max degree, averaged over rollouts.
     """
     if n_rollouts < 1:
         raise HarnessError("n_rollouts must be >= 1")
-    if isinstance(rng_or_seed, (int, np.integer)):
-        rngs = spawn_rollout_rngs(int(rng_or_seed), n_rollouts)
-        seed_label = int(rng_or_seed)
-    else:
-        rngs = [rng_or_seed] * n_rollouts  # one stream, consumed sequentially
-    full = bool(getattr(policy, "full_comm", False))
-    losses, in_degs, out_degs, tot_degs, peak_degs, rewards_disc, comm_sums = [], [], [], [], [], [], []
-    for k in range(n_rollouts):
+    rngs = spawn_rollout_rngs(int(seed), n_rollouts)
+    starts = [sample_initial(cfg, g) for g in rngs]
+    groups: dict[int, list[int]] = {}
+    for k, state in enumerate(starts):
+        groups.setdefault(state.n_agents, []).append(k)
+    rewards = np.zeros((n_rollouts, cfg.horizon))
+    degrees = np.zeros((n_rollouts, cfg.horizon, 3))  # per-step max in, out, total degree
+    for members in groups.values():
         try:
-            traj = rollout(policy, cfg, rngs[k], reward_params)
+            steps = simulate(policy, cfg, [starts[k] for k in members], [rngs[k] for k in members], reward_params)
+            for t, (out, step_rewards) in enumerate(steps):
+                used = np.logical_or.reduce(out.policy.delivered)
+                stats = np.stack(degree_stats(used), axis=-1)
+                if verify_degrees:
+                    for b in range(len(members)):
+                        recount = _recount_degrees(used[b])
+                        if tuple(stats[b]) != recount:
+                            raise HarnessError(f"degree mismatch: {tuple(stats[b])} vs {recount}")
+                rewards[members, t] = step_rewards
+                degrees[members, t] = stats
         except Exception as exc:
-            raise HarnessError(f"rollout {k} failed: {exc}") from exc
-        step_in, step_out, step_tot = [], [], []
-        for step in traj.steps:
-            d_in, d_out, d_tot = degree_stats(step.graph)
-            if verify_degrees:
-                recount = _recount_degrees(step.graph)
-                if (d_in, d_out, d_tot) != recount:
-                    raise HarnessError(f"degree mismatch: {(d_in, d_out, d_tot)} vs {recount}")
-            step_in.append(d_in)
-            step_out.append(d_out)
-            step_tot.append(d_tot)
-        horizon = len(traj.steps)
-        losses.append(-traj.total_reward() / horizon)
-        in_degs.append(float(np.mean(step_in)))
-        out_degs.append(float(np.mean(step_out)))
-        tot_degs.append(float(np.mean(step_tot)))
-        peak_degs.append(float(np.max(step_tot)))
-        rewards_disc.append(traj.discounted_reward(gamma))
-        comm_sums.append(float(np.sum(step_tot)))
+            raise HarnessError(f"rollouts {members} failed: {exc}") from exc
 
-    def stats(xs: Sequence[float]) -> tuple[float, float]:
-        arr = np.asarray(xs)
-        return float(arr.mean()), float(arr.std())
+    def stats(xs: Array) -> tuple[float, float]:
+        return float(xs.mean()), float(xs.std())
 
-    loss_mean, loss_std = stats(losses)
+    loss_mean, loss_std = stats(-rewards.sum(axis=1) / cfg.horizon)
+    full = bool(getattr(policy, "full_comm", False))
+    discounted = rewards @ gamma ** np.arange(cfg.horizon)
     if full:
         # all-pairs communication: degrees are reported as zeros behind the flag
         # and the combined objective carries no degree term
         in_mean = in_std = out_mean = out_std = tot_mean = tot_std = 0.0
         peak_mean = 0.0
-        combined_j = float(np.mean(rewards_disc))
+        combined_j = float(discounted.mean())
     else:
-        in_mean, in_std = stats(in_degs)
-        out_mean, out_std = stats(out_degs)
-        tot_mean, tot_std = stats(tot_degs)
-        peak_mean = float(np.mean(peak_degs))
-        combined_j = float(np.mean([r - comm_weight * c for r, c in zip(rewards_disc, comm_sums)]))
+        per_rollout = degrees.mean(axis=1)
+        in_mean, in_std = stats(per_rollout[:, 0])
+        out_mean, out_std = stats(per_rollout[:, 1])
+        tot_mean, tot_std = stats(per_rollout[:, 2])
+        peak_mean = float(degrees[:, :, 2].max(axis=1).mean())
+        combined_j = float((discounted - comm_weight * degrees[:, :, 2].sum(axis=1)).mean())
     return Metrics(
         policy=getattr(policy, "name", type(policy).__name__),
         task=cfg.task_kind,
-        seed=seed_label,
+        seed=int(seed),
         n_rollouts=n_rollouts,
         loss_mean=loss_mean,
         loss_std=loss_std,
@@ -204,7 +198,7 @@ class SweepCell:
     degree_weight: float
     n_rules: int
     feature_version: str
-    result: SynthResult
+    results: list[SynthResult]  # one per communication round
     metrics: Metrics
 
 
@@ -253,28 +247,11 @@ def sweep(
         raise HarnessError("empty sweep grid")
     val_seed = int(rng.integers(0, 2**31 - 1))
     for lam, k, fv in combos:
-        cell_cfg = SynthConfig(
-            degree_weight=lam,
-            mcmc_steps=base_cfg.mcmc_steps,
-            inv_temperature=base_cfg.inv_temperature,
-            n_rules=k,
-            feature_version=fv,
-            allow_random_rules=base_cfg.allow_random_rules,
-            rand_rule_samples=base_cfg.rand_rule_samples,
-            seed=base_cfg.seed,
-        )
-        if dataset.rounds == 1:
-            results = [mcmc_synthesize(dataset, cell_cfg, rng)]
-        else:
-            from .synth import synthesize_multiround
-
-            results = synthesize_multiround(dataset, cell_cfg, rng)
-        programs = [r.program for r in results]
-        policy = make_policy(programs)
-        metrics = evaluate(
-            policy, task_cfg, n_val_rollouts, comm_weight, val_seed, reward_params
-        )
-        cells.append(SweepCell(lam, k, fv, results[0], metrics))
+        cell_cfg = replace(base_cfg, degree_weight=lam, n_rules=k, feature_version=fv)
+        results = synthesize_multiround(dataset, cell_cfg, rng)
+        policy = make_policy([r.program for r in results])
+        metrics = evaluate(policy, task_cfg, n_val_rollouts, comm_weight, val_seed, reward_params)
+        cells.append(SweepCell(lam, k, fv, results, metrics))
     return SweepResult(select_best_cell(cells, near_tie), cells)
 
 

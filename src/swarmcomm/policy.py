@@ -6,9 +6,10 @@ and hardens the attention to that set. ``DistMaskPolicy`` / ``TopKAttnPolicy``
 are the fixed-structure comparison policies (k nearest by distance, k largest
 attention scores), and ``NoCommPolicy`` never communicates.
 
-All of them honor the link-failure hook: requested senders go through the
-``deliver`` callable first, and only delivered edges carry messages or count
-toward degrees.
+Every policy steps B stacked worlds at once. Each round it builds a (B, N, N)
+request mask (entry [b, i, j]: receiver i asks sender j), drops failed links
+with ``env.apply_link_failure``, and only delivered links carry messages or
+count toward degrees.
 """
 
 from __future__ import annotations
@@ -18,137 +19,102 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dsl
-from .dsl import CommGraph, Program
-from .env import Deliver, GlobalAction, GlobalState, PolicyStep
+from .dsl import Program, RandRule
+from .env import PolicyStep, apply_link_failure, uniforms
 from .transformer import TransformerParams, forward_policy
 
 Array = np.ndarray
 
 
-def dist_mask_select(positions: Array, i: int, k: int) -> list[int]:
-    """The k agents nearest to agent i (self excluded), ties to the lowest id."""
-    positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
+def _k_smallest(keys: Array, k: int) -> Array:
+    """Mask of the k smallest keys per row (..., N, N), self excluded, ties to the lowest id."""
+    n = keys.shape[-1]
     if k > n - 1:
         raise ValueError("k must be <= N - 1")
-    dists = np.linalg.norm(positions - positions[i], axis=1)
-    order = [j for j in np.argsort(dists, kind="stable") if j != i]
-    return [int(j) for j in order[:k]]
-
-
-def topk_attention_select(row: Array, i: int, k: int) -> list[int]:
-    """The k senders with the largest attention scores (self excluded), ties to the lowest id."""
-    row = np.asarray(row, dtype=np.float64)
-    n = row.shape[0]
-    if k > n - 1:
-        raise ValueError("k must be <= N - 1")
-    order = [j for j in np.argsort(-row, kind="stable") if j != i]
-    return [int(j) for j in order[:k]]
-
-
-def _mask_from_sets(selections: Sequence[set[int]], n: int, include_self: bool = False) -> Array:
-    mask = np.zeros((1, n, n), dtype=np.float64)
-    for i, sel in enumerate(selections):
-        for j in sel:
-            mask[0, i, j] = 1.0
-        if include_self:
-            mask[0, i, i] = 1.0
+    keys = np.where(np.eye(n, dtype=bool), np.inf, keys)
+    pick = np.argsort(keys, axis=-1, kind="stable")[..., :k]
+    mask = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(mask, pick, True, axis=-1)
     return mask
 
 
+def dist_mask(positions: Array, k: int) -> Array:
+    """(B, N, N) mask of each agent's k nearest agents, from positions (B, N, 2)."""
+    positions = np.asarray(positions, dtype=np.float64)
+    return _k_smallest(np.linalg.norm(positions[:, None, :, :] - positions[:, :, None, :], axis=-1), k)
+
+
+def topk_attention_mask(soft: Array, k: int) -> Array:
+    """(B, N, N) mask of the k largest attention scores in each row of soft (B, N, N)."""
+    return _k_smallest(-np.asarray(soft, dtype=np.float64), k)
+
+
 class _TransformerPolicy:
-    """Shared rollout-step machinery; subclasses pick the requested senders."""
+    """Shared step machinery; subclasses build the request masks."""
 
     name = "transformer"
     full_comm = False
 
-    def __init__(self, params: TransformerParams):
+    def __init__(self, params: TransformerParams, v_max: Optional[float] = None):
         self.params = params
-        self.rounds = params.rounds
+        self.v_max = v_max
 
-    def _requested(
-        self,
-        round_index: int,
-        soft: Array,
-        state: GlobalState,
-        obs: Array,
-        rng: np.random.Generator,
-    ) -> list[set[int]]:
+    def request_mask(self, round_index: int, soft: Array, states: Array, obs: Array, rngs) -> Array:
         raise NotImplementedError
 
-    def _mask_for(self, delivered: list[set[int]], requested: list[set[int]], n: int) -> Optional[Array]:
-        return _mask_from_sets(delivered, n)
+    def _attention_mask(self, delivered: Array, p_fail: float) -> Optional[Array]:
+        return delivered
 
-    def step(
-        self,
-        state: GlobalState,
-        obs: Array,
-        rng: np.random.Generator,
-        deliver: Deliver,
-    ) -> PolicyStep:
-        n = state.n_agents
-        states = state.agent_states()[None, :, :]
-        perm_inv = None
-        if self.params.task_kind == "unlabeled-goals":
-            perm_inv = state.goal_perm_inv()[None, :, :]
-        round_graphs: list[CommGraph] = []
+    def step(self, states, obs, rngs, p_fail, goal_perm_inv=None, weights=None) -> PolicyStep:
+        delivered: list[Array] = []
 
         def select(round_index: int, soft: Array) -> Optional[Array]:
-            requested = self._requested(round_index, soft[0], state, obs, rng)
-            delivered = deliver(requested)
-            round_graphs.append(CommGraph.from_selections(delivered))
-            return self._mask_for(delivered, requested, n)
+            requested = self.request_mask(round_index, soft, states.data, obs.data, rngs)
+            delivered.append(apply_link_failure(requested, p_fail, rngs))
+            return self._attention_mask(delivered[-1], p_fail)
 
         result = forward_policy(
             self.params,
             states,
-            obs[None, :, :, :],
-            v_max=self._v_max,
+            obs,
+            v_max=self.v_max,
             select_fn=select,
-            goal_perm_inv=perm_inv,
+            goal_perm_inv=goal_perm_inv,
+            weights=weights,
         )
-        edges = frozenset(e for g in round_graphs for e in g.edges)
         return PolicyStep(
-            action=GlobalAction(self.params.task_kind, result.actions.data[0]),
-            graph=CommGraph(n, edges),
-            round_graphs=round_graphs,
-            attentions=[rs.attention.data[0] for rs in result.rounds],
-            messages=[rs.messages.data[0] for rs in result.rounds],
+            actions=result.actions,
+            delivered=delivered,
+            attentions=[rs.attention.data for rs in result.rounds],
+            messages=[rs.messages.data for rs in result.rounds],
         )
-
-    @property
-    def _v_max(self) -> Optional[float]:
-        return getattr(self, "v_max", None)
 
 
 class TfFullPolicy(_TransformerPolicy):
     """Every agent requests every other agent; attention stays soft.
 
-    Under link failure the row is renormalized over the delivered senders plus
-    self, which reduces to the untouched soft row when nothing drops.
+    Under lossy links (p_fail > 0) every row is hardened over the delivered
+    senders plus self, every step, as in training.
     """
 
     name = "tf-full"
     full_comm = True
 
-    def __init__(self, params: TransformerParams, v_max: Optional[float] = None):
-        super().__init__(params)
-        self.v_max = v_max
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        return np.broadcast_to(~np.eye(soft.shape[-1], dtype=bool), soft.shape)
 
-    def _mask_for(self, delivered, requested, n) -> Optional[Array]:
-        # soft attention is only disturbed when a link actually dropped;
-        # the surviving senders plus self then share the renormalized row
-        if delivered == requested:
+    def _attention_mask(self, delivered, p_fail) -> Optional[Array]:
+        if p_fail == 0.0:
             return None
-        return _mask_from_sets(delivered, n, include_self=True)
-
-    def _requested(self, round_index, soft, state, obs, rng) -> list[set[int]]:
-        n = state.n_agents
-        return [set(j for j in range(n) if j != i) for i in range(n)]
+        return delivered | np.eye(delivered.shape[-1], dtype=bool)
 
 
 class CombinedPolicy(_TransformerPolicy):
-    """Rule programs choose the senders; the transformer acts on hardened rows."""
+    """Rule programs choose the senders; the transformer acts on hardened rows.
+
+    Each round, world b draws N uniforms from rngs[b] for every random rule,
+    in rule order.
+    """
 
     name = "combined"
 
@@ -158,21 +124,19 @@ class CombinedPolicy(_TransformerPolicy):
         programs: Sequence[Program],
         v_max: Optional[float] = None,
     ):
-        super().__init__(params)
+        super().__init__(params, v_max)
         if len(programs) != params.rounds:
             raise ValueError("need one program per communication round")
         self.programs = list(programs)
-        self.v_max = v_max
 
-    def _requested(self, round_index, soft, state, obs, rng) -> list[set[int]]:
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
         program = self.programs[round_index]
-        agent_states = state.agent_states()
-        n = state.n_agents
-        out = []
-        for i in range(n):
-            candidates = [(j, obs[i, j]) for j in range(n) if j != i]
-            out.append(dsl.eval_program(program, agent_states[i], candidates, rng))
-        return out
+        b, n = soft.shape[0], soft.shape[1]
+        rand_u = np.zeros((b, n, program.n_rules))
+        for k, rule in enumerate(program.rules):
+            if isinstance(rule, RandRule):
+                rand_u[..., k] = uniforms(rngs, (n,))
+        return dsl.eval_program(program, states, obs, rand_u)
 
 
 class DistMaskPolicy(_TransformerPolicy):
@@ -181,18 +145,13 @@ class DistMaskPolicy(_TransformerPolicy):
     name = "dist"
 
     def __init__(self, params: TransformerParams, k: int, v_max: Optional[float] = None):
-        super().__init__(params)
+        super().__init__(params, v_max)
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.v_max = v_max
 
-    def _requested(self, round_index, soft, state, obs, rng) -> list[set[int]]:
-        n = state.n_agents
-        k = min(self.k, n - 1)
-        if k == 0:
-            return [set() for _ in range(n)]
-        return [set(dist_mask_select(state.positions, i, k)) for i in range(n)]
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        return dist_mask(states[..., :2], min(self.k, soft.shape[-1] - 1))
 
 
 class TopKAttnPolicy(_TransformerPolicy):
@@ -205,18 +164,13 @@ class TopKAttnPolicy(_TransformerPolicy):
     name = "hard-attn"
 
     def __init__(self, params: TransformerParams, k: int, v_max: Optional[float] = None):
-        super().__init__(params)
+        super().__init__(params, v_max)
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.v_max = v_max
 
-    def _requested(self, round_index, soft, state, obs, rng) -> list[set[int]]:
-        n = state.n_agents
-        k = min(self.k, n - 1)
-        if k == 0:
-            return [set() for _ in range(n)]
-        return [set(topk_attention_select(soft[i], i, k)) for i in range(n)]
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        return topk_attention_mask(soft, min(self.k, soft.shape[-1] - 1))
 
 
 class NoCommPolicy(_TransformerPolicy):
@@ -224,12 +178,8 @@ class NoCommPolicy(_TransformerPolicy):
 
     name = "no-comm"
 
-    def __init__(self, params: TransformerParams, v_max: Optional[float] = None):
-        super().__init__(params)
-        self.v_max = v_max
-
-    def _requested(self, round_index, soft, state, obs, rng) -> list[set[int]]:
-        return [set() for _ in range(state.n_agents)]
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        return np.zeros(soft.shape, dtype=bool)
 
 
 POLICY_NAMES = ("tf-full", "combined", "dist", "hard-attn", "no-comm")

@@ -35,7 +35,7 @@ from .dsl import (
     ScoreExpr,
     true_predicate,
 )
-from .env import RewardParams, TaskConfig, rollout
+from .env import RewardParams, TaskConfig, sample_initial, simulate
 from .policy import TfFullPolicy
 from .transformer import TransformerParams, _mlp, harden_rows, output_head
 
@@ -191,27 +191,28 @@ def collect_dataset(
 ) -> SynthDataset:
     """Record one tuple per timestep from full-communication oracle rollouts.
 
-    Sampling under the oracle (rather than any candidate program) keeps the
-    whole chain re-simulation-free; distribution shift is accepted.
+    The rollouts run one after another, all drawing from rng. Sampling under
+    the oracle (rather than any candidate program) keeps the whole chain
+    re-simulation-free; distribution shift is accepted.
     """
     policy = TfFullPolicy(params, v_max=cfg.v_max)
     groups: dict[int, dict[str, list]] = {}
     order: list[int] = []
     for _ in range(n_rollouts):
-        traj = rollout(policy, cfg, rng, reward_params)
-        for step in traj.steps:
-            n = step.state.n_agents
-            if n not in groups:
-                groups[n] = {"s": [], "o": [], "m": [], "alpha": [], "a": [], "perm": []}
-                order.append(n)
-            bucket = groups[n]
-            bucket["s"].append(step.state.agent_states())
-            bucket["o"].append(step.obs)
-            bucket["m"].append(step.messages)
-            bucket["alpha"].append(step.attentions)
-            bucket["a"].append(step.action.data)
+        state = sample_initial(cfg, rng)
+        n = state.n_agents
+        if n not in groups:
+            groups[n] = {"s": [], "o": [], "m": [], "alpha": [], "a": [], "perm": []}
+            order.append(n)
+        bucket = groups[n]
+        for out, _ in simulate(policy, cfg, [state], [rng], reward_params):
+            bucket["s"].append(out.states.data[0])
+            bucket["o"].append(out.obs.data[0])
+            bucket["m"].append([m[0] for m in out.policy.messages])
+            bucket["alpha"].append([a[0] for a in out.policy.attentions])
+            bucket["a"].append(out.policy.actions.data[0])
             if cfg.task_kind == "unlabeled-goals":
-                bucket["perm"].append(step.state.goal_perm_inv())
+                bucket["perm"].append(state.goal_perm_inv())
     blocks = []
     for n in order:
         bucket = groups[n]
@@ -334,9 +335,7 @@ class SurrogateEvaluator:
                 ds.params, weights, block.states, msg_sum, ds.task.v_max, block.goal_perm_inv
             ).data
             total_imit += float(np.abs(block.actions - recon).sum())
-            indeg = sel.sum(axis=-1)
-            outdeg = sel.sum(axis=-2)
-            total_deg += float((indeg + outdeg).max(axis=-1).sum())
+            total_deg += float(dsl.degree_stats(sel)[2].sum())
         n_tuples = ds.n_tuples
         return total_imit / n_tuples, total_deg / n_tuples
 

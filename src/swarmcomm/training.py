@@ -23,11 +23,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from . import dsl, env
+from . import env
 from .autodiff import Tensor
 from .dsl import Program
 from .env import GlobalState, RewardParams, TaskConfig
-from .transformer import TransformerParams, forward_policy, init_for_task
+from .policy import CombinedPolicy, TfFullPolicy
+from .transformer import TransformerParams, init_for_task
 
 Array = np.ndarray
 
@@ -46,6 +47,8 @@ class TrainConfig:
     val_batch: int = 16
 
     def __post_init__(self) -> None:
+        if self.n_rollouts < 0:
+            raise ValueError("n_rollouts must be >= 0")
         if not (0.0 < self.discount < 1.0):
             raise ValueError("discount must be in (0, 1)")
         if self.batch_size < 1:
@@ -92,44 +95,6 @@ def sample_world_batch(
     return [env.sample_initial(cfg, rng) for _ in range(batch)]
 
 
-def _offdiag(n: int) -> Array:
-    return (1.0 - np.eye(n))[None, :, :]
-
-
-def _step_masks(
-    params: TransformerParams,
-    cfg: TaskConfig,
-    states_np: Array,
-    obs_np: Array,
-    programs: Optional[Sequence[Program]],
-    rng: np.random.Generator,
-) -> Optional[list[Array]]:
-    """Per-round selection masks for one unrolled step, link failure applied."""
-    b, n = states_np.shape[0], states_np.shape[1]
-    p_fail = cfg.link_failure_prob
-    if programs is None:
-        if p_fail == 0.0:
-            return None
-        # full-communication policy under lossy links: survivors plus self,
-        # failures drawn independently per round
-        masks = []
-        for _ in range(params.rounds):
-            keep = (rng.random((b, n, n)) >= p_fail) & (_offdiag(n)[0] > 0)
-            mask = keep.astype(np.float64)
-            mask[:, np.arange(n), np.arange(n)] = 1.0
-            masks.append(mask)
-        return masks
-    tiled = np.broadcast_to(states_np[:, :, None, :], (b, n, n, states_np.shape[-1]))
-    masks: list[Array] = []
-    for program in programs:
-        feats = dsl.featurize_pairs(tiled, obs_np, program.feature_map)
-        selected = dsl.eval_program_batch(program, feats, rng=rng)
-        if p_fail > 0.0:
-            selected = selected & (rng.random((b, n, n)) >= p_fail)
-        masks.append(selected.astype(np.float64))
-    return masks
-
-
 def unroll_score(
     params: TransformerParams,
     worlds: Sequence[GlobalState],
@@ -143,93 +108,28 @@ def unroll_score(
 ) -> Tensor:
     """Mean discounted cumulative reward of the unrolled policy over the batch.
 
-    With programs given, each round's attention is hardened to the program's
-    selections, recomputed per step from the current observations. With a tape,
-    the returned scalar is differentiable w.r.t. the supplied weights.
+    The worlds advance through ``env.world_step``, all drawing from the one
+    generator. With programs given, each round's attention is hardened to the
+    program's selections, recomputed per step from the current observations.
+    With a tape and weights recorded on it, the returned scalar is
+    differentiable w.r.t. those weights.
     """
     b = len(worlds)
-    n = worlds[0].n_agents
-    if any(w.n_agents != n for w in worlds):
-        raise ValueError("all worlds in a batch must share the agent count")
-    if weights is None:
-        if tape is not None:
-            weights = {
-                name: tape.leaf(value, requires_grad=True)
-                for name, value in params.store.params.items()
-            }
-        else:
-            weights = dict(params.store.params)
-
-    def const(x: Array) -> ad.TensorLike:
-        return tape.constant(x) if tape is not None else np.asarray(x, dtype=np.float64)
-
-    pos = const(np.stack([w.positions for w in worlds]))
-    if not isinstance(pos, Tensor):
-        pos = Tensor(pos)
-    goals_np = np.stack([w.goals for w in worlds])
-    goals = const(goals_np)
-    offdiag3 = const(_offdiag(n))  # (1, N, N)
-    offdiag4 = const(_offdiag(n)[..., None])  # (1, N, N, 1)
-
-    perm_inv = None
-    local_goal_block = None
-    if cfg.task_kind == "unlabeled-goals":
-        perm_inv = np.stack([w.goal_perm_inv() for w in worlds])
-        ordered = np.stack([w.goals[w.goal_order] for w in worlds])  # frozen t=0 ordering
-        local_goal_block = const(ordered.reshape(b, n, 2 * n))
+    if programs is None:
+        policy = TfFullPolicy(params, v_max=cfg.v_max)
+    else:
+        policy = CombinedPolicy(params, programs, v_max=cfg.v_max)
+    batch = env.WorldBatch.stack(worlds)
+    pos = tape.constant(batch.positions) if tape is not None else Tensor(batch.positions)
+    rngs = [rng] * b
 
     total: Optional[Tensor] = None
     gamma_t = 1.0
     for _ in range(cfg.horizon):
-        pos_i = ad.reshape(pos, (b, n, 1, 2))
-        pos_j = ad.reshape(pos, (b, 1, n, 2))
-        rel = ad.sub(pos_j, pos_i)  # (B, N, N, 2), true relative positions
-        if cfg.obs_noise_sigma > 0:
-            noise = cfg.obs_noise_sigma * rng.standard_normal((b, n, n, 2))
-            obs = ad.mul(ad.add(rel, const(noise)), offdiag4)
-        else:
-            obs = ad.mul(rel, offdiag4)
-
-        if cfg.task_kind == "unlabeled-goals":
-            states = ad.concat([pos, local_goal_block], axis=-1)
-        else:
-            states = ad.concat([pos, goals], axis=-1)
-
-        masks = _step_masks(params, cfg, states.data, obs.data, programs, rng)
-        result = forward_policy(
-            params,
-            states,
-            obs,
-            v_max=cfg.v_max,
-            select_fn=(lambda r, soft: masks[r]) if masks is not None else None,
-            goal_perm_inv=perm_inv,
-            weights=weights,
-        )
-        actions = result.actions
-
-        if cfg.formation:
-            goal_dists = ad.l2_norm(ad.sub(pos, goals))  # (B, N)
-            pair_dists = ad.l2_norm(rel)  # (B, N, N)
-            hinge = ad.relu(
-                ad.mul(
-                    ad.sub(2.0, ad.div(pair_dists, reward_params.collision_distance)),
-                    reward_params.collision_weight,
-                )
-            )
-            hinge = ad.mul(hinge, offdiag3)
-            r_step = ad.mul(ad.add(ad.tensor_sum(goal_dists), ad.tensor_sum(hinge)), -1.0)
-            velocity = actions
-        else:
-            per_goal_best = ad.tensor_max(actions, axis=1)  # (B, N)
-            r_step = ad.sub(ad.tensor_sum(per_goal_best), float(n * b))
-            weighted_goals = ad.mul(
-                ad.reshape(actions, (b, n, n, 1)), ad.reshape(goals, (b, 1, n, 2))
-            )
-            velocity = ad.sub(ad.tensor_sum(weighted_goals, axis=2), pos)
-
-        contrib = ad.mul(r_step, gamma_t / b)
+        out = env.world_step(policy, cfg, reward_params, batch, pos, rngs, weights)
+        contrib = ad.mul(out.rewards.total(), gamma_t / b)
         total = contrib if total is None else ad.add(total, contrib)
-        pos = ad.add(pos, ad.mul(velocity, cfg.dt))
+        pos = out.next_positions
         gamma_t *= discount
     assert total is not None
     return total

@@ -162,12 +162,6 @@ def _mlp(weights: dict[str, ad.TensorLike], net: str, x: ad.TensorLike) -> Tenso
     return ad.add(ad.matmul(h, weights[f"{net}.w2"]), weights[f"{net}.b2"])
 
 
-def _weights_view(params: TransformerParams, tape: Optional[ad.Tape]) -> dict[str, ad.TensorLike]:
-    if tape is None:
-        return dict(params.store.params)
-    return {name: tape.leaf(value, requires_grad=True) for name, value in params.store.params.items()}
-
-
 # ---------------------------------------------------------------------------
 # batched forward pass
 # ---------------------------------------------------------------------------
@@ -256,17 +250,16 @@ def forward_round(
     obs: ad.TensorLike,
     round_index: int = 0,
     internal: Optional[Tensor] = None,
-    selection_mask: Optional[Array] = None,
     attention_override: Optional[Array] = None,
     select_fn=None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
 ) -> RoundState:
     """One communication round: keys, queries, messages, attention, message sum.
 
-    selection_mask (B, N, N) hardens the soft rows in-graph; attention_override
-    replaces them outright (rows must already be valid distributions over the
-    selected senders). select_fn(round_index, soft_rows) may compute the mask
-    from the soft attention after it exists.
+    attention_override replaces the soft rows outright (rows must already be
+    valid distributions over the selected senders). select_fn(round_index,
+    soft_rows) may return a (B, N, N) mask from the soft attention; the rows
+    are then hardened to it in-graph.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
@@ -306,9 +299,7 @@ def forward_round(
         data = attention_override.data if isinstance(attention_override, Tensor) else np.asarray(attention_override, float)
         attention = soft.tape.constant(data) if soft.tape is not None else Tensor(data)
     else:
-        mask = selection_mask
-        if mask is None and select_fn is not None:
-            mask = select_fn(round_index, soft.data)
+        mask = select_fn(round_index, soft.data) if select_fn is not None else None
         attention = harden_rows(soft, mask) if mask is not None else soft
 
     received = ad.transpose(messages, (0, 2, 1, 3))

@@ -2,16 +2,16 @@
 
 One agent or one row at a time, written from the definitions: a message from
 one (state, observation) pair, one attention row, one agent's action, one
-feature vector, and the communication graph built agent by agent with the
-per-agent rule interpreter.
+feature vector, the per-agent rule interpreter, and the communication graph
+built agent by agent with it.
 """
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from swarmcomm import autodiff as ad
-from swarmcomm.dsl import CommGraph, FeatureMap, Program, eval_program, featurize_pairs
+from swarmcomm.dsl import CommGraph, FeatureMap, Program, RandRule, Rule, _eval_pred, featurize_pairs
 from swarmcomm.transformer import TransformerParams, _mlp, harden_rows, squash_action
 
 Array = np.ndarray
@@ -81,6 +81,53 @@ def featurize(s_i: Array, o_ij: Array, fmap: FeatureMap) -> Array:
     return featurize_pairs(s_i.reshape(1, -1), o_ij.reshape(1, 2), fmap)[0]
 
 
+def eval_rule(
+    rule: Rule,
+    s_i: Array,
+    candidates: Sequence[tuple[int, Array]],
+    fmap: FeatureMap,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Apply one rule to the candidate list [(agent_id, o_ij), ...], self excluded.
+
+    Deterministic rules return the passing candidate with the highest score
+    (ties to the lowest agent id); nondeterministic rules pick uniformly among
+    the passing candidates. Returns None when nothing passes the filter.
+    """
+    if not candidates:
+        return None
+    ids = np.asarray([j for j, _ in candidates], dtype=np.int64)
+    obs = np.stack([np.asarray(o, dtype=np.float64) for _, o in candidates])
+    states = np.broadcast_to(np.asarray(s_i, dtype=np.float64), (len(candidates), len(s_i)))
+    feats = featurize_pairs(states, obs, fmap)
+    keep = _eval_pred(rule.pred, feats)
+    if not keep.any():
+        return None
+    if isinstance(rule, RandRule):
+        passing = ids[keep]
+        return int(passing[rng.integers(0, len(passing))])
+    scores = feats @ np.asarray(rule.score.weights)
+    scores = np.where(keep, scores, -np.inf)
+    best = scores.max()
+    winners = ids[scores == best]
+    return int(winners.min())
+
+
+def eval_program(
+    program: Program,
+    s_i: Array,
+    candidates: Sequence[tuple[int, Array]],
+    rng: np.random.Generator,
+) -> set[int]:
+    """Selection set for one agent: each rule picks at most one sender."""
+    chosen: set[int] = set()
+    for rule in program.rules:
+        picked = eval_rule(rule, s_i, candidates, program.feature_map, rng)
+        if picked is not None:
+            chosen.add(picked)
+    return chosen
+
+
 def build_comm_graph(
     program: Program,
     states: Array,
@@ -93,4 +140,21 @@ def build_comm_graph(
     for i in range(n):
         candidates = [(j, obs[i, j]) for j in range(n) if j != i]
         selections.append(eval_program(program, states[i], candidates, rng))
-    return CommGraph.from_selections(selections)
+    return CommGraph(n, frozenset((j, i) for i, sel in enumerate(selections) for j in sel))
+
+
+def graph_mask(graph: CommGraph) -> Array:
+    """(N, N) bool mask of a graph, [i, j] set for each edge j -> i."""
+    mask = np.zeros((graph.n_agents, graph.n_agents), dtype=bool)
+    for j, i in graph.edges:
+        mask[i, j] = True
+    return mask
+
+
+def mask_from_selections(selections: Sequence[Iterable[int]]) -> Array:
+    """(N, N) bool mask with [i, j] set when agent i selects sender j."""
+    n = len(selections)
+    mask = np.zeros((n, n), dtype=bool)
+    for i, sel in enumerate(selections):
+        mask[i, list(sel)] = True
+    return mask

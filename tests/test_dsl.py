@@ -15,19 +15,16 @@ from swarmcomm.dsl import (
     RandRule,
     ScoreExpr,
     degree_stats,
-    eval_program,
     eval_program_batch,
-    eval_rule,
     feature_names,
     featurize_pairs,
-    max_degree,
     parse_program,
     print_program,
     true_predicate,
 )
 
 from conftest import make_rng
-from reference import build_comm_graph, featurize
+from reference import build_comm_graph, eval_program, eval_rule, featurize, graph_mask, mask_from_selections
 
 FMAP = FeatureMap("v1")
 STATE_DIM = 4  # formation-style state: own position + goal
@@ -170,13 +167,16 @@ class TestEvalRule:
     def test_random_rule_uniformity(self):
         # chi-square on 10^4 draws over 4 passing candidates;
         # critical value 11.345 = chi2(df=3) at p = 0.01
-        rule = RandRule(true_predicate(FMAP, STATE_DIM))
-        cands = [(j, np.array([1.0 + j, 0.0])) for j in range(1, 5)]
-        rng = make_rng(4)
-        counts = np.zeros(6)
-        for _ in range(10_000):
-            counts[eval_rule(rule, np.zeros(4), cands, FMAP, rng)] += 1
-        observed = counts[1:5]
+        # of the batched interpreter: receiver 0 picks among senders 1..4 in
+        # 10^4 worlds, each with its own uniform
+        program = Program((RandRule(true_predicate(FMAP, STATE_DIM)),), FMAP)
+        obs = np.zeros((5, 5, 2))
+        obs[0, 1:, 0] = 1.0 + np.arange(1, 5)
+        feats = featurize_pairs(np.zeros((5, 5, 4)), obs, FMAP)
+        rand_u = make_rng(4).random((10_000, 5, 1))
+        mask = eval_program_batch(program, np.broadcast_to(feats, (10_000,) + feats.shape), rand_u)
+        assert np.all(mask[:, 0].sum(axis=-1) == 1)
+        observed = mask[:, 0, 1:5].sum(axis=0)
         assert np.all(np.abs(observed - 2500) <= 150)
         chi2 = float(((observed - 2500.0) ** 2 / 2500.0).sum())
         assert chi2 < 11.345
@@ -232,7 +232,7 @@ class TestBatchInterpreter:
             obs[:, np.arange(n), np.arange(n)] = 0.0
             tiled = np.broadcast_to(states[:, :, None, :], (2, n, n, 4))
             feats = featurize_pairs(tiled, obs, FMAP)
-            mask = eval_program_batch(program, feats, rng=rng)
+            mask = eval_program_batch(program, feats)
             for b in range(2):
                 for i in range(n):
                     cands = [(j, obs[b, i, j]) for j in range(n) if j != i]
@@ -260,7 +260,7 @@ class TestBatchInterpreter:
         obs = rng.normal(size=(3, n, n, 2))
         tiled = np.broadcast_to(states[:, :, None, :], (3, n, n, 4))
         feats = featurize_pairs(tiled, obs, FMAP)
-        mask = eval_program_batch(program, feats, rng=rng)
+        mask = eval_program_batch(program, feats, rand_u=rng.random((3, n, program.n_rules)))
         assert not mask[:, np.arange(n), np.arange(n)].any()
 
 
@@ -269,7 +269,7 @@ class TestCommGraph:
         program = Program((DetRule(score_on("d"), true_predicate(FMAP, STATE_DIM)),), FMAP)
         graph = build_comm_graph(program, np.zeros((1, 4)), np.zeros((1, 1, 2)), make_rng(0))
         assert graph.edges == frozenset()
-        assert max_degree(graph) == 0
+        assert degree_stats(graph_mask(graph))[2] == 0
 
     def test_deterministic_program_same_graph(self):
         rng = make_rng(10)
@@ -284,13 +284,13 @@ class TestCommGraph:
         assert g1.edges == g2.edges
 
     def test_star_selection_edges_and_degree(self):
-        graph = CommGraph.from_selections([{1}, {0}, {0}, {0}])
+        graph = CommGraph.from_mask(mask_from_selections([{1}, {0}, {0}, {0}]))
         assert graph.edges == frozenset({(1, 0), (0, 1), (0, 2), (0, 3)})
-        assert max_degree(graph) == 4  # node 0: out 3 + in 1
+        assert degree_stats(graph_mask(graph))[2] == 4  # node 0: out 3 + in 1
 
     def test_fan_in_degree(self):
-        graph = CommGraph.from_selections([{1, 2}, set(), set()])
-        assert max_degree(graph) == 2
+        graph = CommGraph.from_mask(mask_from_selections([{1, 2}, set(), set()]))
+        assert degree_stats(graph_mask(graph))[2] == 2
 
     def test_self_loop_rejected(self):
         with pytest.raises(dsl.DslError):
@@ -310,11 +310,10 @@ class TestCommGraph:
             for j, i in edges:
                 adj[j, i] = 1
             expected = int((adj.sum(axis=0) + adj.sum(axis=1)).max()) if n else 0
-            assert max_degree(graph) == expected
-            d_in, d_out, d_tot = degree_stats(graph)
+            d_in, d_out, d_tot = degree_stats(graph_mask(graph))
+            assert d_tot == expected
             assert d_in == int(adj.sum(axis=0).max())
             assert d_out == int(adj.sum(axis=1).max())
-            assert d_tot == expected
 
     def test_in_degree_bounded_by_rule_count(self):
         rng = make_rng(12)
@@ -328,7 +327,7 @@ class TestCommGraph:
             states = rng.normal(size=(6, 4))
             obs = rng.normal(size=(6, 6, 2))
             graph = build_comm_graph(program, states, obs, rng)
-            assert max(graph.in_degree(i) for i in range(6)) <= k
+            assert degree_stats(graph_mask(graph))[0] <= k
 
 
 class TestSurfaceSyntax:

@@ -3,24 +3,28 @@ import numpy as np
 import pytest
 
 from swarmcomm import env
-from swarmcomm.dsl import CommGraph
+from swarmcomm.autodiff import Tensor
+from swarmcomm.dsl import eval_program, parse_program
 from swarmcomm.env import (
     EnvError,
-    GlobalAction,
     GlobalState,
     PolicyStep,
     RewardParams,
     TaskConfig,
+    WorldBatch,
+    advance,
     apply_link_failure,
-    observe,
-    reward_formation,
-    reward_unlabeled,
+    check_actions,
     rollout,
     sample_initial,
-    step,
+    step_rewards,
+    world_step,
 )
+from swarmcomm.policy import CombinedPolicy
+from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
+from reference import mask_from_selections
 
 
 def cross_cfg(**kw):
@@ -40,17 +44,38 @@ class ZeroPolicy:
     name = "zero"
     full_comm = False
 
-    def step(self, state, obs, rng, deliver):
-        n = state.n_agents
-        deliver([set() for _ in range(n)])
-        graph = CommGraph(n, frozenset())
+    def step(self, states, obs, rngs, p_fail, goal_perm_inv=None, weights=None):
+        b, n = states.shape[0], states.shape[1]
+        delivered = apply_link_failure(np.zeros((b, n, n), dtype=bool), p_fail, rngs)
         return PolicyStep(
-            action=GlobalAction("random-cross", np.zeros((n, 2))),
-            graph=graph,
-            round_graphs=[graph],
-            attentions=[np.zeros((n, n))],
-            messages=[np.zeros((n, n, 1))],
+            actions=Tensor(np.zeros((b, n, 2))),
+            delivered=[delivered],
+            attentions=[np.zeros((b, n, n))],
+            messages=[np.zeros((b, n, n, 1))],
         )
+
+
+def observe(state, sigma, rng):
+    """One world's observations through the batched step."""
+    cfg = cross_cfg(obs_noise_sigma=sigma)
+    out = world_step(ZeroPolicy(), cfg, RewardParams(), WorldBatch.stack([state]), Tensor(state.positions[None]), [rng])
+    return out.obs.data[0]
+
+
+def step(state, actions, cfg):
+    """One world's next positions under the given actions."""
+    batch = WorldBatch.stack([state])
+    return advance(batch.positions, batch.goals, np.asarray(actions, dtype=float)[None], cfg).data[0]
+
+
+def reward_formation(state, params):
+    pos = state.positions[None]
+    rel = pos[:, None, :, :] - pos[:, :, None, :]
+    return step_rewards(pos, rel, state.goals[None], None, True, params).per_world()[0]
+
+
+def reward_unlabeled(weights):
+    return step_rewards(None, None, None, np.asarray(weights, dtype=float)[None], False, RewardParams()).per_world()[0]
 
 
 class TestTaskConfig:
@@ -159,15 +184,16 @@ class TestObserve:
         np.testing.assert_allclose(obs, -obs.transpose(1, 0, 2), atol=1e-12)
 
     def test_noise_is_unbiased(self):
-        # law of large numbers: mean of o[0,1] - (x1 - x0) within 3*sigma/sqrt(n)
+        # law of large numbers: mean of o[0,1] - (x1 - x0) within 3*sigma/sqrt(n);
+        # 10^5 copies of the world stepped at once from one generator
         sigma = 0.1
         n_samples = 100_000
         state = formation_state([[0.0, 0.0], [1.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
         rng = make_rng(8)
-        noise = np.empty((n_samples, 2))
-        for s in range(n_samples):
-            obs = observe(state, sigma, rng)
-            noise[s] = obs[0, 1] - np.array([1.0, 2.0])
+        batch = WorldBatch.stack([state] * n_samples)
+        out = world_step(ZeroPolicy(), cross_cfg(obs_noise_sigma=sigma), RewardParams(), batch,
+                         Tensor(batch.positions), [rng] * n_samples)
+        noise = out.obs.data[:, 0, 1] - np.array([1.0, 2.0])
         bound = 3.0 * sigma / np.sqrt(n_samples)
         assert np.all(np.abs(noise.mean(axis=0)) < bound)
 
@@ -181,15 +207,14 @@ class TestStep:
     def test_formation_integration(self):
         cfg = cross_cfg(dt=0.1)
         state = formation_state([[0.0, 0.0]], [[1.0, 1.0]])
-        nxt = step(state, GlobalAction("random-cross", [[0.5, 0.0]]), cfg)
-        np.testing.assert_allclose(nxt.positions, [[0.05, 0.0]])
-        np.testing.assert_array_equal(nxt.goals, state.goals)
+        nxt = step(state, [[0.5, 0.0]], cfg)
+        np.testing.assert_allclose(nxt, [[0.05, 0.0]])
 
     def test_zero_action_is_fixed_point(self):
         cfg = cross_cfg()
         state = formation_state([[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]])
-        nxt = step(state, GlobalAction("random-cross", np.zeros((2, 2))), cfg)
-        np.testing.assert_array_equal(nxt.positions, state.positions)
+        nxt = step(state, np.zeros((2, 2)), cfg)
+        np.testing.assert_array_equal(nxt, state.positions)
 
     def test_unlabeled_convex_combination(self):
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, dt=1.0, v_max=10.0)
@@ -200,10 +225,9 @@ class TestStep:
             group_ids=[0, 0],
             goal_order=[[0, 1], [0, 1]],
         )
-        action = GlobalAction("unlabeled-goals", [[0.5, 0.5], [1.0, 0.0]])
-        nxt = step(state, action, cfg)
-        np.testing.assert_allclose(nxt.positions[0], [1.0, 1.0])
-        np.testing.assert_allclose(nxt.positions[1], [2.0, 0.0])
+        nxt = step(state, [[0.5, 0.5], [1.0, 0.0]], cfg)
+        np.testing.assert_allclose(nxt[0], [1.0, 1.0])
+        np.testing.assert_allclose(nxt[1], [2.0, 0.0])
 
     def test_unlabeled_velocity_in_convex_hull(self):
         rng = make_rng(10)
@@ -216,8 +240,8 @@ class TestStep:
             goal_order=[[0, 1, 2]] * 3,
         )
         w = rng.dirichlet(np.ones(3), size=3)
-        nxt = step(state, GlobalAction("unlabeled-goals", w), cfg)
-        velocity = nxt.positions - state.positions
+        nxt = step(state, w, cfg)
+        velocity = nxt - state.positions
         for i in range(3):
             directions = state.goals - state.positions[i]
             # velocity must be reproducible as a convex combination of goal offsets
@@ -225,33 +249,31 @@ class TestStep:
 
     def test_non_finite_action_rejected(self):
         cfg = cross_cfg()
-        state = formation_state([[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(EnvError):
-            step(state, GlobalAction("random-cross", [[np.nan, 0.0]]), cfg)
+            check_actions(np.array([[[np.nan, 0.0]]]), cfg)
 
     def test_velocity_above_vmax_rejected(self):
         cfg = cross_cfg(v_max=0.5)
-        state = formation_state([[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(EnvError):
-            step(state, GlobalAction("random-cross", [[1.0, 0.0]]), cfg)
+            check_actions(np.array([[[1.0, 0.0]]]), cfg)
 
 
 class TestRewards:
     def test_all_at_goals_no_collisions(self):
         state = formation_state([[0.0, 0.0], [10.0, 10.0]], [[0.0, 0.0], [10.0, 10.0]])
-        r = reward_formation(state, GlobalAction("random-cross", np.zeros((2, 2))), RewardParams(1.0, 1.0))
+        r = reward_formation(state, RewardParams(1.0, 1.0))
         assert r == pytest.approx(0.0)
 
     def test_single_agent_unit_distance(self):
         state = formation_state([[0.0, 0.0]], [[1.0, 0.0]])
-        r = reward_formation(state, GlobalAction("random-cross", np.zeros((1, 2))), RewardParams())
+        r = reward_formation(state, RewardParams())
         assert r == pytest.approx(-1.0)
 
     def test_coincident_pair_hinge(self):
         # brute force over ordered pairs: hinge = max(1*(2 - 0/1), 0) = 2 per
         # ordered pair, two ordered pairs -> collision term 4, distances 0
         state = formation_state([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
-        r = reward_formation(state, GlobalAction("random-cross", np.zeros((2, 2))), RewardParams(1.0, 1.0))
+        r = reward_formation(state, RewardParams(1.0, 1.0))
         assert r == pytest.approx(-4.0)
 
     def test_collision_term_nonnegative_total_nonpositive(self):
@@ -261,47 +283,49 @@ class TestRewards:
             pos = rng.normal(size=(4, 2))
             goals = rng.normal(size=(4, 2))
             state = formation_state(pos, goals)
-            r = reward_formation(state, GlobalAction("random-cross", np.zeros((4, 2))), params)
+            r = reward_formation(state, params)
             assert r <= 1e-12
 
     def test_unlabeled_perfect_cover(self):
-        action = GlobalAction("unlabeled-goals", [[1.0, 0.0], [0.0, 1.0]])
-        assert reward_unlabeled(action) == pytest.approx(0.0)
+        assert reward_unlabeled([[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(0.0)
 
     def test_unlabeled_shared_goal(self):
-        action = GlobalAction("unlabeled-goals", [[1.0, 0.0], [1.0, 0.0]])
-        assert reward_unlabeled(action) == pytest.approx(-1.0)
+        assert reward_unlabeled([[1.0, 0.0], [1.0, 0.0]]) == pytest.approx(-1.0)
 
     def test_unlabeled_split_weights(self):
-        action = GlobalAction("unlabeled-goals", [[0.5, 0.5], [0.5, 0.5]])
-        assert reward_unlabeled(action) == pytest.approx(-1.0)
+        assert reward_unlabeled([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(-1.0)
 
 
 class TestLinkFailure:
     def test_p_zero_keeps_everything(self):
-        sel = [{1, 2}, {0}, set()]
-        out = apply_link_failure(sel, 0.0, make_rng(0))
-        assert out == [{1, 2}, {0}, set()]
+        sel = mask_from_selections([{1, 2}, {0}, set()])[None]
+        out = apply_link_failure(sel, 0.0, [make_rng(0)])
+        np.testing.assert_array_equal(out, sel)
 
     def test_p_one_drops_everything(self):
-        sel = [{1, 2}, {0}, {0, 1}]
-        out = apply_link_failure(sel, 1.0, make_rng(0))
-        assert out == [set(), set(), set()]
+        sel = mask_from_selections([{1, 2}, {0}, {0, 1}])[None]
+        out = apply_link_failure(sel, 1.0, [make_rng(0)])
+        assert not out.any()
 
     def test_delivered_subset_of_requested(self):
         rng = make_rng(12)
-        sel = [set(rng.choice(20, size=5, replace=False).tolist()) for _ in range(10)]
-        out = apply_link_failure(sel, 0.3, rng)
-        for req, got in zip(sel, out):
-            assert got <= req
+        sel = rng.random((3, 20, 20)) < 0.25
+        out = apply_link_failure(sel, 0.3, [rng] * 3)
+        assert not (out & ~sel).any()
 
     def test_half_failure_fraction(self):
         # binomial bound: 10^4 edges at p=0.5 -> delivered fraction 0.5 +/- 0.02
         rng = make_rng(13)
-        sel = [set(range(100)) for _ in range(100)]
-        out = apply_link_failure(sel, 0.5, rng)
-        frac = sum(len(s) for s in out) / 10_000
+        out = apply_link_failure(np.ones((1, 100, 100), dtype=bool), 0.5, [rng])
+        frac = out.sum() / 10_000
         assert abs(frac - 0.5) < 0.02
+
+    def test_each_world_draws_from_its_own_generator(self):
+        # world b's block is the first (N, N) draw of rngs[b], whoever shares the batch
+        sel = np.ones((3, 4, 4), dtype=bool)
+        out = apply_link_failure(sel, 0.4, [make_rng(s) for s in (5, 6, 7)])
+        for b, seed in enumerate((5, 6, 7)):
+            np.testing.assert_array_equal(out[b], make_rng(seed).random((4, 4)) >= 0.4)
 
 
 class TestRollout:
@@ -342,3 +366,30 @@ class TestRollout:
         for t1, t2 in zip(forward, reversed(reversed_runs)):
             assert np.array_equal(t1.final_state.positions, t2.final_state.positions)
             assert t1.total_reward() == t2.total_reward()
+
+
+class TestWorldStep:
+    def test_draw_order_noise_then_rule_uniforms_then_link_block(self):
+        cfg = cross_cfg(group_presence_prob=1.0, obs_noise_sigma=0.2, link_failure_prob=0.3)
+        params = init_for_task(cfg, make_rng(1), key_dim=4, msg_dim=4, hidden_dim=8)
+        program = parse_program(
+            "#dsl v1 features=V1 rules=2 state_dim=4\n"
+            "argmax(map(-d, filter(theta >= -1.85, l)))\n"
+            "random(filter(d >= 0.5, l))\n"
+        )
+        policy = CombinedPolicy(params, [program], v_max=cfg.v_max)
+        state = sample_initial(cfg, make_rng(2))
+        n = state.n_agents
+        rng = make_rng(3)
+        out = world_step(policy, cfg, RewardParams(), WorldBatch.stack([state]), Tensor(state.positions[None]), [rng])
+        ref = make_rng(3)
+        noise = 0.2 * ref.standard_normal((n, n, 2))
+        rand_u = np.zeros((1, n, 2))
+        rand_u[0, :, 1] = ref.random(n)
+        link_u = ref.random((n, n))
+        assert rng.random() == ref.random()  # nothing else was drawn
+        off = ~np.eye(n, dtype=bool)
+        rel = state.positions[None, :, :] - state.positions[:, None, :]
+        np.testing.assert_array_equal(out.obs.data[0][off], (rel + noise)[off])
+        requested = eval_program(program, out.states.data, out.obs.data, rand_u)[0]
+        np.testing.assert_array_equal(out.policy.delivered[0][0], requested & (link_u >= 0.3))

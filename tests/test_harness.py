@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from swarmcomm import cli, env
-from swarmcomm.dsl import CommGraph
-from swarmcomm.env import GlobalAction, PolicyStep, RewardParams, TaskConfig
+from swarmcomm.autodiff import Tensor
+from swarmcomm.env import PolicyStep, RewardParams, TaskConfig, apply_link_failure
 from swarmcomm.harness import (
     DEFAULT_GRID,
     HarnessError,
@@ -23,11 +23,14 @@ from swarmcomm.harness import (
     select_best_cell,
     sweep,
 )
-from swarmcomm.policy import TfFullPolicy, make_policy
+from swarmcomm.dsl import CommGraph, degree_stats, parse_program
+from swarmcomm.env import rollout
+from swarmcomm.policy import CombinedPolicy, TfFullPolicy, make_policy
 from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
+from reference import graph_mask, mask_from_selections
 
 
 class ConstantGraphPolicy:
@@ -39,16 +42,14 @@ class ConstantGraphPolicy:
     def __init__(self, selections):
         self.selections = selections
 
-    def step(self, state, obs, rng, deliver):
-        n = state.n_agents
-        delivered = deliver(self.selections)
-        graph = CommGraph.from_selections(delivered)
+    def step(self, states, obs, rngs, p_fail, goal_perm_inv=None, weights=None):
+        b, n = states.shape[0], states.shape[1]
+        requested = np.broadcast_to(mask_from_selections(self.selections), (b, n, n))
         return PolicyStep(
-            action=GlobalAction("random-cross", np.zeros((n, 2))),
-            graph=graph,
-            round_graphs=[graph],
-            attentions=[np.zeros((n, n))],
-            messages=[np.zeros((n, n, 1))],
+            actions=Tensor(np.zeros((b, n, 2))),
+            delivered=[apply_link_failure(requested, p_fail, rngs)],
+            attentions=[np.zeros((b, n, n))],
+            messages=[np.zeros((b, n, n, 1))],
         )
 
 
@@ -141,6 +142,59 @@ class TestEvaluate:
         assert metrics.rollout_max_deg_mean >= metrics.total_deg_mean
 
 
+def lossy_cross_setup():
+    """Crossing worlds of mixed agent counts, one random rule, lossy links."""
+    cfg = TaskConfig(
+        task_kind="random-cross", n_agents_per_group=2, horizon=6, group_presence_prob=0.5,
+        obs_noise_sigma=0.2, link_failure_prob=0.3,
+    )
+    params = init_for_task(cfg, make_rng(60), key_dim=4, msg_dim=4, hidden_dim=8)
+    program = parse_program(
+        "#dsl v1 features=V1 rules=2 state_dim=4\n"
+        "argmax(map(-d, filter(theta >= -1.85, l)))\n"
+        "random(filter(d >= 0.5, l))\n"
+    )
+    return cfg, CombinedPolicy(params, [program], v_max=cfg.v_max)
+
+
+class TestLockstep:
+    def test_lockstep_evaluate_equals_one_stream_at_a_time(self):
+        cfg, policy = lossy_cross_setup()
+        n_rollouts, seed = 8, 61
+        trajs = [rollout(policy, cfg, g) for g in env.spawn_rollout_rngs(seed, n_rollouts)]
+        assert len({t.steps[0].state.n_agents for t in trajs}) > 1
+        # the same streams stepped in lockstep, grouped by agent count as evaluate groups them
+        rngs = env.spawn_rollout_rngs(seed, n_rollouts)
+        starts = [env.sample_initial(cfg, g) for g in rngs]
+        for n in sorted({s.n_agents for s in starts}):
+            members = [k for k, s in enumerate(starts) if s.n_agents == n]
+            steps = env.simulate(policy, cfg, [starts[k] for k in members], [rngs[k] for k in members])
+            for t, (out, rewards) in enumerate(steps):
+                for b, k in enumerate(members):
+                    for r, delivered in enumerate(out.policy.delivered):
+                        assert trajs[k].steps[t].round_graphs[r].edges == CommGraph.from_mask(delivered[b]).edges
+                    assert rewards[b] == pytest.approx(trajs[k].steps[t].reward, rel=1e-12)
+        metrics = evaluate(policy, cfg, n_rollouts, 1.0, seed)
+        losses = [-t.total_reward() / cfg.horizon for t in trajs]
+        assert metrics.loss_mean == pytest.approx(float(np.mean(losses)), rel=1e-12)
+        degrees = [np.mean([degree_stats(graph_mask(s.graph))[2] for s in t.steps]) for t in trajs]
+        assert metrics.total_deg_mean == float(np.mean(degrees))
+
+    def test_rollout_does_not_depend_on_its_batch(self):
+        cfg, policy = lossy_cross_setup()
+        cfg = TaskConfig(**{**cfg.to_json_dict(), "group_presence_prob": 1.0})
+        rngs = env.spawn_rollout_rngs(62, 4)
+        starts = [env.sample_initial(cfg, g) for g in rngs]
+        together = list(env.simulate(policy, cfg, starts, rngs))
+        own = env.spawn_rollout_rngs(62, 4)[2]
+        alone = list(env.simulate(policy, cfg, [env.sample_initial(cfg, own)], [own]))
+        for (a, ra), (b, rb) in zip(alone, together):
+            for da, db in zip(a.policy.delivered, b.policy.delivered):
+                np.testing.assert_array_equal(da[0], db[2])
+            np.testing.assert_allclose(a.next_positions.data[0], b.next_positions.data[2], rtol=1e-12, atol=0)
+            assert ra[0] == pytest.approx(rb[2], rel=1e-12)
+
+
 class TestSweep:
     def test_single_cell_grid_returns_that_cell(self):
         cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=1, horizon=4, obs_noise_sigma=0.05)
@@ -160,6 +214,26 @@ class TestSweep:
         assert len(result.cells) == 1
         assert result.best is result.cells[0]
         assert result.best.degree_weight == 0.5
+
+    def test_two_round_cell_keeps_every_round_program(self):
+        cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=3, obs_noise_sigma=0.05)
+        rng = make_rng(6)
+        params = init_for_task(cfg, rng, key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4)
+        dataset = collect_dataset(params, cfg, 2, rng)
+        grid = {"degree_weight": (0.5,), "n_rules": (1,), "feature_version": ("v1",)}
+        result = sweep(
+            dataset,
+            lambda programs: make_policy("combined", params, v_max=cfg.v_max, programs=programs),
+            SynthConfig(mcmc_steps=10),
+            cfg,
+            make_rng(7),
+            n_val_rollouts=2,
+            grid=grid,
+        )
+        assert [r.program.n_rules for r in result.best.results] == [1, 1]
+        rebuilt = CombinedPolicy(params, [r.program for r in result.best.results], v_max=cfg.v_max)
+        again = evaluate(rebuilt, cfg, 2, 1.0, 0)
+        assert np.isfinite(again.loss_mean)
 
     def test_near_tie_prefers_lower_degree(self):
         cells = [
@@ -557,3 +631,80 @@ class TestCli:
         ]) == 0
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["task"] == "unlabeled-goals"
+
+    def test_two_round_sweep_writes_one_program_per_round(self, tmp_path):
+        cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=3, obs_noise_sigma=0.05)
+        env.save_config(tmp_path / "task.json", cfg, RewardParams())
+        assert cli.main([
+            "train-oracle", "--config", str(tmp_path / "task.json"),
+            "--out", str(tmp_path / "oracle.json"), "--rollouts", "8", "--batch", "8", "--seed", "0",
+        ]) == 0
+        assert cli.main([
+            "collect", "--params", str(tmp_path / "oracle.json"),
+            "--config", str(tmp_path / "task.json"), "--rollouts", "2",
+            "--out", str(tmp_path / "data.jsonl"), "--seed", "1",
+        ]) == 0
+        out_dir = tmp_path / "sweep"
+        assert cli.main([
+            "sweep", "--dataset", str(tmp_path / "data.jsonl"), "--config", str(tmp_path / "task.json"),
+            "--steps", "3", "--val-rollouts", "1", "--out-dir", str(out_dir), "--seed", "2",
+        ]) == 0
+        programs = [out_dir / "sweep_best_program.txt", out_dir / "sweep_best_program.round2.txt"]
+        best = json.loads((out_dir / "sweep_best.json").read_text())
+        for path in programs:
+            assert parse_program(path.read_text()).n_rules == best["n_rules"]
+        manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
+        assert {str(p) for p in programs} <= set(manifest["outputs"])
+        assert cli.main([
+            "evaluate", "--params", str(tmp_path / "oracle.json"),
+            "--config", str(tmp_path / "task.json"), "--policy", "combined",
+            "--program", str(programs[0]), "--program", str(programs[1]),
+            "--rollouts", "2", "--out", str(tmp_path / "metrics.json"), "--seed", "3",
+        ]) == 0
+
+    @pytest.mark.parametrize("command", ["evaluate", "retrain"])
+    def test_program_for_another_state_dim_categorized(self, cli_workspace, tmp_path, capsys, command):
+        # a coverage program (state_dim 12) against the grid task's parameters (state_dim 4)
+        program = tmp_path / "coverage_program.txt"
+        program.write_text("#dsl v1 features=V1 rules=1 state_dim=12\nargmax(map(-d, filter(sn1 >= 0, l)))\n")
+        out = tmp_path / "out.json"
+        argv = [
+            command, "--params", str(cli_workspace / "oracle.json"),
+            "--config", str(cli_workspace / "task.json"), "--program", str(program), "--out", str(out),
+        ]
+        if command == "evaluate":
+            argv += ["--policy", "combined", "--rollouts", "1"]
+        else:
+            argv += ["--rollouts", "8", "--batch", "8"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error[dim-mismatch]" in err
+        assert str(program) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train-oracle", "--batch", "0"),
+            ("train-oracle", "--discount", "1.5"),
+            ("evaluate", "--rollouts", "0"),
+            ("sweep", "--val-rollouts", "0"),
+            ("collect", "--rollouts", "-1"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, cli_workspace, tmp_path, capsys, command, flag, value):
+        ws = cli_workspace
+        out = tmp_path / "out"
+        argv = {
+            "train-oracle": ["--config", str(ws / "task.json"), "--out", str(out)],
+            "evaluate": ["--params", str(ws / "oracle.json"), "--config", str(ws / "task.json"), "--out", str(out)],
+            "sweep": ["--dataset", str(ws / "data.jsonl"), "--config", str(ws / "task.json"), "--out-dir", str(out)],
+            "collect": ["--params", str(ws / "oracle.json"), "--config", str(ws / "task.json"), "--out", str(out)],
+        }[command]
+        assert cli.main([command, *argv, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "error[usage]" in err
+        assert flag.lstrip("-").split("-")[0] in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import DetRule, FeatureMap, Program, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import GlobalState, RewardParams, TaskConfig, rollout, sample_initial
 from swarmcomm.policy import CombinedPolicy, TfFullPolicy
@@ -73,7 +74,7 @@ def nearest_program(state_dim=4, k=1):
 
 
 class TestUnrollRolloutConsistency:
-    """The differentiable unroll and the rollout engine are twin implementations."""
+    """The taped unroll (batch-summed rewards) and one-world rollouts agree."""
 
     def test_formation_scores_match(self):
         cfg = TaskConfig(
@@ -210,14 +211,11 @@ class TestRetrain:
         program = nearest_program()
         result = retrain(params, [program], cfg, TrainConfig(n_rollouts=0), make_rng(31))
         state = sample_initial(cfg, make_rng(32))
-        obs = np.zeros((state.n_agents, state.n_agents, 2))
-        before = CombinedPolicy(params, [program], v_max=cfg.v_max).step(
-            state, obs, make_rng(33), lambda s: [set(x) for x in s]
-        )
-        after = CombinedPolicy(result.params, [program], v_max=cfg.v_max).step(
-            state, obs, make_rng(33), lambda s: [set(x) for x in s]
-        )
-        np.testing.assert_array_equal(before.action.data, after.action.data)
+        states = Tensor(state.agent_states()[None])
+        obs = Tensor(np.zeros((1, state.n_agents, state.n_agents, 2)))
+        before = CombinedPolicy(params, [program], v_max=cfg.v_max).step(states, obs, [make_rng(33)], 0.0)
+        after = CombinedPolicy(result.params, [program], v_max=cfg.v_max).step(states, obs, [make_rng(33)], 0.0)
+        np.testing.assert_array_equal(before.actions.data, after.actions.data)
 
     def test_program_arity_checked(self):
         cfg, params = self._cfg_and_oracle()
