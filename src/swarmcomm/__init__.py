@@ -31,7 +31,7 @@ from .env import (
     simulate,
     world_step,
 )
-from .harness import Metrics, RunManifest, evaluate, report, sweep
+from .harness import Metrics, RunManifest, evaluate, evaluate_many, report, sweep
 from .policy import (
     CombinedPolicy,
     DistMaskPolicy,

@@ -286,7 +286,47 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     return tape.emit("matmul", (ta, tb), out, vjp)
 
 
-def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
+def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: TensorLike) -> Tensor:
+    """tanh(x @ w1 + b1) @ w2 + b2 for 2-D x, recorded as one tape op.
+
+    Values and gradients are bitwise those of the matmul/add/tanh chain: the
+    forward adds the biases and applies tanh in place, and the vjp evaluates
+    the chain's own expressions. On a tape the pre-activation and the output
+    are checked for non-finite values, where the chain checked every op.
+    """
+    items, tape = _coerce_many((x, w1, b1, w2, b2))
+    tx, tw1, tb1, tw2, tb2 = items
+    if (
+        tx.ndim != 2 or tw1.ndim != 2 or tw2.ndim != 2
+        or tx.shape[1] != tw1.shape[0] or tb1.shape != tw1.shape[1:]
+        or tw2.shape[0] != tw1.shape[1] or tb2.shape != tw2.shape[1:]
+    ):
+        raise ShapeMismatch(
+            f"mlp shapes do not chain: x {tx.shape}, w1 {tw1.shape}, b1 {tb1.shape}, "
+            f"w2 {tw2.shape}, b2 {tb2.shape}"
+        )
+    h = tx.data @ tw1.data
+    h += tb1.data
+    if tape is not None:
+        _check_finite(h, "mlp")
+    np.tanh(h, out=h)
+    out = h @ tw2.data
+    out += tb2.data
+    if tape is None:
+        return Tensor(out)
+    dx, dw1, dw2 = tx.data, tw1.data, tw2.data
+    sb1, sb2 = tb1.data.shape, tb2.data.shape
+
+    def vjp(g: Array):
+        gh = g @ dw2.T
+        gw2 = h.T @ g
+        gpre = gh * (1.0 - h * h)
+        return gpre @ dw1.T, dx.T @ gpre, _unbroadcast(gpre, sb1), gw2, _unbroadcast(g, sb2)
+
+    return tape.emit("mlp", items, out, vjp)
+
+
+def _coerce_many(tensors: Sequence[TensorLike]) -> tuple[list[Tensor], Optional[Tape]]:
     items = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     tape = None
     for t in items:
@@ -296,6 +336,11 @@ def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
             tape = t.tape
     if tape is not None:
         items = [t if t.tape is tape else tape.constant(t.data) for t in items]
+    return items, tape
+
+
+def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
+    items, tape = _coerce_many(tensors)
     out = np.concatenate([t.data for t in items], axis=axis)
     if tape is None:
         return Tensor(out)

@@ -180,42 +180,41 @@ def _eval_pred(pred: Predicate, feats: Array) -> Array:
     return left & right if pred.op == "and" else left | right
 
 
+def rule_picks(rule: Rule, feats: Array, u: Optional[Array] = None) -> Array:
+    """Boolean mask (..., N, N) of the one sender each agent's rule picks.
+
+    feats: (..., N, N, d') features for every ordered (receiver, sender) pair.
+    u: uniforms (..., N) driving a nondeterministic rule. The diagonal is
+    always False, and an agent whose filter keeps nobody picks nobody.
+    Deterministic rules pick the passing sender with the highest score, ties
+    to the lowest id; a nondeterministic rule picks passing sender number
+    floor(u * count) in id order.
+    """
+    n = feats.shape[-2]
+    keep = _eval_pred(rule.pred, feats) & ~np.eye(n, dtype=bool)
+    if isinstance(rule, DetRule):
+        pick = np.argmax(np.where(keep, feats @ np.asarray(rule.score.weights), -np.inf), axis=-1)
+        return (np.arange(n) == pick[..., None]) & keep.any(axis=-1, keepdims=True)
+    if u is None:
+        raise DslError("a nondeterministic rule needs rand_u")
+    count = keep.sum(axis=-1)
+    target = np.minimum(np.floor(u * count), np.maximum(count - 1, 0)).astype(np.int64) + 1
+    # the target-th passing sender is the one passing sender whose running count hits target
+    return (np.cumsum(keep, axis=-1) == target[..., None]) & keep
+
+
 def eval_program_batch(program: Program, feats: Array, rand_u: Optional[Array] = None) -> Array:
-    """Selection mask over batches of worlds.
+    """Selection mask over batches of worlds: the OR of every rule's picks.
 
     feats: (..., N, N, d') features for every ordered (receiver, sender) pair.
     rand_u: uniforms (..., N, K), column k driving rule k when it is
     nondeterministic; required when the program has such a rule.
     Returns a boolean mask (..., N, N) with mask[..., i, j] = True when agent i
-    selects sender j. The diagonal is always False. Deterministic rules pick
-    the passing sender with the highest score, ties to the lowest id; a
-    nondeterministic rule picks passing sender number floor(u * count) in id
-    order.
+    selects sender j (see rule_picks).
     """
-    n = feats.shape[-2]
-    lead = feats.shape[:-3]
-    eye = np.eye(n, dtype=bool)
-    selected = np.zeros(lead + (n, n), dtype=bool)
-    for r_idx, rule in enumerate(program.rules):
-        keep = _eval_pred(rule.pred, feats)
-        keep = keep & ~eye
-        count = keep.sum(axis=-1)
-        if isinstance(rule, DetRule):
-            scores = feats @ np.asarray(rule.score.weights)
-            scores = np.where(keep, scores, -np.inf)
-            pick = np.argmax(scores, axis=-1)
-        else:
-            if rand_u is None:
-                raise DslError("a nondeterministic rule needs rand_u")
-            u = rand_u[..., r_idx]
-            target = np.minimum(np.floor(u * count), np.maximum(count - 1, 0)).astype(np.int64) + 1
-            cum = np.cumsum(keep, axis=-1)
-            hit = (cum == target[..., None]) & keep
-            pick = np.argmax(hit, axis=-1)
-        has = count > 0
-        picked_mask = np.zeros(lead + (n, n), dtype=bool)
-        np.put_along_axis(picked_mask, pick[..., None], has[..., None], -1)
-        selected |= picked_mask
+    selected = np.zeros(feats.shape[:-1], dtype=bool)
+    for k, rule in enumerate(program.rules):
+        selected |= rule_picks(rule, feats, None if rand_u is None else rand_u[..., k])
     return selected
 
 
@@ -498,7 +497,16 @@ def parse_program(text: str, state_dim: Optional[int] = None) -> Program:
     if version not in FEATURE_VERSIONS:
         raise ParseError(f"unknown feature version {meta.get('features')!r}", header_line, 1)
     fmap = FeatureMap(version)
-    declared = int(meta["state_dim"]) if "state_dim" in meta else None
+
+    def header_int(key: str) -> Optional[int]:
+        if key not in meta:
+            return None
+        try:
+            return int(meta[key])
+        except ValueError:
+            raise ParseError(f"header field {key}={meta[key]!r} is not an integer", header_line, 1) from None
+
+    declared = header_int("state_dim")
     if state_dim is None:
         if declared is None:
             raise ParseError("header is missing state_dim", header_line, 1)
@@ -511,10 +519,9 @@ def parse_program(text: str, state_dim: Optional[int] = None) -> Program:
         rules.append(_RuleParser(line, lineno, names).parse_rule())
     if not rules:
         raise ParseError("program has no rules", header_line, 1)
-    if "rules" in meta and int(meta["rules"]) != len(rules):
-        raise ParseError(
-            f"header claims {meta['rules']} rules but {len(rules)} found", header_line, 1
-        )
+    claimed = header_int("rules")
+    if claimed is not None and claimed != len(rules):
+        raise ParseError(f"header claims {claimed} rules but {len(rules)} found", header_line, 1)
     return Program(tuple(rules), fmap)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dsl import degree_stats
 from .env import Policy, RewardParams, TaskConfig, sample_initial, simulate, spawn_rollout_rngs
+from .policy import StackedPolicy
 from .synth import SynthConfig, SynthDataset, SynthResult, synthesize_multiround
 
 Array = np.ndarray
@@ -110,38 +111,84 @@ def evaluate(
     gamma: float = 0.99,
     verify_degrees: bool = False,
 ) -> Metrics:
-    """Run evaluation rollouts and aggregate loss and degree statistics.
+    """Run evaluation rollouts of one policy and aggregate loss and degree statistics.
 
-    Rollout k draws from the k-th generator of ``spawn_rollout_rngs(seed,
-    n_rollouts)``: first its initial state, then its steps. Rollouts that share
-    an agent count step in lockstep; the results do not depend on the grouping.
-    The combined objective is the discounted cumulative reward minus
-    comm_weight times the summed per-step max degree, averaged over rollouts.
+    See evaluate_many, which this calls with the one policy.
+    """
+    return evaluate_many([policy], cfg, n_rollouts, comm_weight, seed, reward_params, gamma, verify_degrees)[0]
+
+
+def evaluate_many(
+    policies: Sequence[Policy],
+    cfg: TaskConfig,
+    n_rollouts: int,
+    comm_weight: float,
+    seed: int,
+    reward_params: Optional[RewardParams] = None,
+    gamma: float = 0.99,
+    verify_degrees: bool = False,
+) -> list[Metrics]:
+    """Evaluate several policies on the same rollouts, stepping their worlds together.
+
+    Every policy runs its own ``spawn_rollout_rngs(seed, n_rollouts)``
+    streams: rollout k draws from the k-th generator, first its initial state,
+    then its steps. The worlds of all policies are grouped by agent count,
+    kept in policy-major order and stepped in lockstep in chunks of at most
+    max(n_rollouts, len(policies)) worlds; a chunk that spans several policies
+    runs them as one ``StackedPolicy``, so they must share their class, params
+    and v_max. The results do not depend on the grouping. The combined
+    objective is the discounted cumulative reward minus comm_weight times the
+    summed per-step max degree, averaged over rollouts.
     """
     if n_rollouts < 1:
         raise HarnessError("n_rollouts must be >= 1")
-    rngs = spawn_rollout_rngs(int(seed), n_rollouts)
+    policies = list(policies)
+    if not policies:
+        raise HarnessError("evaluate_many needs at least one policy")
+    if len(policies) > 1:
+        try:  # every chunk's stack is a sub-stack of this one
+            StackedPolicy(policies, [n_rollouts] * len(policies))
+        except ValueError as exc:
+            raise HarnessError(f"policies cannot be evaluated together: {exc}") from exc
+    rngs = [g for _ in policies for g in spawn_rollout_rngs(int(seed), n_rollouts)]
+    owner = np.repeat(np.arange(len(policies)), n_rollouts)
     starts = [sample_initial(cfg, g) for g in rngs]
     groups: dict[int, list[int]] = {}
     for k, state in enumerate(starts):
         groups.setdefault(state.n_agents, []).append(k)
-    rewards = np.zeros((n_rollouts, cfg.horizon))
-    degrees = np.zeros((n_rollouts, cfg.horizon, 3))  # per-step max in, out, total degree
-    for members in groups.values():
-        try:
-            steps = simulate(policy, cfg, [starts[k] for k in members], [rngs[k] for k in members], reward_params)
-            for t, (out, step_rewards) in enumerate(steps):
-                used = np.logical_or.reduce(out.policy.delivered)
-                stats = np.stack(degree_stats(used), axis=-1)
-                if verify_degrees:
-                    for b in range(len(members)):
-                        recount = _recount_degrees(used[b])
-                        if tuple(stats[b]) != recount:
-                            raise HarnessError(f"degree mismatch: {tuple(stats[b])} vs {recount}")
-                rewards[members, t] = step_rewards
-                degrees[members, t] = stats
-        except Exception as exc:
-            raise HarnessError(f"rollouts {members} failed: {exc}") from exc
+    rewards = np.zeros((len(starts), cfg.horizon))
+    degrees = np.zeros((len(starts), cfg.horizon, 3))  # per-step max in, out, total degree
+    bound = max(n_rollouts, len(policies))
+    for group in groups.values():
+        for lo in range(0, len(group), bound):
+            members = group[lo : lo + bound]
+            parts, counts = np.unique(owner[members], return_counts=True)
+            stepped = policies[parts[0]] if len(parts) == 1 else StackedPolicy([policies[p] for p in parts], counts)
+            try:
+                steps = simulate(stepped, cfg, [starts[k] for k in members], [rngs[k] for k in members], reward_params)
+                for t, (out, step_rewards) in enumerate(steps):
+                    used = np.logical_or.reduce(out.policy.delivered)
+                    stats = np.stack(degree_stats(used), axis=-1)
+                    if verify_degrees:
+                        for b in range(len(members)):
+                            recount = _recount_degrees(used[b])
+                            if tuple(stats[b]) != recount:
+                                raise HarnessError(f"degree mismatch: {tuple(stats[b])} vs {recount}")
+                    rewards[members, t] = step_rewards
+                    degrees[members, t] = stats
+            except Exception as exc:
+                raise HarnessError(f"rollouts {members} failed: {exc}") from exc
+    return [
+        _aggregate(policy, cfg, rewards[p * n_rollouts : (p + 1) * n_rollouts],
+                   degrees[p * n_rollouts : (p + 1) * n_rollouts], comm_weight, seed, gamma)
+        for p, policy in enumerate(policies)
+    ]
+
+
+def _aggregate(
+    policy: Policy, cfg: TaskConfig, rewards: Array, degrees: Array, comm_weight: float, seed: int, gamma: float
+) -> Metrics:
+    """Metrics of one policy from its rollouts' (R, T) rewards and (R, T, 3) per-step max degrees."""
 
     def stats(xs: Array) -> tuple[float, float]:
         return float(xs.mean()), float(xs.std())
@@ -166,7 +213,7 @@ def evaluate(
         policy=getattr(policy, "name", type(policy).__name__),
         task=cfg.task_kind,
         seed=int(seed),
-        n_rollouts=n_rollouts,
+        n_rollouts=rewards.shape[0],
         loss_mean=loss_mean,
         loss_std=loss_std,
         in_deg_mean=in_mean,
@@ -231,12 +278,14 @@ def sweep(
 ) -> SweepResult:
     """Synthesize per grid cell, evaluate on validation rollouts, pick the winner.
 
-    Lowest validation loss wins; cells within `near_tie` of the best loss are
-    re-ranked by lowest mean max degree. `make_policy(programs)` builds the
-    evaluated policy from one cell's synthesized programs.
+    Every cell's chains run first, in grid order, all drawing from rng; then
+    one evaluate_many call validates every cell on the same rollouts (it never
+    draws from rng). Lowest validation loss wins; cells within `near_tie` of
+    the best loss are re-ranked by lowest mean max degree.
+    `make_policy(programs)` builds the evaluated policy from one cell's
+    synthesized programs; the cells' policies must stack (see evaluate_many).
     """
     grid = grid or DEFAULT_GRID
-    cells: list[SweepCell] = []
     combos = [
         (lam, k, fv)
         for lam in grid["degree_weight"]
@@ -246,12 +295,13 @@ def sweep(
     if not combos:
         raise HarnessError("empty sweep grid")
     val_seed = int(rng.integers(0, 2**31 - 1))
-    for lam, k, fv in combos:
-        cell_cfg = replace(base_cfg, degree_weight=lam, n_rules=k, feature_version=fv)
-        results = synthesize_multiround(dataset, cell_cfg, rng)
-        policy = make_policy([r.program for r in results])
-        metrics = evaluate(policy, task_cfg, n_val_rollouts, comm_weight, val_seed, reward_params)
-        cells.append(SweepCell(lam, k, fv, results, metrics))
+    results = [
+        synthesize_multiround(dataset, replace(base_cfg, degree_weight=lam, n_rules=k, feature_version=fv), rng)
+        for lam, k, fv in combos
+    ]
+    policies = [make_policy([r.program for r in cell_results]) for cell_results in results]
+    metrics = evaluate_many(policies, task_cfg, n_val_rollouts, comm_weight, val_seed, reward_params)
+    cells = [SweepCell(*combo, res, m) for combo, res, m in zip(combos, results, metrics)]
     return SweepResult(select_best_cell(cells, near_tie), cells)
 
 

@@ -182,6 +182,45 @@ class NoCommPolicy(_TransformerPolicy):
         return np.zeros(soft.shape, dtype=bool)
 
 
+class StackedPolicy(_TransformerPolicy):
+    """Several policies of one class over one network, stepped in one batch.
+
+    The first counts[0] worlds of a batch belong to parts[0], the next
+    counts[1] to parts[1], and so on. One network forward serves the whole
+    batch; each part builds the request masks of its own worlds. The parts
+    must share their class, params and v_max.
+    """
+
+    def __init__(self, parts: Sequence[_TransformerPolicy], counts: Sequence[int]):
+        first = parts[0]
+        for part in parts:
+            if (
+                not isinstance(part, _TransformerPolicy)
+                or type(part) is not type(first)
+                or part.params is not first.params
+                or part.v_max != first.v_max
+            ):
+                raise ValueError("stacked policies must be transformer policies of one class, params and v_max")
+        if len(counts) != len(parts) or min(counts) < 1:
+            raise ValueError("need one positive world count per stacked policy")
+        super().__init__(first.params, first.v_max)
+        self.parts = list(parts)
+        self.name = first.name
+        self.full_comm = first.full_comm
+        self._bounds = [0, *np.cumsum(counts).tolist()]
+
+    def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        if soft.shape[0] != self._bounds[-1]:
+            raise ValueError(f"stacked policy expects {self._bounds[-1]} worlds, got {soft.shape[0]}")
+        return np.concatenate([
+            part.request_mask(round_index, soft[lo:hi], states[lo:hi], obs[lo:hi], rngs[lo:hi])
+            for part, lo, hi in zip(self.parts, self._bounds, self._bounds[1:])
+        ])
+
+    def _attention_mask(self, delivered, p_fail) -> Optional[Array]:
+        return self.parts[0]._attention_mask(delivered, p_fail)
+
+
 POLICY_NAMES = ("tf-full", "combined", "dist", "hard-attn", "no-comm")
 
 

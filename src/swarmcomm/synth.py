@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -267,6 +268,7 @@ class SurrogateEvaluator:
             rng.random((b.n_tuples, b.n_agents, _MAX_RULES, rand_samples)) for b in dataset.blocks
         ]
         self._feat_cache: dict[str, list[Array]] = {}
+        self._picks: OrderedDict[tuple, list[Array]] = OrderedDict()
 
     def _features(self, fmap: FeatureMap) -> list[Array]:
         cached = self._feat_cache.get(fmap.version)
@@ -280,11 +282,31 @@ class SurrogateEvaluator:
         return cached
 
     def selections(self, program: Program, sample: int = 0) -> list[Array]:
+        """Per block, the OR of the program's per-rule picks (see dsl.eval_program_batch).
+
+        A rule's picks depend only on the rule (whose weight vectors fix the
+        feature map), its slot (the CRN column that drives it) and the sample,
+        so they are kept in a least-recently-used cache of at most 4 * K
+        entries, each holding every block's (M, N, N) picks. A proposal edits
+        one of the K rules, so scoring it evaluates that one rule again.
+        """
         feats = self._features(program.feature_map)
-        out = []
-        for block_idx, block in enumerate(self.dataset.blocks):
-            u = self._crn[block_idx][:, :, : program.n_rules, sample]
-            out.append(dsl.eval_program_batch(program, feats[block_idx], rand_u=u))
+        cache = self._picks
+        out = [np.zeros(f.shape[:-1], dtype=bool) for f in feats]
+        for slot, rule in enumerate(program.rules):
+            key = (rule, slot, sample)
+            picks = cache.get(key)
+            if picks is None:
+                picks = [
+                    dsl.rule_picks(rule, f, crn[:, :, slot, sample]) for f, crn in zip(feats, self._crn)
+                ]
+                cache[key] = picks
+                while len(cache) > 4 * program.n_rules:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(key)
+            for sel, pick in zip(out, picks):
+                sel |= pick
         return out
 
     def evaluate(self, program: Program) -> float:

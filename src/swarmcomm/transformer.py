@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def init_for_task(cfg, rng: np.random.Generator, **dims) -> TransformerParams:
 
 
 def _mlp(weights: dict[str, ad.TensorLike], net: str, x: ad.TensorLike) -> Tensor:
-    h = ad.tanh(ad.add(ad.matmul(x, weights[f"{net}.w1"]), weights[f"{net}.b1"]))
-    return ad.add(ad.matmul(h, weights[f"{net}.w2"]), weights[f"{net}.b2"])
+    return ad.mlp(x, *(weights[f"{net}.{p}"] for p in ("w1", "b1", "w2", "b2")))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +249,13 @@ def forward_round(
     obs: ad.TensorLike,
     round_index: int = 0,
     internal: Optional[Tensor] = None,
-    attention_override: Optional[Array] = None,
     select_fn=None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
 ) -> RoundState:
     """One communication round: keys, queries, messages, attention, message sum.
 
-    attention_override replaces the soft rows outright (rows must already be
-    valid distributions over the selected senders). select_fn(round_index,
-    soft_rows) may return a (B, N, N) mask from the soft attention; the rows
-    are then hardened to it in-graph.
+    select_fn(round_index, soft_rows) may return a (B, N, N) mask from the soft
+    attention; the rows are then hardened to it in-graph.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
@@ -295,12 +291,8 @@ def forward_round(
     logits = ad.div(ad.tensor_sum(ad.mul(q_exp, keys), axis=-1), float(np.sqrt(params.key_dim)))
     soft = ad.softmax(logits)
 
-    if attention_override is not None:
-        data = attention_override.data if isinstance(attention_override, Tensor) else np.asarray(attention_override, float)
-        attention = soft.tape.constant(data) if soft.tape is not None else Tensor(data)
-    else:
-        mask = select_fn(round_index, soft.data) if select_fn is not None else None
-        attention = harden_rows(soft, mask) if mask is not None else soft
+    mask = select_fn(round_index, soft.data) if select_fn is not None else None
+    attention = harden_rows(soft, mask) if mask is not None else soft
 
     received = ad.transpose(messages, (0, 2, 1, 3))
     weighted = ad.mul(ad.reshape(attention, (b, n, n, 1)), received)
@@ -322,7 +314,6 @@ def forward_policy(
     obs: ad.TensorLike,
     v_max: Optional[float] = None,
     select_fn=None,
-    attention_overrides: Optional[Sequence[Optional[Array]]] = None,
     goal_perm_inv: Optional[Array] = None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
 ) -> ForwardResult:
@@ -340,17 +331,7 @@ def forward_policy(
     rounds: list[RoundState] = []
     internal: Optional[Tensor] = None
     for r in range(params.rounds):
-        override = attention_overrides[r] if attention_overrides is not None else None
-        rs = forward_round(
-            params,
-            states_t,
-            obs_t,
-            r,
-            internal,
-            attention_override=override,
-            select_fn=select_fn if override is None else None,
-            weights=weights,
-        )
+        rs = forward_round(params, states_t, obs_t, r, internal, select_fn=select_fn, weights=weights)
         rounds.append(rs)
         internal = rs.internal
 

@@ -212,6 +212,88 @@ class TestFiniteDifferences:
             _fd_check(build, w1_0.ravel())
 
 
+def _mlp_chain(x, w1, b1, w2, b2):
+    return ad.add(ad.matmul(ad.tanh(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+class TestFusedMlp:
+    """ad.mlp against the matmul/add/tanh chain it replaces."""
+
+    @staticmethod
+    def _weights(rng, d_in=3, hidden=5, d_out=2):
+        return (
+            rng.normal(size=(d_in, hidden)),
+            rng.normal(size=hidden),
+            rng.normal(size=(hidden, d_out)),
+            rng.normal(size=d_out),
+        )
+
+    def test_forward_off_the_tape_is_bitwise_the_chain(self):
+        rng = make_rng(40)
+        x = rng.normal(size=(7, 3))
+        weights = self._weights(rng)
+        fused = ad.mlp(x, *weights)
+        assert fused.tape is None
+        assert np.array_equal(fused.data, _mlp_chain(x, *weights).data)
+
+    def test_taped_values_and_gradients_are_bitwise_the_chain(self):
+        rng = make_rng(41)
+        x0 = rng.normal(size=(6, 3))
+        weights0 = self._weights(rng)
+        proj = rng.normal(size=(6, 2))
+
+        def run(net):
+            tape = Tape()
+            x = tape.leaf(x0, requires_grad=True)
+            weights = [tape.leaf(w, requires_grad=True) for w in weights0]
+            # x and the weights feed two nets, so their gradients accumulate
+            first = net(x, *weights)
+            second = net(ad.tanh(x), *weights)
+            loss = ad.add(ad.tensor_sum(ad.mul(first, proj)), ad.tensor_sum(ad.mul(second, second)))
+            grads = backward(tape, loss)
+            return first.data, loss.data, [grads[t.node_id] for t in (x, *weights)], len(tape.records)
+
+        fused, chain = run(ad.mlp), run(_mlp_chain)
+        assert np.array_equal(fused[0], chain[0])
+        assert np.array_equal(fused[1], chain[1])
+        for g_fused, g_chain in zip(fused[2], chain[2]):
+            assert np.array_equal(g_fused, g_chain)
+        assert fused[3] == chain[3] - 8  # one record per net instead of five
+
+    def test_gradients_match_central_differences(self):
+        rng = make_rng(42)
+        shapes = [(4, 3), (3, 5), (5,), (5, 2), (2,)]
+        sizes = [int(np.prod(s)) for s in shapes]
+        offsets = np.cumsum([0] + sizes)
+        proj = rng.normal(size=(4, 2))
+
+        def build(flat):
+            parts = [ad.reshape(flat[lo:hi], shape) for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
+            return ad.tensor_sum(ad.mul(ad.mlp(*parts), proj))
+
+        _fd_check(build, rng.normal(size=offsets[-1]))
+
+    def test_overflow_in_the_first_layer_raises_on_the_tape(self):
+        tape = Tape()
+        x = tape.leaf(np.full((2, 3), 1e200))
+        weights = (np.full((3, 4), 1e200), np.zeros(4), np.ones((4, 2)), np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue):
+                _mlp_chain(x, *weights)
+            with pytest.raises(NonFiniteValue):
+                ad.mlp(x, *weights)
+
+    def test_shapes_that_do_not_chain_raise(self):
+        rng = make_rng(43)
+        w1, b1, w2, b2 = self._weights(rng)
+        with pytest.raises(ShapeMismatch):
+            ad.mlp(rng.normal(size=(2, 4)), w1, b1, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.mlp(rng.normal(size=(2, 3)), w1, b2, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.mlp(rng.normal(size=3), w1, b1, w2, b2)
+
+
 class TestTapeMechanics:
     def test_mixed_tape_rejected(self):
         t1, t2 = Tape(), Tape()

@@ -20,6 +20,7 @@ from swarmcomm.dsl import (
     featurize_pairs,
     parse_program,
     print_program,
+    rule_picks,
     true_predicate,
 )
 
@@ -264,6 +265,24 @@ class TestBatchInterpreter:
         assert not mask[:, np.arange(n), np.arange(n)].any()
 
 
+    def test_or_of_rule_picks_is_the_program_mask(self):
+        rng = make_rng(10)
+        for _ in range(20):
+            program = self._random_program(rng, k=int(rng.integers(1, 5)))
+            n = int(rng.integers(2, 7))
+            states = rng.normal(size=(3, n, 4))
+            obs = rng.normal(size=(3, n, n, 2))
+            tiled = np.broadcast_to(states[:, :, None, :], (3, n, n, 4))
+            feats = featurize_pairs(tiled, obs, FMAP)
+            u = rng.random((3, n, program.n_rules))
+            ored = np.zeros((3, n, n), dtype=bool)
+            for k, rule in enumerate(program.rules):
+                picks = rule_picks(rule, feats, u[..., k])
+                assert picks.shape == (3, n, n) and picks.sum(axis=-1).max() <= 1
+                ored |= picks
+            assert np.array_equal(ored, eval_program_batch(program, feats, rand_u=u))
+
+
 class TestCommGraph:
     def test_single_agent_graph_is_empty(self):
         program = Program((DetRule(score_on("d"), true_predicate(FMAP, STATE_DIM)),), FMAP)
@@ -393,6 +412,16 @@ class TestSurfaceSyntax:
         text = "#dsl v1 features=V1 rules=3 state_dim=4\nrandom(filter(d >= 0, l))\n"
         with pytest.raises(ParseError):
             parse_program(text)
+
+    @pytest.mark.parametrize("field", ["rules=x", "rules=1.0", "state_dim=4.5", "state_dim=four"])
+    def test_non_integer_header_field_is_a_parse_error(self, field):
+        header = {"rules": "rules=1", "state_dim": "state_dim=4"}
+        header[field.split("=")[0]] = field
+        text = f"#dsl v1 features=V1 {header['rules']} {header['state_dim']}\nrandom(filter(d >= 0, l))\n"
+        with pytest.raises(ParseError, match=field.split("=")[0]):
+            parse_program(text)
+        with pytest.raises(ParseError):
+            parse_program(text, 4)
 
     def test_roundtrip_random_programs(self):
         rng = make_rng(13)

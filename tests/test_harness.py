@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from swarmcomm import cli, env
+from swarmcomm import cli, env, harness
 from swarmcomm.autodiff import Tensor
 from swarmcomm.env import PolicyStep, RewardParams, TaskConfig, apply_link_failure
 from swarmcomm.harness import (
@@ -14,6 +14,7 @@ from swarmcomm.harness import (
     RunManifest,
     SweepCell,
     evaluate,
+    evaluate_many,
     file_sha256,
     metrics_from_json,
     metrics_to_csv,
@@ -25,7 +26,7 @@ from swarmcomm.harness import (
 )
 from swarmcomm.dsl import CommGraph, degree_stats, parse_program
 from swarmcomm.env import rollout
-from swarmcomm.policy import CombinedPolicy, TfFullPolicy, make_policy
+from swarmcomm.policy import CombinedPolicy, StackedPolicy, TfFullPolicy, make_policy
 from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
@@ -193,6 +194,89 @@ class TestLockstep:
                 np.testing.assert_array_equal(da[0], db[2])
             np.testing.assert_allclose(a.next_positions.data[0], b.next_positions.data[2], rtol=1e-12, atol=0)
             assert ra[0] == pytest.approx(rb[2], rel=1e-12)
+
+
+def lossy_cross_policies():
+    """Three combined policies over one network: the lossy setup's program and two others."""
+    cfg, policy = lossy_cross_setup()
+    others = [
+        "#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter(d >= 0.2, l))\n",
+        "#dsl v1 features=V1 rules=2 state_dim=4\nargmax(map(d, filter(1.0 >= 0, l)))\nrandom(filter(theta >= 0, l))\n",
+    ]
+    programs = [policy.programs[0], *(parse_program(text) for text in others)]
+    return cfg, [CombinedPolicy(policy.params, [p], v_max=cfg.v_max) for p in programs]
+
+
+class TestEvaluateMany:
+    @staticmethod
+    def _spy_batches(monkeypatch):
+        batches = []
+        real = harness.simulate
+
+        def spy(policy, cfg, worlds, rngs, reward_params=None):
+            batches.append((type(policy).__name__, len(worlds)))
+            return real(policy, cfg, worlds, rngs, reward_params)
+
+        monkeypatch.setattr(harness, "simulate", spy)
+        return batches
+
+    @staticmethod
+    def _assert_same_metrics(together, alone):
+        for name in ("in_deg_mean", "in_deg_std", "out_deg_mean", "out_deg_std", "total_deg_mean",
+                     "total_deg_std", "rollout_max_deg_mean", "n_rollouts", "policy", "seed"):
+            assert getattr(together, name) == getattr(alone, name), name
+        for name in ("loss_mean", "loss_std", "combined_J"):
+            assert getattr(together, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("n_rollouts", [5, 2])
+    def test_equals_separate_evaluate_calls(self, monkeypatch, n_rollouts):
+        # mixed agent counts, a random rule and lossy links; with 2 rollouts the
+        # 6 worlds outnumber the chunk bound of 3
+        cfg, policies = lossy_cross_policies()
+        alone = [evaluate(p, cfg, n_rollouts, 1.0, 63) for p in policies]
+        batches = self._spy_batches(monkeypatch)
+        together = evaluate_many(policies, cfg, n_rollouts, 1.0, 63)
+        bound = max(n_rollouts, len(policies))
+        assert all(size <= bound for _, size in batches)
+        assert any(kind == "StackedPolicy" for kind, _ in batches)
+        for t, a in zip(together, alone):
+            self._assert_same_metrics(t, a)
+
+    def test_stacked_step_delivers_the_edges_of_each_policy_alone(self):
+        cfg, policies = lossy_cross_policies()
+        cfg = TaskConfig(**{**cfg.to_json_dict(), "group_presence_prob": 1.0})
+        rngs = [g for _ in policies for g in env.spawn_rollout_rngs(64, 2)]
+        starts = [env.sample_initial(cfg, g) for g in rngs]
+        together = list(env.simulate(StackedPolicy(policies, [2] * len(policies)), cfg, starts, rngs))
+        for p, policy in enumerate(policies):
+            own = env.spawn_rollout_rngs(64, 2)
+            alone = list(env.simulate(policy, cfg, [env.sample_initial(cfg, g) for g in own], own))
+            for (a, ra), (b, rb) in zip(alone, together):
+                for da, db in zip(a.policy.delivered, b.policy.delivered):
+                    assert np.array_equal(da, db[2 * p : 2 * p + 2])
+                np.testing.assert_allclose(ra, rb[2 * p : 2 * p + 2], rtol=1e-12, atol=0)
+
+    def test_single_policy_batches_as_evaluate_does(self, monkeypatch):
+        cfg, policies = lossy_cross_policies()
+        batches = self._spy_batches(monkeypatch)
+        evaluate(policies[0], cfg, 8, 1.0, 65)
+        group_sizes: dict[int, int] = {}
+        for g in env.spawn_rollout_rngs(65, 8):
+            n = env.sample_initial(cfg, g).n_agents
+            group_sizes[n] = group_sizes.get(n, 0) + 1
+        assert len(group_sizes) > 1
+        assert batches == [("CombinedPolicy", size) for size in group_sizes.values()]
+
+    def test_policies_that_do_not_stack_are_rejected(self):
+        cfg, policies = lossy_cross_policies()
+        with pytest.raises(HarnessError):
+            evaluate_many([policies[0], TfFullPolicy(policies[0].params, v_max=cfg.v_max)], cfg, 2, 1.0, 0)
+        other_params = init_for_task(cfg, make_rng(66), key_dim=4, msg_dim=4, hidden_dim=8)
+        with pytest.raises(HarnessError):
+            evaluate_many([policies[0], CombinedPolicy(other_params, policies[1].programs, v_max=cfg.v_max)],
+                          cfg, 2, 1.0, 0)
+        with pytest.raises(HarnessError):
+            evaluate_many([ConstantGraphPolicy([set()]), ConstantGraphPolicy([set()])], cfg, 2, 1.0, 0)
 
 
 class TestSweep:
@@ -680,6 +764,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error[dim-mismatch]" in err
         assert str(program) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "retrain"])
+    @pytest.mark.parametrize("field", ["rules=x", "state_dim=4.5"])
+    def test_non_integer_program_header_is_bad_config(self, cli_workspace, tmp_path, capsys, command, field):
+        header = {"rules": "rules=1", "state_dim": "state_dim=4"}
+        header[field.split("=")[0]] = field
+        program = tmp_path / "program.txt"
+        program.write_text(f"#dsl v1 features=V1 {header['rules']} {header['state_dim']}\nrandom(filter(d >= 0, l))\n")
+        out = tmp_path / "out.json"
+        argv = [
+            command, "--params", str(cli_workspace / "oracle.json"),
+            "--config", str(cli_workspace / "task.json"), "--program", str(program), "--out", str(out),
+        ]
+        if command == "evaluate":
+            argv += ["--policy", "combined", "--rollouts", "1"]
+        else:
+            argv += ["--rollouts", "8", "--batch", "8"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error[bad-config]" in err
+        assert str(program) in err and field.split("=")[0] in err
         assert "Traceback" not in err
         assert not out.exists()
 

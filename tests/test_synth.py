@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmcomm import dsl
 from swarmcomm.dsl import DetRule, FeatureMap, PredicateAtom, Program, RandRule, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import TaskConfig
 from swarmcomm.synth import (
@@ -183,6 +184,82 @@ class TestSurrogateObjective:
         assert np.isfinite(j0) and np.isfinite(j1)
         with pytest.raises(SynthError):
             SurrogateEvaluator(dataset, 0.5, round_index=2, rng=make_rng(5)).evaluate(program)
+
+
+class TestSelectionCache:
+    """The per-rule pick cache changes no score: chains equal ones scored without it."""
+
+    @staticmethod
+    def _chains(dataset, cfg, seed, round_index=0):
+        cached = mcmc_synthesize(dataset, cfg, make_rng(seed), round_index=round_index)
+        # the same chain with an evaluator built from the same draws, its cache
+        # cleared before every candidate
+        rng = make_rng(seed)
+        ev = SurrogateEvaluator(dataset, cfg.degree_weight, round_index, cfg.rand_rule_samples, rng)
+        visited_random = []
+
+        def uncached_objective(program):
+            ev._picks.clear()
+            visited_random.append(any(isinstance(r, RandRule) for r in program.rules))
+            return ev.evaluate(program)
+
+        uncached = mcmc_synthesize(dataset, cfg, rng, round_index=round_index, objective_fn=uncached_objective)
+        assert any(visited_random)
+        return cached, uncached
+
+    @staticmethod
+    def _assert_same_chain(a, b):
+        assert a.program == b.program
+        assert a.objective == b.objective
+        assert [(c.current, c.incumbent, c.accepted) for c in a.chain] == [
+            (c.current, c.incumbent, c.accepted) for c in b.chain
+        ]
+
+    def test_chain_with_random_rules_and_two_samples_is_unchanged(self):
+        dataset = tiny_dataset(n_rollouts=3, cfg=tiny_cfg(n_agents_per_group=2))
+        cfg = SynthConfig(mcmc_steps=300, n_rules=3, rand_rule_samples=2)
+        self._assert_same_chain(*self._chains(dataset, cfg, 30))
+
+    @pytest.mark.parametrize("round_index", [0, 1])
+    def test_both_rounds_of_a_two_round_task_are_unchanged(self, round_index):
+        task = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
+        dataset = tiny_dataset(n_rollouts=2, cfg=task)
+        cfg = SynthConfig(mcmc_steps=300, n_rules=2)
+        self._assert_same_chain(*self._chains(dataset, cfg, 31, round_index))
+
+    def test_identical_rules_in_two_slots_keep_their_own_uniforms(self):
+        dataset = tiny_dataset(n_rollouts=3, cfg=tiny_cfg(n_agents_per_group=2))
+        fmap = FeatureMap("v1")
+        rule = RandRule(true_predicate(fmap, dataset.state_dim))
+        ev = SurrogateEvaluator(dataset, 0.5, rand_samples=2, rng=make_rng(33))
+        for program in (Program((rule,), fmap), Program((rule, rule), fmap)):
+            feats = ev._features(fmap)
+            for sample in range(2):
+                got = ev.selections(program, sample)
+                for block, f, crn in zip(got, feats, ev._crn):
+                    u = crn[:, :, : program.n_rules, sample]
+                    assert np.array_equal(block, dsl.eval_program_batch(program, f, rand_u=u))
+
+    def test_cache_holds_at_most_four_entries_per_rule(self, monkeypatch):
+        dataset = tiny_dataset(n_rollouts=3)
+        cfg = SynthConfig(mcmc_steps=300, n_rules=3, rand_rule_samples=2)
+        rng = make_rng(32)
+        ev = SurrogateEvaluator(dataset, cfg.degree_weight, 0, cfg.rand_rule_samples, rng)
+        evaluations = []
+        real_picks = dsl.rule_picks
+        monkeypatch.setattr(dsl, "rule_picks", lambda *a: evaluations.append(1) or real_picks(*a))
+        sizes = []
+
+        def objective(program):
+            value = ev.evaluate(program)
+            sizes.append(len(ev._picks))
+            return value
+
+        mcmc_synthesize(dataset, cfg, rng, objective_fn=objective)
+        assert max(sizes) <= 4 * cfg.n_rules
+        # a proposal edits one rule: far fewer evaluations than K per sample and candidate
+        candidates = cfg.mcmc_steps + 1
+        assert len(evaluations) < 0.5 * candidates * cfg.n_rules * cfg.rand_rule_samples * len(dataset.blocks)
 
 
 class TestPropose:

@@ -161,17 +161,6 @@ class TestForward:
         np.testing.assert_allclose(rows.sum(axis=-1), np.ones((1, 6)), atol=1e-9)
         assert np.all(rows > 0)
 
-    def test_override_with_soft_attention_is_identity(self):
-        params = small_params(seed=15)
-        rng = make_rng(16)
-        states, obs = random_world(rng, 4)
-        plain = forward_policy(params, states, obs, v_max=0.5)
-        overridden = forward_policy(
-            params, states, obs, v_max=0.5,
-            attention_overrides=[plain.rounds[0].attention.data],
-        )
-        np.testing.assert_allclose(overridden.actions.data, plain.actions.data, atol=1e-12)
-
     def test_full_selection_mask_matches_masked_self_renormalization(self):
         # selecting every other sender is, by definition, the soft row with the
         # self column removed and renormalized

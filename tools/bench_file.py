@@ -1,0 +1,158 @@
+"""Write a BENCH_<pr>.json file from the output of bench/run.py.
+
+    python3 tools/bench_file.py --pr N \
+        --parent-root PARENT_CHECKOUT --parent-runs PARENT_RUN_DIR \
+        --change-root . --change-runs CHANGE_RUN_DIR \
+        [--tier1-parent-s SECONDS] [--tier1-change-s SECONDS] --out BENCH_N.json
+
+A run directory holds the captured stdout of ``bench/run.py``: one file
+``<workload>.<seed>.log`` per untraced run (``--trace 0``) and one
+``<workload>.trace.log`` per workload from a ``--trace 1`` run. The last JSON
+line of each file is the run's result. The BENCH file holds, for parent and
+change, the min and median of every end-to-end metric per workload, the
+deterministic counters of the traced run, the ``src/`` line count and the
+Tier-1 wall time when given; plus the machine (``nproc``, BLAS, thread
+variables) and, per metric, the change/parent ratio of the medians, the
+parent's interquartile range and how many same-seed pairs the change read
+lower or higher. Standard library only; the BLAS name is read from numpy in a
+child process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+COUNTERS = ("synth.candidates", "dsl.eval_program_batch_calls", "autodiff.records_per_iter")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def last_json_line(path: Path) -> dict:
+    for line in reversed(path.read_text().splitlines()):
+        line = line.strip()
+        if line.startswith("{"):
+            return json.loads(line)
+    raise SystemExit(f"error: no JSON result line in {path}")
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def summarize(run_dir: Path) -> dict:
+    """Per workload: seeds, correctness, failed operations, min/median per metric, traced counters."""
+    runs: dict[str, dict[int, dict]] = {}
+    traces: dict[str, dict] = {}
+    for path in sorted(run_dir.glob("*.log")):
+        workload, tag = path.stem.rsplit(".", 1)
+        if tag == "trace":
+            traces[workload] = last_json_line(path)
+        else:
+            runs.setdefault(workload, {})[int(tag)] = last_json_line(path)
+    out = {}
+    for workload, by_seed in sorted(runs.items()):
+        results = [by_seed[s] for s in sorted(by_seed)]
+        units = {name: m["unit"] for r in results for name, m in r["metrics"].items()}
+        metrics = {}
+        for name, unit in units.items():
+            values = {str(s): r["metrics"][name]["value"] for s, r in sorted(by_seed.items()) if name in r["metrics"]}
+            xs = list(values.values())
+            q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+            metrics[name] = {"unit": unit, "min": min(xs), "median": statistics.median(xs),
+                             "q1": q1, "q3": q3, "by_seed": values}
+        entry = {
+            "seeds": sorted(by_seed),
+            "all_correct": all(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "metrics": metrics,
+        }
+        trace = traces.get(workload)
+        if trace is not None:
+            entry["trace"] = {
+                "correct": trace["correct"],
+                "failed": trace["failed"],
+                "counters": {c: trace["metrics"].get(c, {}).get("value") for c in COUNTERS},
+            }
+        out[workload] = entry
+    return out
+
+
+def blas_name() -> str:
+    code = ("import numpy; c = numpy.show_config(mode='dicts'); b = c['Build Dependencies']['blas'];"
+            "print(b.get('name', '?'), b.get('version', ''))")
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip() or "unknown"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--parent-root", type=Path, required=True)
+    parser.add_argument("--parent-runs", type=Path, required=True)
+    parser.add_argument("--change-root", type=Path, required=True)
+    parser.add_argument("--change-runs", type=Path, required=True)
+    parser.add_argument("--tier1-parent-s", type=float)
+    parser.add_argument("--tier1-change-s", type=float)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    sides = {}
+    for side in ("parent", "change"):
+        root, runs = getattr(args, f"{side}_root"), getattr(args, f"{side}_runs")
+        sides[side] = {
+            "src_lines": src_lines(root),
+            "tier1_s": getattr(args, f"tier1_{side}_s"),
+            "workloads": summarize(runs),
+        }
+    # every end-to-end metric of the benchmark is lower-is-better; a pair is one seed run on both sides
+    comparison = {}
+    for workload, entry in sides["change"]["workloads"].items():
+        before = sides["parent"]["workloads"].get(workload)
+        if before is None:
+            continue
+        rows = {}
+        for name, m in entry["metrics"].items():
+            if name not in before["metrics"]:
+                continue
+            b = before["metrics"][name]
+            pairs = [s for s in m["by_seed"] if s in b["by_seed"]]
+            rows[name] = {
+                "median_ratio": m["median"] / b["median"] if b["median"] else None,
+                "parent_iqr": b["q3"] - b["q1"],
+                "pairs": len(pairs),
+                "change_lower": sum(m["by_seed"][s] < b["by_seed"][s] for s in pairs),
+                "change_higher": sum(m["by_seed"][s] > b["by_seed"][s] for s in pairs),
+            }
+        comparison[workload] = rows
+    doc = {
+        "pr": args.pr,
+        "command": "python3 bench/run.py --workload W --seed S --seconds 35 --trace 0|1",
+        "machine": {
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "blas": blas_name(),
+            # bench/run.py sets every one of these to 1 in its child processes
+            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS},
+        },
+        "parent": sides["parent"],
+        "change": sides["change"],
+        "change_vs_parent": comparison,
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
