@@ -10,9 +10,7 @@ through the same forward functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -109,52 +107,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, tape={'yes' if self.tape else 'no'})"
-
-    # arithmetic sugar
-    def __add__(self, other: TensorLike) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other: TensorLike) -> "Tensor":
-        return add(other, self)
-
-    def __sub__(self, other: TensorLike) -> "Tensor":
-        return sub(self, other)
-
-    def __rsub__(self, other: TensorLike) -> "Tensor":
-        return sub(other, self)
-
-    def __mul__(self, other: TensorLike) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other: TensorLike) -> "Tensor":
-        return mul(other, self)
-
-    def __truediv__(self, other: TensorLike) -> "Tensor":
-        return div(self, other)
-
-    def __rtruediv__(self, other: TensorLike) -> "Tensor":
-        return div(other, self)
-
-    def __neg__(self) -> "Tensor":
-        return mul(self, -1.0)
-
-    def __matmul__(self, other: TensorLike) -> "Tensor":
-        return matmul(self, other)
-
-    def __getitem__(self, key) -> "Tensor":
-        return getitem(self, key)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_max(self, axis=axis, keepdims=keepdims)
 
 
 def _coerce_pair(a: TensorLike, b: TensorLike) -> tuple[Tensor, Tensor, Optional[Tape]]:
@@ -459,19 +411,6 @@ def tanh(a: TensorLike) -> Tensor:
     return tape.emit("tanh", (ta,), out, vjp)
 
 
-def exp(a: TensorLike) -> Tensor:
-    ta, tape = _coerce_one(a)
-    out = np.exp(ta.data)
-    if tape is None:
-        _check_finite(out, "exp")
-        return Tensor(out)
-
-    def vjp(g: Array):
-        return (g * out,)
-
-    return tape.emit("exp", (ta,), out, vjp)
-
-
 def sqrt(a: TensorLike) -> Tensor:
     ta, tape = _coerce_one(a)
     out = np.sqrt(ta.data)
@@ -497,20 +436,6 @@ def softmax(a: TensorLike) -> Tensor:
         return (out * (g - dot),)
 
     return tape.emit("softmax", (ta,), out, vjp)
-
-
-def l1_norm(a: TensorLike) -> Tensor:
-    """Sum of absolute values over the last axis; subgradient 0 at zero entries."""
-    ta, tape = _coerce_one(a)
-    out = np.abs(ta.data).sum(axis=-1)
-    if tape is None:
-        return Tensor(out)
-    sign = np.sign(ta.data)
-
-    def vjp(g: Array):
-        return (sign * np.expand_dims(g, -1),)
-
-    return tape.emit("l1_norm", (ta,), np.asarray(out, dtype=np.float64), vjp)
 
 
 def l2_norm(a: TensorLike) -> Tensor:
@@ -609,30 +534,6 @@ class ParamStore:
         dup.v = {k: v.copy() for k, v in self.v.items()}
         dup.step_count = self.step_count
         return dup
-
-    def names(self) -> list[str]:
-        return list(self.params)
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: {"shape": list(value.shape), "values": value.ravel().tolist()}
-            for name, value in self.params.items()
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ParamStore":
-        params = {
-            name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc.items()
-        }
-        return cls(params)
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ParamStore":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def adam_step(

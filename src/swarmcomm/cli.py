@@ -13,19 +13,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import dsl, env, harness, synth
 from .dsl import parse_program, print_program
-from .env import RewardParams, TaskConfig, rollout
+from .env import TaskConfig, rollout
 from .harness import RunManifest, evaluate, file_sha256, report, resolve_seed
 from .policy import POLICY_NAMES, make_policy
 from .synth import SynthConfig, SynthDataset, collect_dataset, synthesize_multiround, write_chain_csv
 from .training import TrainConfig, retrain, train_oracle, write_curve_csv
 from .transformer import TransformerParams
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -34,48 +37,24 @@ class CliError(Exception):
         self.category = category
 
 
-def _load_task(path: str) -> tuple[TaskConfig, RewardParams]:
+def _read(path: str, load: Callable[[Path], T]) -> T:
+    """Load one input file: missing is missing-input, malformed is bad-config naming the file.
+
+    A program written for another state dimension is a dim-mismatch.
+    """
     p = Path(path)
     if not p.exists():
-        raise CliError("missing-input", f"config file not found: {path}")
+        raise CliError("missing-input", f"input file not found: {path}")
     try:
-        return env.load_config(p)
-    except (json.JSONDecodeError, env.EnvError, KeyError, TypeError) as exc:
-        raise CliError("bad-config", f"{path}: {exc}") from exc
-
-
-def _load_params(path: str) -> TransformerParams:
-    p = Path(path)
-    if not p.exists():
-        raise CliError("missing-input", f"parameter file not found: {path}")
-    try:
-        return TransformerParams.load(p)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("bad-config", f"{path}: {exc}") from exc
-
-
-def _load_dataset(path: str) -> SynthDataset:
-    p = Path(path)
-    if not p.exists():
-        raise CliError("missing-input", f"dataset not found: {path}")
-    try:
-        return SynthDataset.load_jsonl(p)
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        return load(p)
+    except dsl.DimensionMismatch as exc:
+        raise CliError("dim-mismatch", f"{path}: {exc} by the parameters") from exc
+    except (ValueError, LookupError, TypeError) as exc:
         raise CliError("bad-config", f"{path}: {exc}") from exc
 
 
 def _load_programs(paths: Sequence[str], params: TransformerParams) -> list[dsl.Program]:
-    programs = []
-    for path in paths:
-        p = Path(path)
-        if not p.exists():
-            raise CliError("missing-input", f"program file not found: {path}")
-        try:
-            programs.append(parse_program(p.read_text(), params.state_dim))
-        except dsl.DimensionMismatch as exc:
-            raise CliError("dim-mismatch", f"{path}: {exc} by the parameters") from exc
-        except dsl.ParseError as exc:
-            raise CliError("bad-config", f"{path}: {exc}") from exc
+    programs = [_read(path, lambda p: parse_program(p.read_text(), params.state_dim)) for path in paths]
     if len(programs) != params.rounds:
         raise CliError(
             "dim-mismatch",
@@ -109,11 +88,12 @@ def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
             "dim-mismatch",
             f"parameters were trained for {params.task_kind!r}, config is {cfg.task_kind!r}",
         )
-    if params.state_dim != cfg.state_dim or params.action_dim != cfg.action_dim:
+    dims = (params.state_dim, params.action_dim, params.rounds)
+    if dims != (cfg.state_dim, cfg.action_dim, cfg.comm_rounds):
         raise CliError(
             "dim-mismatch",
-            f"parameter dims (state {params.state_dim}, action {params.action_dim}) do not "
-            f"match config dims (state {cfg.state_dim}, action {cfg.action_dim})",
+            f"parameter dims (state {params.state_dim}, action {params.action_dim}, rounds {params.rounds}) "
+            f"do not match config dims (state {cfg.state_dim}, action {cfg.action_dim}, rounds {cfg.comm_rounds})",
         )
 
 
@@ -135,7 +115,7 @@ def _manifest_path(primary_output: str) -> Path:
 def cmd_train_oracle(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     train_cfg = _train_config(args, seed)
-    cfg, rewards = _load_task(args.config)
+    cfg, rewards = _read(args.config, env.load_config)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = train_oracle(cfg, train_cfg, rng, rewards)
     result.params.save(args.out)
@@ -150,8 +130,8 @@ def cmd_train_oracle(args: argparse.Namespace) -> int:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
-    cfg, rewards = _load_task(args.config)
-    params = _load_params(args.params)
+    cfg, rewards = _read(args.config, env.load_config)
+    params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     seed = resolve_seed(args.seed)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -170,7 +150,7 @@ def _round_out_paths(out: str, rounds: int) -> list[Path]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = _read(args.dataset, SynthDataset.load_jsonl)
     seed = resolve_seed(args.seed)
     cfg = SynthConfig(
         degree_weight=args.tradeoff,
@@ -180,7 +160,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         feature_version=args.features,
         allow_random_rules=not args.det_only,
         rand_rule_samples=args.samples,
-        seed=seed,
     )
     results = synthesize_multiround(dataset, cfg, np.random.Generator(np.random.PCG64(seed)))
     outputs = []
@@ -200,8 +179,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_retrain(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     train_cfg = _train_config(args, seed)
-    cfg, rewards = _load_task(args.config)
-    params = _load_params(args.params)
+    cfg, rewards = _read(args.config, env.load_config)
+    params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     programs = _load_programs(args.program, params)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -227,15 +206,15 @@ def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: Task
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
-    cfg, rewards = _load_task(args.config)
-    params = _load_params(args.params)
+    cfg, rewards = _read(args.config, env.load_config)
+    params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     policy = _build_policy(args, params, cfg)
     seed = resolve_seed(args.seed)
     metrics = evaluate(
         policy, cfg, args.rollouts, args.comm_weight, seed, rewards, gamma=args.gamma
     )
-    Path(args.out).write_text(json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n")
     outputs = [args.out]
     if args.report_dir:
         paths = report([metrics], args.report_dir)
@@ -251,10 +230,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args.val_rollouts >= 1, "--val-rollouts must be >= 1")
-    dataset = _load_dataset(args.dataset)
-    cfg, rewards = _load_task(args.config)
+    dataset = _read(args.dataset, SynthDataset.load_jsonl)
+    cfg, rewards = _read(args.config, env.load_config)
     seed = resolve_seed(args.seed)
-    base = SynthConfig(mcmc_steps=args.steps, seed=seed)
+    base = SynthConfig(mcmc_steps=args.steps)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def policy_factory(programs):
@@ -304,8 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_attn_dump(args: argparse.Namespace) -> int:
-    cfg, rewards = _load_task(args.config)
-    params = _load_params(args.params)
+    cfg, rewards = _read(args.config, env.load_config)
+    params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     policy = _build_policy(args, params, cfg)
     seed = resolve_seed(args.seed)
@@ -337,13 +316,13 @@ def cmd_attn_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    path = Path(args.manifest)
-    if not path.exists():
-        raise CliError("missing-input", f"manifest not found: {args.manifest}")
-    manifest = RunManifest.load(path)
+    manifest = _read(args.manifest, RunManifest.load)
     handler = _HANDLERS.get(manifest.command)
     if handler is None:
-        raise CliError("bad-config", f"manifest references unknown command {manifest.command!r}")
+        raise CliError("bad-config", f"{args.manifest}: unknown command {manifest.command!r}")
+    missing = sorted(_options(manifest.command) - set(manifest.args))
+    if missing:
+        raise CliError("bad-config", f"{args.manifest}: the recorded args lack option(s) {', '.join(missing)}")
     changed = [
         p for p, digest in manifest.input_hashes.items()
         if not Path(p).exists() or file_sha256(p) != digest
@@ -369,6 +348,12 @@ _HANDLERS = {
     "sweep": cmd_sweep,
     "attn-dump": cmd_attn_dump,
 }
+
+
+def _options(command: str) -> set[str]:
+    """The option names a subcommand's handler reads from its arguments."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in commands.choices[command]._actions} - {"help"}
 
 
 def build_parser() -> argparse.ArgumentParser:

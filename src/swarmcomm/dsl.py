@@ -312,6 +312,10 @@ class _Tokenizer:
                 j = i
                 while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or (text[j] in "+-" and text[j - 1] in "eE")):
                     j += 1
+                try:
+                    float(text[i:j])
+                except ValueError:
+                    raise ParseError(f"malformed number {text[i:j]!r}", self.line, col) from None
                 self.tokens.append(("num", text[i:j], col))
                 i = j
             elif ch.isalpha() or ch == "_":

@@ -16,7 +16,7 @@ a generator spawned from one master SeedSequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dsl import CommGraph
+from .jsondoc import DecodeError, decode
 
 Array = np.ndarray
 
@@ -95,25 +96,6 @@ class TaskConfig:
     def action_dim(self) -> int:
         return 2 if self.formation else self.n_agents_per_group
 
-    def to_json_dict(self) -> dict:
-        return {
-            "task_kind": self.task_kind,
-            "n_agents_per_group": self.n_agents_per_group,
-            "box_offset": self.box_offset,
-            "box_half_width": self.box_half_width,
-            "obs_noise_sigma": self.obs_noise_sigma,
-            "v_max": self.v_max,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "group_presence_prob": self.group_presence_prob,
-            "link_failure_prob": self.link_failure_prob,
-            "min_groups": self.min_groups,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TaskConfig":
-        return cls(**{k: doc[k] for k in cls.__dataclass_fields__ if k in doc})
-
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -126,30 +108,21 @@ class RewardParams:
         if self.collision_distance <= 0:
             raise EnvError("collision_distance must be > 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "collision_weight": self.collision_weight,
-            "collision_distance": self.collision_distance,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RewardParams":
-        return cls(**{k: doc[k] for k in cls.__dataclass_fields__ if k in doc})
-
 
 def load_config(path: Union[str, Path]) -> tuple[TaskConfig, RewardParams]:
-    """Read a flat task config; a key that is no TaskConfig or RewardParams field is an error."""
+    """Read a flat task config: the TaskConfig and RewardParams fields in one object (see jsondoc.decode)."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
-        raise EnvError("a task config must be a JSON object")
-    unknown = sorted(set(doc) - set(TaskConfig.__dataclass_fields__) - set(RewardParams.__dataclass_fields__))
-    if unknown:
-        raise EnvError(f"unknown config key(s): {', '.join(unknown)}")
-    return TaskConfig.from_json_dict(doc), RewardParams.from_json_dict(doc)
+        raise DecodeError("a task config must be a JSON object")
+    task_keys = {f.name for f in fields(TaskConfig)}
+    return (
+        decode(TaskConfig, {k: v for k, v in doc.items() if k in task_keys}),
+        decode(RewardParams, {k: v for k, v in doc.items() if k not in task_keys}),
+    )
 
 
 def save_config(path: Union[str, Path], cfg: TaskConfig, rewards: RewardParams) -> None:
-    doc = {**cfg.to_json_dict(), **rewards.to_json_dict()}
+    doc = {**asdict(cfg), **asdict(rewards)}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

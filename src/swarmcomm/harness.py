@@ -23,6 +23,7 @@ import numpy as np
 
 from .dsl import degree_stats
 from .env import Policy, RewardParams, TaskConfig, sample_initial, simulate, spawn_rollout_rngs
+from .jsondoc import decode
 from .policy import StackedPolicy
 from .synth import SynthConfig, SynthDataset, SynthResult, synthesize_multiround
 
@@ -69,28 +70,9 @@ class Metrics:
     # logged in the JSON only, the CSV schema stays fixed
     rollout_max_deg_mean: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Metrics":
-        return cls(**doc)
-
     def csv_row(self) -> list:
-        return [
-            self.policy,
-            self.task,
-            self.seed,
-            repr(self.loss_mean),
-            repr(self.loss_std),
-            repr(self.in_deg_mean),
-            repr(self.in_deg_std),
-            repr(self.out_deg_mean),
-            repr(self.out_deg_std),
-            repr(self.total_deg_mean),
-            repr(self.total_deg_std),
-            repr(self.combined_J),
-        ]
+        """The CSV_COLUMNS values; floats as repr, which round-trips them exactly."""
+        return [repr(v) if isinstance(v, float) else v for v in (getattr(self, c) for c in CSV_COLUMNS)]
 
 
 def _recount_degrees(mask: Array) -> tuple[int, int, int]:
@@ -311,11 +293,11 @@ def sweep(
 
 
 def metrics_to_json(metrics: Sequence[Metrics]) -> str:
-    return json.dumps([m.to_json_dict() for m in metrics], indent=2, sort_keys=True) + "\n"
+    return json.dumps([asdict(m) for m in metrics], indent=2, sort_keys=True) + "\n"
 
 
 def metrics_from_json(text: str) -> list[Metrics]:
-    return [Metrics.from_json_dict(doc) for doc in json.loads(text)]
+    return [decode(Metrics, doc) for doc in json.loads(text)]
 
 
 def metrics_to_csv(metrics: Sequence[Metrics]) -> str:
@@ -430,8 +412,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
-        doc = json.loads(Path(path).read_text())
-        return cls(**doc)
+        return decode(cls, json.loads(Path(path).read_text()))
 
     @classmethod
     def capture(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -37,6 +37,7 @@ from .dsl import (
     true_predicate,
 )
 from .env import RewardParams, TaskConfig, sample_initial, simulate
+from .jsondoc import decode
 from .policy import TfFullPolicy
 from .transformer import TransformerParams, _mlp, harden_rows, output_head
 
@@ -58,7 +59,6 @@ class SynthConfig:
     feature_version: str = "v1"
     allow_random_rules: bool = True
     rand_rule_samples: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.degree_weight <= 0:
@@ -114,7 +114,7 @@ class SynthDataset:
     def save_jsonl(self, path: Union[str, Path]) -> None:
         header = {
             "kind": "synth-dataset",
-            "task": self.task.to_json_dict(),
+            "task": asdict(self.task),
             "rounds": self.rounds,
             "state_dim": self.params.state_dim,
             "msg_dim": self.params.msg_dim,
@@ -141,9 +141,9 @@ class SynthDataset:
     def load_jsonl(cls, path: Union[str, Path]) -> "SynthDataset":
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if header.get("kind") != "synth-dataset":
-                raise SynthError(f"{path}: not a synth dataset file")
-            task = TaskConfig.from_json_dict(header["task"])
+            if not isinstance(header, dict) or header.get("kind") != "synth-dataset":
+                raise SynthError("not a synth dataset file")
+            task = decode(TaskConfig, header["task"])
             params = TransformerParams.from_json_dict(header["oracle"])
             rows: dict[int, list[dict]] = {}
             order: list[int] = []

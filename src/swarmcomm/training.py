@@ -32,6 +32,8 @@ from .transformer import TransformerParams, init_for_task
 
 Array = np.ndarray
 
+_VAL_BATCH = 16  # worlds in each validation unroll
+
 WorldSampler = Callable[[TaskConfig, int, np.random.Generator], list[GlobalState]]
 
 
@@ -44,7 +46,6 @@ class TrainConfig:
     grad_clip: float = 10.0
     seed: int = 0
     val_interval: int = 10
-    val_batch: int = 16
 
     def __post_init__(self) -> None:
         if self.n_rollouts < 0:
@@ -177,7 +178,7 @@ def _optimize(
     def check_validation() -> None:
         nonlocal best, best_score
         score = validation_score(
-            params, cfg, reward_params, train_cfg.discount, val_seed, train_cfg.val_batch, programs
+            params, cfg, reward_params, train_cfg.discount, val_seed, _VAL_BATCH, programs
         )
         if score > best_score:
             best_score = score

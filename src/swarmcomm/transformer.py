@@ -14,7 +14,7 @@ Forward passes run through the autodiff ops, so the same code serves training
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
+from .jsondoc import DecodeError, decode
 
 Array = np.ndarray
 
@@ -41,80 +42,70 @@ class TransformerParams:
     internal_dim: int = 16
 
     def copy(self) -> "TransformerParams":
-        return TransformerParams(
-            self.task_kind,
-            self.rounds,
-            self.state_dim,
-            self.action_dim,
-            self.store.copy(),
-            self.key_dim,
-            self.msg_dim,
-            self.hidden_dim,
-            self.internal_dim,
-        )
+        return replace(self, store=self.store.copy())
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TransformerParams":
-        doc = json.loads(Path(path).read_text())
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TransformerParams":
-        meta = doc["meta"]
-        return cls(
-            task_kind=meta["task_kind"],
-            rounds=meta["rounds"],
-            state_dim=meta["state_dim"],
-            action_dim=meta["action_dim"],
-            store=ParamStore.from_json_dict(doc["params"]),
-            key_dim=meta["key_dim"],
-            msg_dim=meta["msg_dim"],
-            hidden_dim=meta["hidden_dim"],
-            internal_dim=meta["internal_dim"],
-        )
+        """Parameters from ``{"meta": every field but store, "params": the weights}``.
+
+        The weights must be exactly those ``_mlp_shapes(meta)`` names, each
+        ``{"shape", "values"}`` of its shape with finite values; the store
+        keeps them in document order.
+        """
+        if not isinstance(doc, dict) or sorted(doc) != ["meta", "params"]:
+            raise DecodeError('a parameter document is an object with the keys "meta" and "params"')
+        params = decode(cls, doc["meta"], store=ParamStore({}))
+        shapes = _mlp_shapes(params)
+        entries = doc["params"]
+        if not isinstance(entries, dict) or sorted(entries) != sorted(shapes):
+            raise DecodeError(f"params must hold exactly the weights {', '.join(sorted(shapes))}")
+        weights = {}
+        for name, entry in entries.items():
+            try:
+                weight = decode(_Weight, entry)
+            except DecodeError as exc:
+                raise DecodeError(f"weight {name}: {exc}") from None
+            if tuple(weight.shape) != shapes[name] or len(weight.values) != int(np.prod(shapes[name])):
+                raise DecodeError(f"weight {name} must have shape {shapes[name]}, got {weight.shape}")
+            weights[name] = np.asarray(weight.values, dtype=np.float64).reshape(shapes[name])
+        params.store = ParamStore(weights)
+        return params
 
     def to_json_dict(self) -> dict:
         return {
-            "meta": {
-                "task_kind": self.task_kind,
-                "rounds": self.rounds,
-                "state_dim": self.state_dim,
-                "action_dim": self.action_dim,
-                "key_dim": self.key_dim,
-                "msg_dim": self.msg_dim,
-                "hidden_dim": self.hidden_dim,
-                "internal_dim": self.internal_dim,
+            "meta": {f.name: getattr(self, f.name) for f in fields(self) if f.name != "store"},
+            "params": {
+                name: {"shape": list(value.shape), "values": value.ravel().tolist()}
+                for name, value in self.store.params.items()
             },
-            "params": self.store.to_json_dict(),
         }
 
 
-def _mlp_shapes(params: TransformerParams) -> dict[str, tuple[int, int]]:
-    ds, dk, dm, dh, da = (
-        params.state_dim,
-        params.key_dim,
-        params.msg_dim,
-        params.hidden_dim,
-        params.action_dim,
-    )
-    shapes = {
-        "msg": (ds + 2, dm),
-        "key": (ds + 2, dk),
-        "query": (ds, dk),
-        "out": (ds + dm, da),
-    }
+@dataclass
+class _Weight:
+    """One weight as a parameter document stores it: its shape and its values in C order."""
+
+    shape: list[int]
+    values: list[float]
+
+
+def _mlp_shapes(params: TransformerParams) -> dict[str, tuple[int, ...]]:
+    """Every weight's shape in initialization order: w1, b1, w2, b2 of each 2-layer network."""
+    ds, dk, dm, di = params.state_dim, params.key_dim, params.msg_dim, params.internal_dim
+    nets = {"msg": (ds + 2, dm), "key": (ds + 2, dk), "query": (ds, dk), "out": (ds + dm, params.action_dim)}
     if params.rounds >= 2:
-        shapes.update(
-            {
-                "internal": (ds + dm, params.internal_dim),
-                "msg2": (params.internal_dim + 2, dm),
-                "key2": (ds + 2, dk),
-                "query2": (ds, dk),
-            }
-        )
+        nets.update({"internal": (ds + dm, di), "msg2": (di + 2, dm), "key2": (ds + 2, dk), "query2": (ds, dk)})
+    h = params.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    for net, (d_in, d_out) in nets.items():
+        shapes.update({f"{net}.w1": (d_in, h), f"{net}.b1": (h,), f"{net}.w2": (h, d_out), f"{net}.b2": (d_out,)})
     return shapes
 
 
@@ -140,13 +131,10 @@ def init_transformer(
         hidden_dim=hidden_dim,
         internal_dim=internal_dim,
     )
-    weights: dict[str, Array] = {}
-    for net, (d_in, d_out) in _mlp_shapes(params).items():
-        weights[f"{net}.w1"] = rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, hidden_dim))
-        weights[f"{net}.b1"] = np.zeros(hidden_dim)
-        weights[f"{net}.w2"] = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (hidden_dim, d_out))
-        weights[f"{net}.b2"] = np.zeros(d_out)
-    params.store = ParamStore(weights)
+    params.store = ParamStore({
+        name: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in _mlp_shapes(params).items()
+    })
     return params
 
 

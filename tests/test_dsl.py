@@ -423,6 +423,13 @@ class TestSurfaceSyntax:
         with pytest.raises(ParseError):
             parse_program(text, 4)
 
+    @pytest.mark.parametrize("number", ["1.2.3", "1e", "2.5e+"])
+    def test_malformed_number_is_a_parse_error_at_its_column(self, number):
+        text = f"#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter(d >= {number}, l))\n"
+        with pytest.raises(ParseError, match="malformed number") as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col) == (2, len("random(filter(d >= ") + 1)
+
     def test_roundtrip_random_programs(self):
         rng = make_rng(13)
         for _ in range(100):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from swarmcomm.harness import (
 )
 from swarmcomm.dsl import CommGraph, degree_stats, parse_program
 from swarmcomm.env import rollout
+from swarmcomm.jsondoc import DecodeError
 from swarmcomm.policy import CombinedPolicy, StackedPolicy, TfFullPolicy, make_policy
 from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
@@ -183,7 +185,7 @@ class TestLockstep:
 
     def test_rollout_does_not_depend_on_its_batch(self):
         cfg, policy = lossy_cross_setup()
-        cfg = TaskConfig(**{**cfg.to_json_dict(), "group_presence_prob": 1.0})
+        cfg = replace(cfg, group_presence_prob=1.0)
         rngs = env.spawn_rollout_rngs(62, 4)
         starts = [env.sample_initial(cfg, g) for g in rngs]
         together = list(env.simulate(policy, cfg, starts, rngs))
@@ -244,7 +246,7 @@ class TestEvaluateMany:
 
     def test_stacked_step_delivers_the_edges_of_each_policy_alone(self):
         cfg, policies = lossy_cross_policies()
-        cfg = TaskConfig(**{**cfg.to_json_dict(), "group_presence_prob": 1.0})
+        cfg = replace(cfg, group_presence_prob=1.0)
         rngs = [g for _ in policies for g in env.spawn_rollout_rngs(64, 2)]
         starts = [env.sample_initial(cfg, g) for g in rngs]
         together = list(env.simulate(StackedPolicy(policies, [2] * len(policies)), cfg, starts, rngs))
@@ -409,12 +411,72 @@ class TestManifest:
         assert loaded.seed == 5
         assert loaded.input_hashes[str(src)] == file_sha256(src)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"args": {}}, "missing key(s): seed"),
+            ({"args": [], "seed": 1}, "args must be a JSON object"),
+            ({"args": {}, "seed": 1, "outputs": ["a", 2]}, "outputs must be a list whose items are each a string"),
+            ({"args": {}, "seed": 1, "input_hashes": {"a": 1}}, "input_hashes must be a JSON object whose items"),
+            ({"args": {}, "seed": 1, "created_unix": True}, "created_unix must be a finite number"),
+        ],
+    )
+    def test_load_checks_every_field(self, tmp_path, fields, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"command": "evaluate", **fields}))
+        with pytest.raises(DecodeError) as err:
+            RunManifest.load(path)
+        assert message in str(err.value)
+
+    def test_load_keeps_an_integer_float_field_as_written(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"command": "evaluate", "args": {}, "seed": 1, "created_unix": 5}))
+        RunManifest.load(path).save(path)
+        assert '"created_unix": 5,' in path.read_text()
+
     def test_resolve_seed_env_override(self, monkeypatch):
         monkeypatch.delenv("SWARM_SEED", raising=False)
         assert resolve_seed(3) == 3
         assert resolve_seed(None, default=9) == 9
         monkeypatch.setenv("SWARM_SEED", "42")
         assert resolve_seed(3) == 42
+
+
+def _bad_config(key, value):
+    return "config", lambda ws: json.dumps({**json.loads((ws / "task.json").read_text()), key: value})
+
+
+def _bad_params(edit):
+    def text(ws):
+        doc = json.loads((ws / "oracle.json").read_text())
+        edit(doc)
+        return json.dumps(doc)
+
+    return "params", text
+
+
+def _bad_rule(rule):
+    return "program", lambda ws: f"#dsl v1 features=V1 rules=1 state_dim=4\n{rule}\n"
+
+
+# malformed inputs, each a (kind of file, text of the file from the workspace)
+BAD_INPUTS = {
+    "horizon=2.5": _bad_config("horizon", 2.5),
+    "horizon=true": _bad_config("horizon", True),
+    "n_agents_per_group=1.5": _bad_config("n_agents_per_group", 1.5),
+    "v_max=NaN": _bad_config("v_max", float("nan")),
+    "dt=Infinity": _bad_config("dt", float("inf")),
+    "obs_noise_sigma=NaN": _bad_config("obs_noise_sigma", float("nan")),
+    "params=[]": _bad_params(lambda doc: doc.update(params=[])),
+    "meta.rounds='1'": _bad_params(lambda doc: doc["meta"].update(rounds="1")),
+    "meta.hidden_dim=7": _bad_params(lambda doc: doc["meta"].update(hidden_dim=7)),
+    "dataset-header=[1]": ("dataset", lambda ws: "[1]\n" + (ws / "data.jsonl").read_text().split("\n", 1)[1]),
+    "number=1.2.3": _bad_rule("random(filter(d >= 1.2.3, l))"),
+    "number=1e": _bad_rule("argmax(map(1e*d, filter(d >= 0, l)))"),
+    "manifest={": ("manifest", lambda ws: "{"),
+    "manifest=[]": ("manifest", lambda ws: "[]"),
+    "manifest-args={}": ("manifest", lambda ws: json.dumps({"command": "evaluate", "args": {}, "seed": 1})),
+}
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +655,20 @@ class TestCli:
         assert rc == 1
         assert "error[dim-mismatch]" in capsys.readouterr().err
 
+    def test_params_for_another_round_count_categorized(self, cli_workspace, tmp_path, capsys):
+        doc = json.loads((cli_workspace / "oracle.json").read_text())
+        doc["meta"]["rounds"] = 0
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main([
+            "evaluate", "--params", str(bad), "--config", str(cli_workspace / "task.json"),
+            "--rollouts", "1", "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[dim-mismatch]" in err and "rounds 0" in err
+        assert "Traceback" not in err
+
     def test_rerun_from_manifest_reproduces_bytes(self, cli_workspace):
         data = cli_workspace / "data.jsonl"
         original = data.read_bytes()
@@ -601,7 +677,7 @@ class TestCli:
         assert data.read_bytes() == original
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        doc = {**TaskConfig().to_json_dict(), **RewardParams().to_json_dict(), "n_agents_per_grop": 1}
+        doc = {**asdict(TaskConfig()), **asdict(RewardParams()), "n_agents_per_grop": 1}
         (tmp_path / "task.json").write_text(json.dumps(doc))
         rc = cli.main([
             "train-oracle", "--config", str(tmp_path / "task.json"),
@@ -789,6 +865,43 @@ class TestCli:
         assert str(program) in err and field.split("=")[0] in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_malformed_input_is_one_bad_config_line(self, cli_workspace, tmp_path, capsys, case):
+        kind, text = BAD_INPUTS[case]
+        ws = cli_workspace
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_text(text(ws))
+        out = tmp_path / "out.json"
+        inputs = {"params": ws / "oracle.json", "config": ws / "task.json", kind: bad}
+        if kind == "dataset":
+            argv = ["synthesize", "--dataset", str(bad), "--steps", "2", "--out", str(out)]
+        elif kind == "manifest":
+            argv = ["rerun", str(bad)]
+        else:
+            argv = [
+                "evaluate", "--params", str(inputs["params"]), "--config", str(inputs["config"]),
+                "--rollouts", "1", "--out", str(out),
+            ]
+            if kind == "program":
+                argv += ["--policy", "combined", "--program", str(bad)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[bad-config]: ")
+        assert str(bad) in lines[0]
+        assert not out.exists()
+
+    def test_rerun_names_every_missing_option(self, cli_workspace, tmp_path, capsys):
+        doc = json.loads((cli_workspace / "data.jsonl.manifest.json").read_text())
+        del doc["args"]["rollouts"], doc["args"]["config"]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert cli.main(["rerun", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert "error[bad-config]" in err and str(manifest) in err
+        assert "config, rollouts" in err
 
     @pytest.mark.parametrize(
         "command, flag, value",
