@@ -23,6 +23,7 @@ from . import dsl, env, harness, synth
 from .dsl import parse_program, print_program
 from .env import TaskConfig, rollout
 from .harness import RunManifest, evaluate, file_sha256, report, resolve_seed
+from .jsondoc import DecodeError, check
 from .policy import POLICY_NAMES, make_policy
 from .synth import SynthConfig, SynthDataset, collect_dataset, synthesize_multiround, write_chain_csv
 from .training import TrainConfig, retrain, train_oracle, write_curve_csv
@@ -43,7 +44,7 @@ def _read(path: str, load: Callable[[Path], T]) -> T:
     A program written for another state dimension is a dim-mismatch.
     """
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise CliError("missing-input", f"input file not found: {path}")
     try:
         return load(p)
@@ -68,6 +69,16 @@ def _require(ok: bool, message: str) -> None:
         raise CliError("usage", message)
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """The run's seed (see resolve_seed), which must be a non-negative integer."""
+    try:
+        seed = resolve_seed(args.seed)
+    except ValueError as exc:  # SWARM_SEED is not an integer
+        raise CliError("usage", f"SWARM_SEED: {exc}") from exc
+    _require(seed >= 0, f"the seed must be >= 0, got {seed}")
+    return seed
+
+
 def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
     try:
         return TrainConfig(
@@ -83,18 +94,9 @@ def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
 
 
 def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
-    if params.task_kind != cfg.task_kind:
-        raise CliError(
-            "dim-mismatch",
-            f"parameters were trained for {params.task_kind!r}, config is {cfg.task_kind!r}",
-        )
-    dims = (params.state_dim, params.action_dim, params.rounds)
-    if dims != (cfg.state_dim, cfg.action_dim, cfg.comm_rounds):
-        raise CliError(
-            "dim-mismatch",
-            f"parameter dims (state {params.state_dim}, action {params.action_dim}, rounds {params.rounds}) "
-            f"do not match config dims (state {cfg.state_dim}, action {cfg.action_dim}, rounds {cfg.comm_rounds})",
-        )
+    mismatch = params.task_mismatch(cfg)
+    if mismatch:
+        raise CliError("dim-mismatch", mismatch)
 
 
 def _write_manifest(command: str, args: argparse.Namespace, seed: int, inputs, outputs, path: Path) -> None:
@@ -113,18 +115,23 @@ def _manifest_path(primary_output: str) -> Path:
 
 
 def cmd_train_oracle(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     train_cfg = _train_config(args, seed)
     cfg, rewards = _read(args.config, env.load_config)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = train_oracle(cfg, train_cfg, rng, rewards)
+    return _save_trained("train-oracle", args, seed, [args.config], result, "trained oracle")
+
+
+def _save_trained(command: str, args: argparse.Namespace, seed: int, inputs, result, label: str) -> int:
+    """Write a training stage's parameters, its curve when asked for, and its manifest."""
     result.params.save(args.out)
     outputs = [args.out]
     if args.curve:
         write_curve_csv(args.curve, result.curve)
         outputs.append(args.curve)
-    _write_manifest("train-oracle", args, seed, [args.config], outputs, _manifest_path(args.out))
-    print(f"trained oracle -> {args.out} (best validation {result.best_validation:.4f})")
+    _write_manifest(command, args, seed, inputs, outputs, _manifest_path(args.out))
+    print(f"{label} -> {args.out} (best validation {result.best_validation:.4f})")
     return 0
 
 
@@ -133,7 +140,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     cfg, rewards = _read(args.config, env.load_config)
     params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
     dataset = collect_dataset(params, cfg, args.rollouts, rng, rewards)
     dataset.save_jsonl(args.out)
@@ -144,14 +151,12 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def _round_out_paths(out: str, rounds: int) -> list[Path]:
     base = Path(out)
-    if rounds == 1:
-        return [base]
     return [base] + [base.with_name(f"{base.stem}.round{r + 1}{base.suffix}") for r in range(1, rounds)]
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     cfg = SynthConfig(
         degree_weight=args.tradeoff,
         mcmc_steps=args.steps,
@@ -177,7 +182,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_retrain(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     train_cfg = _train_config(args, seed)
     cfg, rewards = _read(args.config, env.load_config)
     params = _read(args.params, TransformerParams.load)
@@ -185,15 +190,7 @@ def cmd_retrain(args: argparse.Namespace) -> int:
     programs = _load_programs(args.program, params)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = retrain(params, programs, cfg, train_cfg, rng, rewards)
-    result.params.save(args.out)
-    outputs = [args.out]
-    if args.curve:
-        write_curve_csv(args.curve, result.curve)
-        outputs.append(args.curve)
-    inputs = [args.config, args.params, *args.program]
-    _write_manifest("retrain", args, seed, inputs, outputs, _manifest_path(args.out))
-    print(f"retrained -> {args.out} (best validation {result.best_validation:.4f})")
-    return 0
+    return _save_trained("retrain", args, seed, [args.config, args.params, *args.program], result, "retrained")
 
 
 def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: TaskConfig):
@@ -210,7 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     policy = _build_policy(args, params, cfg)
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     metrics = evaluate(
         policy, cfg, args.rollouts, args.comm_weight, seed, rewards, gamma=args.gamma
     )
@@ -232,7 +229,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args.val_rollouts >= 1, "--val-rollouts must be >= 1")
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
     cfg, rewards = _read(args.config, env.load_config)
-    seed = resolve_seed(args.seed)
+    _check_dims(dataset.params, cfg)
+    seed = _seed(args)
     base = SynthConfig(mcmc_steps=args.steps)
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -287,29 +285,15 @@ def cmd_attn_dump(args: argparse.Namespace) -> int:
     params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
     policy = _build_policy(args, params, cfg)
-    seed = resolve_seed(args.seed)
+    seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
     traj = rollout(policy, cfg, rng, rewards)
-    with open(args.out, "w") as fh:
-        fh.write(
-            json.dumps(
-                {"kind": "attention-dump", "policy": args.policy, "length": len(traj.steps)},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        for t, step in enumerate(traj.steps):
-            fh.write(
-                json.dumps(
-                    {
-                        "t": t,
-                        "attention": [a.tolist() for a in step.attentions],
-                        "edges": sorted(list(step.graph.edges)),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    docs = [{"kind": "attention-dump", "policy": args.policy, "length": len(traj.steps)}]
+    docs += [
+        {"t": t, "attention": [a.tolist() for a in step.attentions], "edges": sorted(step.graph.edges)}
+        for t, step in enumerate(traj.steps)
+    ]
+    Path(args.out).write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
     _write_manifest("attn-dump", args, seed, [args.config, args.params], [args.out], _manifest_path(args.out))
     print(f"wrote per-step attention for {len(traj.steps)} steps -> {args.out}")
     return 0
@@ -320,12 +304,10 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     handler = _HANDLERS.get(manifest.command)
     if handler is None:
         raise CliError("bad-config", f"{args.manifest}: unknown command {manifest.command!r}")
-    missing = sorted(_options(manifest.command) - set(manifest.args))
-    if missing:
-        raise CliError("bad-config", f"{args.manifest}: the recorded args lack option(s) {', '.join(missing)}")
+    _check_recorded(args.manifest, manifest.command, manifest.args)
     changed = [
         p for p, digest in manifest.input_hashes.items()
-        if not Path(p).exists() or file_sha256(p) != digest
+        if not Path(p).is_file() or file_sha256(p) != digest
     ]
     if changed:
         raise CliError("changed-input", f"inputs differ from the recorded run: {', '.join(changed)}")
@@ -350,10 +332,33 @@ _HANDLERS = {
 }
 
 
-def _options(command: str) -> set[str]:
-    """The option names a subcommand's handler reads from its arguments."""
+def _options(command: str) -> list[argparse.Action]:
+    """The options a subcommand's handler reads from its arguments, as its parser declares them."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest for a in commands.choices[command]._actions} - {"help"}
+    return [a for a in commands.choices[command]._actions if a.dest != "help"]
+
+
+def _check_recorded(manifest: str, command: str, recorded: dict) -> None:
+    """Each option must be recorded as a value the subcommand's parser could produce.
+
+    That is a value of its type (a list of them when it appends, a boolean
+    for a flag) within its choices, or None where None is the default.
+    """
+    options = _options(command)
+    missing = sorted({a.dest for a in options} - set(recorded))
+    if missing:
+        raise CliError("bad-config", f"{manifest}: the recorded args lack option(s) {', '.join(missing)}")
+    for action in options:
+        value, item = recorded[action.dest], action.type or str
+        if value is None and action.default is None and not action.required:
+            continue
+        expected = bool if action.nargs == 0 else list[item] if isinstance(action, argparse._AppendAction) else item
+        try:
+            check(value, expected, f"option {action.dest}")
+            if action.choices is not None and value not in action.choices:
+                raise DecodeError(f"option {action.dest} must be one of {', '.join(action.choices)}, got {value!r:.60}")
+        except DecodeError as exc:
+            raise CliError("bad-config", f"{manifest}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

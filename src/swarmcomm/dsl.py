@@ -218,11 +218,15 @@ def eval_program_batch(program: Program, feats: Array, rand_u: Optional[Array] =
     return selected
 
 
+def featurize_agents(states: Array, obs: Array, fmap: FeatureMap) -> Array:
+    """Features (..., N, N, d') of (receiver state, observation) pairs from states (..., N, ds), obs (..., N, N, 2)."""
+    tiled = np.broadcast_to(states[..., :, None, :], obs.shape[:-1] + states.shape[-1:])
+    return featurize_pairs(tiled, obs, fmap)
+
+
 def eval_program(program: Program, states: Array, obs: Array, rand_u: Optional[Array] = None) -> Array:
     """Selection mask (B, N, N) from agent states (B, N, ds) and observations (B, N, N, 2)."""
-    b, n, ds = states.shape
-    tiled = np.broadcast_to(states[:, :, None, :], (b, n, n, ds))
-    return eval_program_batch(program, featurize_pairs(tiled, obs, program.feature_map), rand_u)
+    return eval_program_batch(program, featurize_agents(states, obs, program.feature_map), rand_u)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +303,8 @@ class _Tokenizer:
                 i += 1
                 continue
             col = i + 1
-            if ch in "(),*+":
+            if ch in "(),*+-":
                 self.tokens.append((ch, ch, col))
-                i += 1
-            elif ch == "-":
-                self.tokens.append(("-", "-", col))
                 i += 1
             elif ch == ">" and text[i : i + 2] == ">=":
                 self.tokens.append((">=", ">=", col))

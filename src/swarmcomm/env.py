@@ -149,14 +149,6 @@ class GlobalState:
     def n_agents(self) -> int:
         return self.positions.shape[0]
 
-    def agent_states(self) -> Array:
-        """Per-agent network inputs s^i, shape (N, state_dim)."""
-        if self.task_kind != "unlabeled-goals":
-            return np.concatenate([self.positions, self.goals], axis=1)
-        ordered = self.goals[self.goal_order]  # (N, N, 2), frozen t=0 ordering
-        n = self.n_agents
-        return np.concatenate([self.positions, ordered.reshape(n, 2 * n)], axis=1)
-
     def goal_perm_inv(self) -> Array:
         """(N, N) inverse ordering: entry [i, g] = local slot of global goal g."""
         if self.goal_order is None:
@@ -530,12 +522,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def total_reward(self) -> float:
-        return float(sum(s.reward for s in self.steps))
-
-    def discounted_reward(self, gamma: float) -> float:
-        return float(sum((gamma ** t) * s.reward for t, s in enumerate(self.steps)))
 
 
 def rollout(

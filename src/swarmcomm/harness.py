@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import time
@@ -268,12 +269,7 @@ def sweep(
     synthesized programs; the cells' policies must stack (see evaluate_many).
     """
     grid = grid or DEFAULT_GRID
-    combos = [
-        (lam, k, fv)
-        for lam in grid["degree_weight"]
-        for k in grid["n_rules"]
-        for fv in grid["feature_version"]
-    ]
+    combos = list(itertools.product(grid["degree_weight"], grid["n_rules"], grid["feature_version"]))
     if not combos:
         raise HarnessError("empty sweep grid")
     val_seed = int(rng.integers(0, 2**31 - 1))
@@ -366,24 +362,15 @@ def report(metrics: Sequence[Metrics], out_dir: Union[str, Path]) -> dict[str, P
     }
     paths["json"].write_text(metrics_to_json(metrics))
     paths["csv"].write_text(metrics_to_csv(metrics))
-    labels = [m.policy for m in metrics]
-    paths["loss_svg"].write_text(
-        _svg_bar_chart(
-            "cumulative loss (per step)",
-            labels,
-            [m.loss_mean for m in metrics],
-            [m.loss_std for m in metrics],
-        )
-    )
-    deg_items = [m for m in metrics if not m.full_comm]
-    paths["degree_svg"].write_text(
-        _svg_bar_chart(
-            "mean max total degree",
-            [m.policy for m in deg_items],
-            [m.total_deg_mean for m in deg_items],
-            [m.total_deg_std for m in deg_items],
-        )
-    )
+    paths["loss_svg"].write_text(_svg_bar_chart(
+        "cumulative loss (per step)",
+        [m.policy for m in metrics], [m.loss_mean for m in metrics], [m.loss_std for m in metrics],
+    ))
+    deg = [m for m in metrics if not m.full_comm]  # full-communication policies report no degrees
+    paths["degree_svg"].write_text(_svg_bar_chart(
+        "mean max total degree",
+        [m.policy for m in deg], [m.total_deg_mean for m in deg], [m.total_deg_std for m in deg],
+    ))
     return paths
 
 

@@ -39,7 +39,7 @@ def _all_of(items: Any, tp: type) -> bool:
     return all(type(v) is tp for v in items)
 
 
-def _check(value: Any, tp: Any, where: str) -> None:
+def check(value: Any, tp: Any, where: str) -> None:
     """Raise DecodeError unless value matches tp: a scalar type, dict, or list[X] / dict[str, X] of a scalar X."""
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     ok = isinstance(value, origin) if origin in (list, dict) else _all_of((value,), origin)
@@ -75,5 +75,5 @@ def decode(cls: type[T], doc: Any, **given: Any) -> T:
         raise DecodeError(f"missing key(s): {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
     for name, value in doc.items():
-        _check(value, hints[name], name)
+        check(value, hints[name], name)
     return cls(**doc, **given)

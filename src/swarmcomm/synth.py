@@ -19,7 +19,7 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,6 +73,31 @@ class SynthConfig:
             raise SynthError("rand_rule_samples must be >= 1")
 
 
+_ROW_KEYS = ("n", "s", "o", "msg", "alpha", "a")  # plus goal_perm_inv for unlabeled-goals
+_HEADER_KEYS = ["action_dim", "kind", "msg_dim", "oracle", "rounds", "state_dim", "task"]
+
+
+def _agent_count(row: Any) -> int:
+    n = row.get("n") if isinstance(row, dict) else None
+    if type(n) is not int or n < 1:
+        raise SynthError(f"every tuple needs a positive integer n, got {n!r:.60}")
+    return n
+
+
+def _stack(values: list, key: str, shape: tuple[int, ...], kinds: str = "fiu") -> Array:
+    """The (M, *shape) array of M tuples' values of one row key: numbers only, floats finite."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.shape[1:] != shape or arr.dtype.kind not in kinds:
+        raise SynthError(f"{key} must hold numbers of shape {shape} in every tuple, got {arr.dtype} {arr.shape[1:]}")
+    arr = arr.astype(np.int64 if kinds == "iu" else np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise SynthError(f"{key} must be finite")
+    return arr
+
+
 @dataclass
 class DatasetBlock:
     """Tuples sharing one agent count, stacked for vectorized scoring."""
@@ -82,7 +107,36 @@ class DatasetBlock:
     messages: list[Array]  # per round: (M, N, N, dm), [m, i, j] = message i -> j
     attention: list[Array]  # per round: (M, N, N) soft rows
     actions: Array  # (M, N, da), oracle actions (global goal order for coverage)
-    goal_perm_inv: Optional[Array] = None  # (M, N, N) for unlabeled-goals
+    goal_perm_inv: Optional[Array] = None  # (M, N, da) for unlabeled-goals
+
+    @classmethod
+    def from_rows(cls, params: TransformerParams, rows: Sequence[dict]) -> "DatasetBlock":
+        """Stack the tuples of one agent count, each a row as the dataset file holds it.
+
+        A row holds _ROW_KEYS, plus goal_perm_inv exactly when the oracle is
+        for unlabeled-goals, as arrays or nested lists. Each value must have
+        the shape the oracle's dimensions give it, floats must be finite and
+        each goal_perm_inv row must be a permutation of the goal indices.
+        """
+        n, r, da = _agent_count(rows[0]), params.rounds, params.action_dim
+        keys = set(_ROW_KEYS) | ({"goal_perm_inv"} if params.task_kind == "unlabeled-goals" else set())
+        for row in rows:
+            if _agent_count(row) != n or set(row) != keys:
+                raise SynthError(f"a {params.task_kind} tuple of n={n} has the keys {sorted(keys)}, got {sorted(row)}")
+            if not all(isinstance(row[key], list) and len(row[key]) == r for key in ("msg", "alpha")):
+                raise SynthError(f"msg and alpha must be lists of {r} rounds in every tuple")
+        col = {key: [row[key] for row in rows] for key in keys}
+        perm = _stack(col["goal_perm_inv"], "goal_perm_inv", (n, da), "iu") if "goal_perm_inv" in keys else None
+        if perm is not None and not (np.sort(perm, axis=-1) == np.arange(da)).all():
+            raise SynthError(f"every goal_perm_inv row must be a permutation of 0..{da - 1}")
+        return cls(  # one stack per round keeps every round's block contiguous
+            states=_stack(col["s"], "s", (n, params.state_dim)),
+            obs=_stack(col["o"], "o", (n, n, 2)),
+            messages=[_stack([m[k] for m in col["msg"]], "msg", (n, n, params.msg_dim)) for k in range(r)],
+            attention=[_stack([a[k] for a in col["alpha"]], "alpha", (n, n)) for k in range(r)],
+            actions=_stack(col["a"], "a", (n, da)),
+            goal_perm_inv=perm,
+        )
 
     @property
     def n_tuples(self) -> int:
@@ -139,48 +193,27 @@ class SynthDataset:
 
     @classmethod
     def load_jsonl(cls, path: Union[str, Path]) -> "SynthDataset":
+        """A header line, then one row per tuple (see DatasetBlock.from_rows).
+
+        The header's rounds and dimensions must be the embedded oracle's and
+        its task must fit the oracle (TransformerParams.task_mismatch).
+        Blocks keep the order in which their agent counts first appear.
+        """
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if not isinstance(header, dict) or header.get("kind") != "synth-dataset":
-                raise SynthError("not a synth dataset file")
-            task = decode(TaskConfig, header["task"])
+            if not isinstance(header, dict) or header.get("kind") != "synth-dataset" or sorted(header) != _HEADER_KEYS:
+                raise SynthError(f"not a synth dataset file: its header holds the keys {', '.join(_HEADER_KEYS)}")
             params = TransformerParams.from_json_dict(header["oracle"])
-            rows: dict[int, list[dict]] = {}
-            order: list[int] = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                n = row["n"]
-                if n not in rows:
-                    rows[n] = []
-                    order.append(n)
-                rows[n].append(row)
-        blocks = []
-        for n in order:
-            group = rows[n]
-            rounds = len(group[0]["msg"])
-            block = DatasetBlock(
-                states=np.asarray([r["s"] for r in group], dtype=np.float64),
-                obs=np.asarray([r["o"] for r in group], dtype=np.float64),
-                messages=[
-                    np.asarray([r["msg"][k] for r in group], dtype=np.float64)
-                    for k in range(rounds)
-                ],
-                attention=[
-                    np.asarray([r["alpha"][k] for r in group], dtype=np.float64)
-                    for k in range(rounds)
-                ],
-                actions=np.asarray([r["a"] for r in group], dtype=np.float64),
-                goal_perm_inv=(
-                    np.asarray([r["goal_perm_inv"] for r in group], dtype=np.int64)
-                    if "goal_perm_inv" in group[0]
-                    else None
-                ),
-            )
-            blocks.append(block)
-        return cls(task, params, blocks)
+            for key in ("rounds", "state_dim", "msg_dim", "action_dim"):
+                if type(header[key]) is not int or header[key] != getattr(params, key):
+                    raise SynthError(f"header {key} {header[key]!r:.60} is not the oracle's {getattr(params, key)}")
+            task = decode(TaskConfig, header["task"])
+            if params.task_mismatch(task):
+                raise SynthError(f"header task: {params.task_mismatch(task)}")
+            groups: dict[int, list[dict]] = {}
+            for row in map(json.loads, filter(str.strip, fh)):
+                groups.setdefault(_agent_count(row), []).append(row)
+        return cls(task, params, [DatasetBlock.from_rows(params, rows) for rows in groups.values()])
 
 
 def collect_dataset(
@@ -197,38 +230,18 @@ def collect_dataset(
     re-simulation-free; distribution shift is accepted.
     """
     policy = TfFullPolicy(params, v_max=cfg.v_max)
-    groups: dict[int, dict[str, list]] = {}
-    order: list[int] = []
+    groups: dict[int, list[dict]] = {}
     for _ in range(n_rollouts):
         state = sample_initial(cfg, rng)
-        n = state.n_agents
-        if n not in groups:
-            groups[n] = {"s": [], "o": [], "m": [], "alpha": [], "a": [], "perm": []}
-            order.append(n)
-        bucket = groups[n]
         for out, _ in simulate(policy, cfg, [state], [rng], reward_params):
-            bucket["s"].append(out.states.data[0])
-            bucket["o"].append(out.obs.data[0])
-            bucket["m"].append([m[0] for m in out.policy.messages])
-            bucket["alpha"].append([a[0] for a in out.policy.attentions])
-            bucket["a"].append(out.policy.actions.data[0])
+            row = {
+                "n": state.n_agents, "s": out.states.data[0], "o": out.obs.data[0], "a": out.policy.actions.data[0],
+                "msg": [m[0] for m in out.policy.messages], "alpha": [a[0] for a in out.policy.attentions],
+            }
             if cfg.task_kind == "unlabeled-goals":
-                bucket["perm"].append(state.goal_perm_inv())
-    blocks = []
-    for n in order:
-        bucket = groups[n]
-        rounds = params.rounds
-        blocks.append(
-            DatasetBlock(
-                states=np.stack(bucket["s"]),
-                obs=np.stack(bucket["o"]),
-                messages=[np.stack([m[k] for m in bucket["m"]]) for k in range(rounds)],
-                attention=[np.stack([a[k] for a in bucket["alpha"]]) for k in range(rounds)],
-                actions=np.stack(bucket["a"]),
-                goal_perm_inv=np.stack(bucket["perm"]) if bucket["perm"] else None,
-            )
-        )
-    return SynthDataset(cfg, params, blocks)
+                row["goal_perm_inv"] = state.goal_perm_inv()
+            groups.setdefault(state.n_agents, []).append(row)
+    return SynthDataset(cfg, params, [DatasetBlock.from_rows(params, rows) for rows in groups.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +286,7 @@ class SurrogateEvaluator:
     def _features(self, fmap: FeatureMap) -> list[Array]:
         cached = self._feat_cache.get(fmap.version)
         if cached is None:
-            cached = []
-            for block in self.dataset.blocks:
-                m, n, ds = block.states.shape
-                tiled = np.broadcast_to(block.states[:, :, None, :], (m, n, n, ds))
-                cached.append(dsl.featurize_pairs(tiled, block.obs, fmap))
+            cached = [dsl.featurize_agents(b.states, b.obs, fmap) for b in self.dataset.blocks]
             self._feat_cache[fmap.version] = cached
         return cached
 

@@ -44,6 +44,17 @@ class TransformerParams:
     def copy(self) -> "TransformerParams":
         return replace(self, store=self.store.copy())
 
+    def task_mismatch(self, cfg) -> Optional[str]:
+        """Why these parameters cannot drive the TaskConfig cfg, or None when they can."""
+        if self.task_kind != cfg.task_kind:
+            return f"parameters were trained for {self.task_kind!r}, config is {cfg.task_kind!r}"
+        if (self.state_dim, self.action_dim, self.rounds) != (cfg.state_dim, cfg.action_dim, cfg.comm_rounds):
+            return (
+                f"parameter dims (state {self.state_dim}, action {self.action_dim}, rounds {self.rounds}) "
+                f"do not match config dims (state {cfg.state_dim}, action {cfg.action_dim}, rounds {cfg.comm_rounds})"
+            )
+        return None
+
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
 

@@ -2,8 +2,8 @@
 
 One agent or one row at a time, written from the definitions: a message from
 one (state, observation) pair, one attention row, one agent's action, one
-feature vector, the per-agent rule interpreter, and the communication graph
-built agent by agent with it.
+feature vector, the per-agent rule interpreter, the communication graph
+built agent by agent with it, and a rollout's (discounted) return.
 """
 
 from typing import Iterable, Optional, Sequence
@@ -15,6 +15,11 @@ from swarmcomm.dsl import CommGraph, FeatureMap, Program, RandRule, Rule, _eval_
 from swarmcomm.transformer import TransformerParams, _mlp, harden_rows, squash_action
 
 Array = np.ndarray
+
+
+def trajectory_return(traj, gamma: float = 1.0) -> float:
+    """A recorded rollout's sum over steps t of gamma**t times the step reward."""
+    return float(sum((gamma ** t) * s.reward for t, s in enumerate(traj.steps)))
 
 
 def message(

@@ -24,7 +24,7 @@ from swarmcomm.policy import CombinedPolicy
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import mask_from_selections
+from reference import mask_from_selections, trajectory_return
 
 
 def cross_cfg(**kw):
@@ -151,7 +151,8 @@ class TestSampleInitial:
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=1)
         state = sample_initial(cfg, make_rng(4))
         assert state.goal_order.tolist() == [[0]]
-        np.testing.assert_array_equal(state.agent_states()[0][2:], state.goals[0])
+        states = WorldBatch.stack([state]).agent_states(state.positions[None]).data
+        np.testing.assert_array_equal(states[0, 0, 2:], state.goals[0])
 
     def test_unlabeled_goal_order_is_distance_sorted(self):
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=5)
@@ -351,7 +352,7 @@ class TestRollout:
         traj = rollout(ZeroPolicy(), cfg, rng)
         start = traj.steps[0].state
         expected = -cfg.horizon * np.linalg.norm(start.positions - start.goals, axis=1).sum()
-        assert traj.total_reward() == pytest.approx(expected)
+        assert trajectory_return(traj) == pytest.approx(expected)
 
     def test_spawned_streams_are_order_independent(self):
         # the concurrency contract: per-rollout generators spawned from one
@@ -365,7 +366,7 @@ class TestRollout:
         ]
         for t1, t2 in zip(forward, reversed(reversed_runs)):
             assert np.array_equal(t1.final_state.positions, t2.final_state.positions)
-            assert t1.total_reward() == t2.total_reward()
+            assert trajectory_return(t1) == trajectory_return(t2)
 
 
 class TestWorldStep:

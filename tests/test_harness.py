@@ -33,7 +33,7 @@ from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import graph_mask, mask_from_selections
+from reference import graph_mask, mask_from_selections, trajectory_return
 
 
 class ConstantGraphPolicy:
@@ -178,7 +178,7 @@ class TestLockstep:
                         assert trajs[k].steps[t].round_graphs[r].edges == CommGraph.from_mask(delivered[b]).edges
                     assert rewards[b] == pytest.approx(trajs[k].steps[t].reward, rel=1e-12)
         metrics = evaluate(policy, cfg, n_rollouts, 1.0, seed)
-        losses = [-t.total_reward() / cfg.horizon for t in trajs]
+        losses = [-trajectory_return(t) / cfg.horizon for t in trajs]
         assert metrics.loss_mean == pytest.approx(float(np.mean(losses)), rel=1e-12)
         degrees = [np.mean([degree_stats(graph_mask(s.graph))[2] for s in t.steps]) for t in trajs]
         assert metrics.total_deg_mean == float(np.mean(degrees))
@@ -477,6 +477,49 @@ BAD_INPUTS = {
     "manifest=[]": ("manifest", lambda ws: "[]"),
     "manifest-args={}": ("manifest", lambda ws: json.dumps({"command": "evaluate", "args": {}, "seed": 1})),
 }
+
+
+def _bad_dataset(source, edit):
+    """A dataset ("grid": the workspace's, "coverage": N = 3, two rounds) with its header and rows edited."""
+
+    def text(datasets):
+        header, *rows = [json.loads(line) for line in datasets[source].read_text().splitlines()]
+        edit(header, rows)
+        return "".join(json.dumps(doc) + "\n" for doc in [header, *rows])
+
+    return text
+
+
+def _cut_columns(key, width):
+    def edit(header, rows):
+        for row in rows:
+            row[key] = [r[:width] for r in row[key]]
+
+    return edit
+
+
+# malformed datasets, each a function of {"grid": path, "coverage": path} giving the file's text
+BAD_DATASETS = {
+    "s-2-wide": _bad_dataset("grid", _cut_columns("s", 2)),
+    "coverage-without-goal_perm_inv": _bad_dataset("coverage", lambda h, rows: rows[0].pop("goal_perm_inv")),
+    "a-2-wide-for-3-goals": _bad_dataset("coverage", _cut_columns("a", 2)),
+    "goal_perm_inv=9": _bad_dataset("coverage", lambda h, rows: rows[0]["goal_perm_inv"][0].__setitem__(0, 9)),
+    "n-wrong": _bad_dataset("grid", lambda h, rows: rows[0].update(n=4)),
+    "header-msg_dim=99": _bad_dataset("grid", lambda h, rows: h.update(msg_dim=99)),
+    "header-task_kind": _bad_dataset("grid", lambda h, rows: h["task"].update(task_kind="random-cross")),
+    "o=NaN": _bad_dataset("grid", lambda h, rows: rows[0]["o"][0][1].__setitem__(0, float("nan"))),
+    "unknown-row-key": _bad_dataset("grid", lambda h, rows: rows[0].update(extra=1)),
+}
+
+
+@pytest.fixture(scope="module")
+def coverage_dataset(tmp_path_factory):
+    """A two-round unlabeled-goals dataset with N = 3, collected under an untrained oracle."""
+    path = tmp_path_factory.mktemp("coverage") / "data.jsonl"
+    cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=2)
+    params = init_for_task(cfg, make_rng(0), key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4)
+    collect_dataset(params, cfg, 1, make_rng(1)).save_jsonl(path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -893,6 +936,50 @@ class TestCli:
         assert str(bad) in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", list(BAD_DATASETS))
+    def test_malformed_dataset_is_one_bad_config_line(self, cli_workspace, coverage_dataset, tmp_path, capsys, case):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(BAD_DATASETS[case]({"grid": cli_workspace / "data.jsonl", "coverage": coverage_dataset}))
+        out = tmp_path / "program.txt"
+        assert cli.main(["synthesize", "--dataset", str(bad), "--steps", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[bad-config]: ")
+        assert str(bad) in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("rollouts", "x"), ("rollouts", 1.5), ("rollouts", True), ("out", 987654)])
+    def test_rerun_checks_the_type_of_every_recorded_option(self, cli_workspace, tmp_path, capsys, option, value):
+        doc = json.loads((cli_workspace / "data.jsonl.manifest.json").read_text())
+        out = tmp_path / "data.jsonl"
+        doc["args"]["out"] = str(out)
+        doc["args"][option] = value
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert cli.main(["rerun", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[bad-config]: ")
+        assert str(manifest) in lines[0] and f"option {option} " in lines[0]
+        assert not out.exists()
+
+    def test_sweep_checks_dims_before_any_chain(self, coverage_dataset, tmp_path, capsys, monkeypatch):
+        env.save_config(tmp_path / "cross.json", TaskConfig(), RewardParams())
+        chains = []
+        monkeypatch.setattr(harness, "sweep", lambda *a, **kw: chains.append(a))
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "sweep", "--dataset", str(coverage_dataset), "--config", str(tmp_path / "cross.json"),
+            "--steps", "2", "--val-rollouts", "1", "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error[dim-mismatch]: ")
+        assert chains == [] and not out_dir.exists()
+
     def test_rerun_names_every_missing_option(self, cli_workspace, tmp_path, capsys):
         doc = json.loads((cli_workspace / "data.jsonl.manifest.json").read_text())
         del doc["args"]["rollouts"], doc["args"]["config"]
@@ -911,6 +998,7 @@ class TestCli:
             ("evaluate", "--rollouts", "0"),
             ("sweep", "--val-rollouts", "0"),
             ("collect", "--rollouts", "-1"),
+            ("collect", "--seed", "-1"),
         ],
     )
     def test_bad_counts_are_usage_errors(self, cli_workspace, tmp_path, capsys, command, flag, value):

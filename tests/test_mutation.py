@@ -1,0 +1,208 @@
+"""Seeded mutation test of the dataset and manifest readers.
+
+In the style of Miller, Fredriksen and So (CACM 1990): a tiny collected
+dataset and its ``collect`` manifest are mutated from a fixed seed. Row and
+header keys are dropped, duplicated or retyped, lines truncated, arrays
+reshaped, and NaN, wrong widths or out-of-range indices written in; the
+manifest's args and fields are retyped. Every mutant goes through
+``cli.main`` (``synthesize --steps 1`` or ``rerun``) and must exit 0, or exit 1
+with exactly one ``error[...]`` line; it must never raise.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from swarmcomm import cli, env
+from swarmcomm.env import RewardParams, TaskConfig
+from swarmcomm.transformer import init_for_task
+
+from conftest import make_rng
+
+SEED = 1990
+N_DATASET_MUTANTS = 70  # per task kind
+N_MANIFEST_MUTANTS = 60
+
+ARRAY_KEYS = ("s", "o", "msg", "alpha", "a", "goal_perm_inv")
+# no valid count here: a manifest's rollouts of 2 ** 70 would run; no small int, which is an open file descriptor
+ODD_VALUES = ("x", "", None, True, False, 1.5, -1, [], {}, [[]], [1.0, "x"], float("nan"), float("inf"))
+ODD_ROW_VALUES = ODD_VALUES + (0, 7, 2 ** 70)
+TASKS = {
+    "grid": TaskConfig(task_kind="random-grid", n_agents_per_group=1, horizon=2, obs_noise_sigma=0.05),
+    "coverage": TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=2),
+}
+
+
+@pytest.fixture(scope="module")
+def collected(tmp_path_factory):
+    """Per task kind, the directory holding task.json, oracle.json, data.jsonl and its manifest."""
+    dirs = {}
+    for name, cfg in TASKS.items():
+        root = tmp_path_factory.mktemp(name)
+        env.save_config(root / "task.json", cfg, RewardParams())
+        init_for_task(cfg, make_rng(0), key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4).save(root / "oracle.json")
+        assert cli.main([
+            "collect", "--params", str(root / "oracle.json"), "--config", str(root / "task.json"),
+            "--rollouts", "1", "--out", str(root / "data.jsonl"), "--seed", "1",
+        ]) == 0
+        dirs[name] = root
+    return dirs
+
+
+def _inside(value, rng):
+    """(list, index) of a random element somewhere inside a nested list, or None for a non-list."""
+    if not isinstance(value, list) or not value:
+        return None
+    parent = value
+    while True:
+        i = rng.randrange(len(parent))
+        if isinstance(parent[i], list) and parent[i] and rng.random() < 0.8:
+            parent = parent[i]
+        else:
+            return parent, i
+
+
+def _leaf(value, rng):
+    """(list, index) of a number inside a nested list, or None."""
+    while isinstance(value, list) and value:
+        parent, i = value, rng.randrange(len(value))
+        if not isinstance(value[i], list):
+            return parent, i
+        value = value[i]
+    return None
+
+
+def _mutate_row(rng, header, rows):
+    row = rng.choice(rows)
+    key = rng.choice(sorted(row))
+    arrays = [k for k in ARRAY_KEYS if isinstance(row.get(k), list)]
+    op = rng.choice(("drop", "retype", "duplicate", "unknown", "reshape", "width", "non-finite", "index", "header"))
+    if op == "drop":
+        del row[key]
+    elif op == "retype":
+        row[key] = rng.choice(ODD_ROW_VALUES)
+    elif op == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), copy.deepcopy(row))
+    elif op == "unknown":
+        row["extra"] = rng.choice(ODD_ROW_VALUES)
+    elif op == "reshape" and arrays:
+        key = rng.choice(arrays)
+        value = row[key]
+        row[key] = rng.choice(([value], value[0], [x for item in value for x in (item if isinstance(item, list) else [item])]))
+    elif op == "width" and arrays:
+        key = rng.choice(arrays)
+        parent, i = _inside(row[key], rng)
+        if rng.random() < 0.5:
+            del parent[i]
+        else:
+            parent.insert(i, copy.deepcopy(parent[i]))
+    elif op == "non-finite" and arrays:
+        key = rng.choice(arrays)
+        spot = _leaf(row[key], rng)
+        if spot:
+            spot[0][spot[1]] = rng.choice((float("nan"), float("inf"), -float("inf")))
+    elif op == "index":
+        spot = _leaf(row.get("goal_perm_inv"), rng)
+        if spot:
+            key = "goal_perm_inv"
+            spot[0][spot[1]] = rng.choice((-1, 2, 9, 1.5, 10 ** 12))
+        else:
+            key = "n"
+            row["n"] = rng.choice((0, -1, 2, 4, 10 ** 6, 3.0))
+    elif op == "header":
+        key = rng.choice(sorted(header))
+        if key in ("task", "oracle") and rng.random() < 0.7:
+            inner = header[key] if key == "task" else header[key]["meta"]
+            inner[rng.choice(sorted(inner))] = rng.choice(ODD_ROW_VALUES)
+        elif isinstance(header[key], int) and rng.random() < 0.5:
+            header[key] += rng.choice((-1, 1))
+        else:
+            header[key] = rng.choice(ODD_ROW_VALUES)
+    return f"{op} {key}"
+
+
+def _dataset_mutant(rng, text):
+    lines = text.splitlines()
+    if rng.random() < 0.1:
+        k = rng.randrange(len(lines))
+        lines[k] = lines[k][: rng.randrange(len(lines[k]))]
+        return f"truncate line {k}", "\n".join(lines) + "\n"
+    header, *rows = [json.loads(line) for line in lines]
+    what = _mutate_row(rng, header, rows)
+    return what, "".join(json.dumps(doc) + "\n" for doc in [header, *rows])
+
+
+def _manifest_mutant(rng, text):
+    doc = json.loads(text)
+    if rng.random() < 0.1:
+        return "truncate", text[: rng.randrange(len(text))]
+    op = rng.choice(("retype-arg", "retype-arg", "drop-arg", "retype-field", "drop-field", "command", "seed"))
+    if op == "retype-arg":
+        key = rng.choice(sorted(doc["args"]))
+        doc["args"][key] = rng.choice(ODD_VALUES)
+    elif op == "drop-arg":
+        key = rng.choice(sorted(doc["args"]))
+        del doc["args"][key]
+    elif op in ("retype-field", "drop-field"):
+        key = rng.choice(sorted(doc))
+        if op == "drop-field":
+            del doc[key]
+        else:
+            doc[key] = rng.choice(ODD_VALUES)
+    elif op == "command":
+        key = doc["command"] = rng.choice(("train-oracle", "synthesize", "sweep", "rerun", "nope", "collect"))
+    else:
+        key = doc["seed"] = rng.choice((-1, 0, 2 ** 64, 2 ** 70))
+    return f"{op} {key}", json.dumps(doc)
+
+
+def _outcome(argv, capsys):
+    """None when cli.main exits 0, or 1 with exactly one error[...] line; else what went wrong."""
+    try:
+        rc = cli.main(argv)
+    except (Exception, SystemExit) as exc:  # the failure under test, reported per mutant
+        capsys.readouterr()
+        return f"raised {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    if rc == 0 and "Traceback" not in err:
+        return None
+    if rc == 1 and len(lines) == 1 and lines[0].startswith("error["):
+        return None
+    return f"exit {rc}, stderr {err[-300:]!r}"
+
+
+def test_dataset_mutants_exit_cleanly(collected, tmp_path, capsys):
+    rng = random.Random(SEED)
+    failures = []
+    for name, root in collected.items():
+        text = (root / "data.jsonl").read_text()
+        for k in range(N_DATASET_MUTANTS):
+            what, mutant = _dataset_mutant(rng, text)
+            path = tmp_path / f"{name}-{k}.jsonl"
+            path.write_text(mutant)
+            argv = ["synthesize", "--dataset", str(path), "--steps", "1", "--out", str(tmp_path / "p.txt"), "--seed", "3"]
+            problem = _outcome(argv, capsys)
+            if problem:
+                failures.append(f"{name} mutant {k} ({what}): {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def test_manifest_mutants_exit_cleanly(collected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a mutant may name a relative output path
+    monkeypatch.delenv("SWARM_SEED", raising=False)
+    rng = random.Random(SEED + 1)
+    doc = json.loads((collected["grid"] / "data.jsonl.manifest.json").read_text())
+    doc["args"]["out"] = str(tmp_path / "data.jsonl")
+    text = json.dumps(doc)
+    failures = []
+    for k in range(N_MANIFEST_MUTANTS):
+        what, mutant = _manifest_mutant(rng, text)
+        path = tmp_path / f"manifest-{k}.json"
+        path.write_text(mutant)
+        problem = _outcome(["rerun", str(path)], capsys)
+        if problem:
+            failures.append(f"manifest mutant {k} ({what}): {problem}")
+    assert not failures, "\n".join(failures)

@@ -13,7 +13,7 @@ from swarmcomm.dsl import (
 )
 from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import CommGraph
-from swarmcomm.env import GlobalState, TaskConfig, rollout
+from swarmcomm.env import GlobalState, TaskConfig, WorldBatch, rollout
 from swarmcomm.policy import (
     CombinedPolicy,
     NoCommPolicy,
@@ -48,7 +48,7 @@ class OneStep:
     def __init__(self, policy, state, rng, p_fail=0.0):
         pos = state.positions[None]
         obs = pos[:, None, :, :] - pos[:, :, None, :]
-        out = policy.step(Tensor(state.agent_states()[None]), Tensor(obs), [rng], p_fail)
+        out = policy.step(WorldBatch.stack([state]).agent_states(pos), Tensor(obs), [rng], p_fail)
         self.action = out.actions.data[0]
         self.attentions = [a[0] for a in out.attentions]
         self.messages = [m[0] for m in out.messages]

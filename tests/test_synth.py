@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -82,17 +84,40 @@ class TestCollect:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_jsonl_roundtrip(self, tmp_path):
-        dataset = tiny_dataset(n_rollouts=2)
-        path = tmp_path / "data.jsonl"
-        dataset.save_jsonl(path)
-        loaded = SynthDataset.load_jsonl(path)
-        assert loaded.n_tuples == dataset.n_tuples
-        assert loaded.task == dataset.task
-        assert loaded.rounds == dataset.rounds
-        for b1, b2 in zip(dataset.blocks, loaded.blocks):
-            np.testing.assert_allclose(b1.states, b2.states)
-            np.testing.assert_allclose(b1.actions, b2.actions)
-            np.testing.assert_allclose(b1.attention[0], b2.attention[0])
+        cross = tiny_cfg(task_kind="random-cross", horizon=2, group_presence_prob=0.5)
+        datasets = {
+            "grid": tiny_dataset(n_rollouts=2),
+            "cross": tiny_dataset(n_rollouts=3, seed=0, cfg=cross),
+            "coverage": tiny_dataset(n_rollouts=2, cfg=tiny_cfg(task_kind="unlabeled-goals", n_agents_per_group=3)),
+            "lossy-grid": tiny_dataset(n_rollouts=2, cfg=tiny_cfg(n_agents_per_group=2, link_failure_prob=0.3)),
+        }
+        assert [b.n_agents for b in datasets["cross"].blocks] == [2, 1]  # not sorted
+        assert datasets["coverage"].rounds == 2
+        for name, dataset in datasets.items():
+            path = tmp_path / f"{name}.jsonl"
+            dataset.save_jsonl(path)
+            loaded = SynthDataset.load_jsonl(path)
+            assert loaded.n_tuples == dataset.n_tuples
+            assert loaded.task == dataset.task
+            assert loaded.rounds == dataset.rounds
+            # blocks keep the order in which the file's agent counts first appear
+            counts = [json.loads(line)["n"] for line in path.read_text().splitlines()[1:]]
+            assert [b.n_agents for b in loaded.blocks] == list(dict.fromkeys(counts))
+            assert [b.n_agents for b in loaded.blocks] == [b.n_agents for b in dataset.blocks]
+            for b1, b2 in zip(dataset.blocks, loaded.blocks):
+                pairs = [(b1.states, b2.states), (b1.obs, b2.obs), (b1.actions, b2.actions)]
+                pairs += list(zip(b1.messages, b2.messages)) + list(zip(b1.attention, b2.attention))
+                assert len(pairs) == 3 + 2 * dataset.rounds
+                if name == "coverage":
+                    pairs.append((b1.goal_perm_inv, b2.goal_perm_inv))
+                    assert b2.goal_perm_inv.dtype == np.int64
+                else:
+                    assert b1.goal_perm_inv is None and b2.goal_perm_inv is None
+                for a, b in pairs:
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+                for arr in b2.messages + b2.attention:
+                    assert arr.flags["C_CONTIGUOUS"]
 
     def test_attention_rows_cached_as_distributions(self):
         dataset = tiny_dataset(n_rollouts=2)

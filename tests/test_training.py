@@ -3,7 +3,7 @@ import pytest
 
 from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import DetRule, FeatureMap, Program, ScoreExpr, feature_names, true_predicate
-from swarmcomm.env import GlobalState, RewardParams, TaskConfig, rollout, sample_initial
+from swarmcomm.env import GlobalState, RewardParams, TaskConfig, WorldBatch, rollout, sample_initial
 from swarmcomm.policy import CombinedPolicy, TfFullPolicy
 from swarmcomm.training import (
     CurveRow,
@@ -18,6 +18,7 @@ from swarmcomm.training import (
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
+from reference import trajectory_return
 
 
 def single_agent_sampler(distance: float):
@@ -58,7 +59,7 @@ def eval_mean_loss(params, cfg, sampler, n_eval, seed, discounted=False, gamma=0
     totals = []
     for world in worlds:
         traj = rollout(policy, cfg, rng, initial_state=world)
-        totals.append(traj.discounted_reward(gamma) if discounted else traj.total_reward())
+        totals.append(trajectory_return(traj, gamma if discounted else 1.0))
     return -float(np.mean(totals))
 
 
@@ -92,7 +93,7 @@ class TestUnrollRolloutConsistency:
         score = float(unroll_score(params, worlds, cfg, rewards, gamma, make_rng(1)).data)
         policy = TfFullPolicy(params, v_max=cfg.v_max)
         per_world = [
-            rollout(policy, cfg, make_rng(2), rewards, initial_state=w).discounted_reward(gamma)
+            trajectory_return(rollout(policy, cfg, make_rng(2), rewards, initial_state=w), gamma)
             for w in worlds
         ]
         assert score == pytest.approx(float(np.mean(per_world)), abs=1e-9)
@@ -106,7 +107,7 @@ class TestUnrollRolloutConsistency:
         score = float(unroll_score(params, worlds, cfg, RewardParams(), gamma, make_rng(4)).data)
         policy = TfFullPolicy(params, v_max=cfg.v_max)
         per_world = [
-            rollout(policy, cfg, make_rng(5), initial_state=w).discounted_reward(gamma)
+            trajectory_return(rollout(policy, cfg, make_rng(5), initial_state=w), gamma)
             for w in worlds
         ]
         assert score == pytest.approx(float(np.mean(per_world)), abs=1e-9)
@@ -211,7 +212,7 @@ class TestRetrain:
         program = nearest_program()
         result = retrain(params, [program], cfg, TrainConfig(n_rollouts=0), make_rng(31))
         state = sample_initial(cfg, make_rng(32))
-        states = Tensor(state.agent_states()[None])
+        states = WorldBatch.stack([state]).agent_states(state.positions[None])
         obs = Tensor(np.zeros((1, state.n_agents, state.n_agents, 2)))
         before = CombinedPolicy(params, [program], v_max=cfg.v_max).step(states, obs, [make_rng(33)], 0.0)
         after = CombinedPolicy(result.params, [program], v_max=cfg.v_max).step(states, obs, [make_rng(33)], 0.0)
