@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -79,18 +80,36 @@ def _seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
+def _config(cls: Callable[..., T], options: dict[str, tuple[str, object]]) -> T:
+    """cls(**values) from options mapping each field to (flag, value).
+
+    An invalid value is a usage error naming its flag: the config's messages
+    start with the field's name.
+    """
     try:
-        return TrainConfig(
-            n_rollouts=args.rollouts,
-            batch_size=args.batch,
-            discount=args.discount,
-            learning_rate=args.lr,
-            grad_clip=args.clip,
-            seed=seed,
-        )
+        return cls(**{name: value for name, (_, value) in options.items()})
     except ValueError as exc:
-        raise CliError("usage", str(exc)) from exc
+        message = str(exc)
+        for name, (flag, _) in options.items():
+            if message.startswith(name):
+                message = flag + message[len(name):]
+        raise CliError("usage", message) from exc
+
+
+def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
+    return _config(TrainConfig, {
+        "n_rollouts": ("--rollouts", args.rollouts),
+        "batch_size": ("--batch", args.batch),
+        "discount": ("--discount", args.discount),
+        "learning_rate": ("--lr", args.lr),
+        "grad_clip": ("--clip", args.clip),
+        "seed": ("--seed", seed),
+    })
+
+
+def _require_comm_weight(args: argparse.Namespace) -> None:
+    _require(math.isfinite(args.comm_weight) and args.comm_weight >= 0,
+             f"--comm-weight must be finite and >= 0, got {args.comm_weight}")
 
 
 def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
@@ -155,17 +174,17 @@ def _round_out_paths(out: str, rounds: int) -> list[Path]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
+    cfg = _config(SynthConfig, {
+        "degree_weight": ("--lambda", args.tradeoff),
+        "mcmc_steps": ("--steps", args.steps),
+        "inv_temperature": ("--beta", args.beta),
+        "n_rules": ("--rules", args.rules),
+        "feature_version": ("--features", args.features),
+        "allow_random_rules": ("--det-only", not args.det_only),
+        "rand_rule_samples": ("--samples", args.samples),
+    })
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
     seed = _seed(args)
-    cfg = SynthConfig(
-        degree_weight=args.tradeoff,
-        mcmc_steps=args.steps,
-        inv_temperature=args.beta,
-        n_rules=args.rules,
-        feature_version=args.features,
-        allow_random_rules=not args.det_only,
-        rand_rule_samples=args.samples,
-    )
     results = synthesize_multiround(dataset, cfg, np.random.Generator(np.random.PCG64(seed)))
     outputs = []
     out_paths = _round_out_paths(args.out, dataset.rounds)
@@ -203,6 +222,8 @@ def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: Task
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
+    _require(0.0 < args.gamma <= 1.0, f"--gamma must be in (0, 1], got {args.gamma}")
+    _require_comm_weight(args)
     cfg, rewards = _read(args.config, env.load_config)
     params = _read(args.params, TransformerParams.load)
     _check_dims(params, cfg)
@@ -227,11 +248,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args.val_rollouts >= 1, "--val-rollouts must be >= 1")
+    _require_comm_weight(args)
+    base = _config(SynthConfig, {"mcmc_steps": ("--steps", args.steps)})
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
     cfg, rewards = _read(args.config, env.load_config)
     _check_dims(dataset.params, cfg)
     seed = _seed(args)
-    base = SynthConfig(mcmc_steps=args.steps)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def policy_factory(programs):

@@ -171,29 +171,51 @@ def true_predicate(fmap: FeatureMap, state_dim: int) -> PredicateAtom:
 # ---------------------------------------------------------------------------
 
 
-def _eval_pred(pred: Predicate, feats: Array) -> Array:
+class LinearForms:
+    """The linear form feats @ w of each weight vector over one feature array (..., d').
+
+    A predicate atom keeps the rows whose form is >= 0; a score vector ranks
+    rows by its form. A caller that interprets many programs over the same
+    features can pass a subclass that caches both (see synth.SurrogateEvaluator).
+    """
+
+    def __init__(self, feats: Array):
+        self.feats = feats
+
+    def atom(self, weights: tuple[float, ...]) -> Array:
+        """Boolean mask (...) of the rows a predicate atom keeps."""
+        return self.feats @ np.asarray(weights) >= 0.0
+
+    def score(self, weights: tuple[float, ...]) -> Array:
+        """Score (...) of every row under a score vector."""
+        return self.feats @ np.asarray(weights)
+
+
+def _eval_pred(pred: Predicate, forms: LinearForms) -> Array:
     """Boolean mask over feature rows: (..., d') -> (...)."""
     if isinstance(pred, PredicateAtom):
-        return feats @ np.asarray(pred.weights) >= 0.0
-    left = _eval_pred(pred.left, feats)
-    right = _eval_pred(pred.right, feats)
+        return forms.atom(pred.weights)
+    left = _eval_pred(pred.left, forms)
+    right = _eval_pred(pred.right, forms)
     return left & right if pred.op == "and" else left | right
 
 
-def rule_picks(rule: Rule, feats: Array, u: Optional[Array] = None) -> Array:
+def rule_picks(rule: Rule, feats: Array, u: Optional[Array] = None, forms: Optional[LinearForms] = None) -> Array:
     """Boolean mask (..., N, N) of the one sender each agent's rule picks.
 
     feats: (..., N, N, d') features for every ordered (receiver, sender) pair.
-    u: uniforms (..., N) driving a nondeterministic rule. The diagonal is
+    u: uniforms (..., N) driving a nondeterministic rule. forms: the linear
+    forms of feats, LinearForms(feats) when not given. The diagonal is
     always False, and an agent whose filter keeps nobody picks nobody.
     Deterministic rules pick the passing sender with the highest score, ties
     to the lowest id; a nondeterministic rule picks passing sender number
     floor(u * count) in id order.
     """
     n = feats.shape[-2]
-    keep = _eval_pred(rule.pred, feats) & ~np.eye(n, dtype=bool)
+    forms = LinearForms(feats) if forms is None else forms
+    keep = _eval_pred(rule.pred, forms) & ~np.eye(n, dtype=bool)
     if isinstance(rule, DetRule):
-        pick = np.argmax(np.where(keep, feats @ np.asarray(rule.score.weights), -np.inf), axis=-1)
+        pick = np.argmax(np.where(keep, forms.score(rule.score.weights), -np.inf), axis=-1)
         return (np.arange(n) == pick[..., None]) & keep.any(axis=-1, keepdims=True)
     if u is None:
         raise DslError("a nondeterministic rule needs rand_u")

@@ -130,13 +130,18 @@ class CombinedPolicy(_TransformerPolicy):
         self.programs = list(programs)
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
+        fmap = self.programs[round_index].feature_map
+        return self.interpret(round_index, dsl.featurize_agents(states, obs, fmap), rngs)
+
+    def interpret(self, round_index: int, feats: Array, rngs) -> Array:
+        """Request masks (B, N, N) from the worlds' pair features (B, N, N, d') under the round's program."""
         program = self.programs[round_index]
-        b, n = soft.shape[0], soft.shape[1]
+        b, n = feats.shape[0], feats.shape[1]
         rand_u = np.zeros((b, n, program.n_rules))
         for k, rule in enumerate(program.rules):
             if isinstance(rule, RandRule):
                 rand_u[..., k] = uniforms(rngs, (n,))
-        return dsl.eval_program(program, states, obs, rand_u)
+        return dsl.eval_program_batch(program, feats, rand_u)
 
 
 class DistMaskPolicy(_TransformerPolicy):
@@ -188,7 +193,9 @@ class StackedPolicy(_TransformerPolicy):
     The first counts[0] worlds of a batch belong to parts[0], the next
     counts[1] to parts[1], and so on. One network forward serves the whole
     batch; each part builds the request masks of its own worlds. The parts
-    must share their class, params and v_max.
+    must share their class, params and v_max. Stacked CombinedPolicy parts
+    share the pair features too: the whole batch is featurized once per
+    feature map and round, and each part interprets its own slice.
     """
 
     def __init__(self, parts: Sequence[_TransformerPolicy], counts: Sequence[int]):
@@ -212,9 +219,17 @@ class StackedPolicy(_TransformerPolicy):
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
         if soft.shape[0] != self._bounds[-1]:
             raise ValueError(f"stacked policy expects {self._bounds[-1]} worlds, got {soft.shape[0]}")
+        spans = list(zip(self.parts, self._bounds, self._bounds[1:]))
+        if isinstance(self.parts[0], CombinedPolicy):
+            fmaps = [part.programs[round_index].feature_map for part in self.parts]
+            feats = {fmap: dsl.featurize_agents(states, obs, fmap) for fmap in set(fmaps)}
+            return np.concatenate([
+                part.interpret(round_index, feats[fmap][lo:hi], rngs[lo:hi])
+                for (part, lo, hi), fmap in zip(spans, fmaps)
+            ])
         return np.concatenate([
             part.request_mask(round_index, soft[lo:hi], states[lo:hi], obs[lo:hi], rngs[lo:hi])
-            for part, lo, hi in zip(self.parts, self._bounds, self._bounds[1:])
+            for part, lo, hi in spans
         ])
 
     def _attention_mask(self, delivered, p_fail) -> Optional[Array]:

@@ -15,7 +15,9 @@ always returns the same objective and the chain replays exactly from a seed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -61,12 +63,12 @@ class SynthConfig:
     rand_rule_samples: int = 1
 
     def __post_init__(self) -> None:
-        if self.degree_weight <= 0:
-            raise SynthError("degree_weight must be > 0")
+        if not (math.isfinite(self.degree_weight) and self.degree_weight > 0):
+            raise SynthError(f"degree_weight must be finite and > 0, got {self.degree_weight}")
         if self.mcmc_steps < 1:
             raise SynthError("mcmc_steps must be >= 1")
-        if self.inv_temperature <= 0:
-            raise SynthError("inv_temperature must be > 0")
+        if not (math.isfinite(self.inv_temperature) and self.inv_temperature > 0):
+            raise SynthError(f"inv_temperature must be finite and > 0, got {self.inv_temperature}")
         if not (1 <= self.n_rules <= _MAX_RULES):
             raise SynthError(f"n_rules must be in 1..{_MAX_RULES}")
         if self.rand_rule_samples < 1:
@@ -108,6 +110,8 @@ class DatasetBlock:
     attention: list[Array]  # per round: (M, N, N) soft rows
     actions: Array  # (M, N, da), oracle actions (global goal order for coverage)
     goal_perm_inv: Optional[Array] = None  # (M, N, da) for unlabeled-goals
+    # arrays derived from the tuples, built on first use and shared by every evaluator
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, params: TransformerParams, rows: Sequence[dict]) -> "DatasetBlock":
@@ -145,6 +149,22 @@ class DatasetBlock:
     @property
     def n_agents(self) -> int:
         return self.states.shape[1]
+
+    def features(self, fmap: FeatureMap) -> Array:
+        """Pair features (M, N, N, d') of every tuple under fmap (see dsl.featurize_agents)."""
+        return self._once(("features", fmap.version), lambda: dsl.featurize_agents(self.states, self.obs, fmap))
+
+    def received(self, round_index: int) -> Array:
+        """One round's messages, receiver-major and contiguous: (M, N, N, dm), [m, i, j] = message j -> i."""
+        return self._once(
+            ("received", round_index),
+            lambda: np.ascontiguousarray(self.messages[round_index].transpose(0, 2, 1, 3)),
+        )
+
+    def _once(self, key: tuple, build: Callable[[], Array]) -> Array:
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 @dataclass
@@ -256,8 +276,59 @@ class ObjectiveBreakdown:
     mean_max_degree: float
 
 
+_FORMS_PER_RULE = 8  # linear forms cached per block, per rule of the program
+_MEMO_SIZE = 256  # scores cached by selection digest
+
+
+def _lru(cache: OrderedDict, key: Any, compute: Callable[[], Any], bound: int) -> tuple[Any, bool]:
+    """cache[key] and whether it was missing; a missing value is computed and
+    stored, evicting the least recently used entries beyond bound."""
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+        return value, False
+    value = cache[key] = compute()
+    while len(cache) > bound:
+        cache.popitem(last=False)
+    return value, True
+
+
+class _CachedForms(dsl.LinearForms):
+    """One block's linear forms under one feature map: atom masks and score
+    vectors in a least-recently-used cache keyed by kind and weight tuple."""
+
+    def __init__(self, feats: Array, bound: int):
+        super().__init__(feats)
+        self.bound = bound
+        self.cache: OrderedDict[tuple, Array] = OrderedDict()
+        self.matvecs = 0
+
+    def atom(self, weights: tuple[float, ...]) -> Array:
+        return self._lookup(("atom", weights), super().atom)
+
+    def score(self, weights: tuple[float, ...]) -> Array:
+        return self._lookup(("score", weights), super().score)
+
+    def _lookup(self, key: tuple, compute: Callable[[tuple[float, ...]], Array]) -> Array:
+        value, missed = _lru(self.cache, key, lambda: compute(key[1]), self.bound)
+        self.matvecs += missed
+        return value
+
+
 class SurrogateEvaluator:
-    """Scores candidate programs against one cached dataset and one CRN draw."""
+    """Scores candidate programs against one cached dataset and one CRN draw.
+
+    A proposal edits one rule, so most of a candidate's work was done for an
+    earlier one. Three least-recently-used caches keep it:
+      - per rule, slot and sample, every block's picks (4 * K entries);
+      - per block, each predicate atom's mask and each score vector's values
+        (8 * K entries, K of the first program scored with that feature map);
+      - per digest of the selection masks, the imitation and degree terms
+        (256 entries).
+    The pair features and the receiver-major messages come from the dataset's
+    blocks, which build them once for every evaluator. No cache changes a
+    score: each returns exactly what recomputing would.
+    """
 
     def __init__(
         self,
@@ -280,40 +351,38 @@ class SurrogateEvaluator:
         self._crn = [
             rng.random((b.n_tuples, b.n_agents, _MAX_RULES, rand_samples)) for b in dataset.blocks
         ]
-        self._feat_cache: dict[str, list[Array]] = {}
+        self._forms: dict[str, list[_CachedForms]] = {}
         self._picks: OrderedDict[tuple, list[Array]] = OrderedDict()
+        self._memo: OrderedDict[bytes, tuple[float, float]] = OrderedDict()
+        self.scored = 0  # candidate selections scored by _score_masks
+        self.memo_hits = 0  # candidate selections whose score came from the memo
 
     def _features(self, fmap: FeatureMap) -> list[Array]:
-        cached = self._feat_cache.get(fmap.version)
-        if cached is None:
-            cached = [dsl.featurize_agents(b.states, b.obs, fmap) for b in self.dataset.blocks]
-            self._feat_cache[fmap.version] = cached
-        return cached
+        return [b.features(fmap) for b in self.dataset.blocks]
+
+    def counters(self) -> dict[str, int]:
+        """Deterministic work counts: matvecs (one weight vector over one block), scorings, memo hits."""
+        matvecs = sum(f.matvecs for forms in self._forms.values() for f in forms)
+        return {"matvec_blocks": matvecs, "scored": self.scored, "memo_hits": self.memo_hits}
 
     def selections(self, program: Program, sample: int = 0) -> list[Array]:
         """Per block, the OR of the program's per-rule picks (see dsl.eval_program_batch).
 
         A rule's picks depend only on the rule (whose weight vectors fix the
-        feature map), its slot (the CRN column that drives it) and the sample,
-        so they are kept in a least-recently-used cache of at most 4 * K
-        entries, each holding every block's (M, N, N) picks. A proposal edits
-        one of the K rules, so scoring it evaluates that one rule again.
+        feature map), its slot (the CRN column that drives it) and the sample;
+        a rule missing from the pick cache is interpreted over the cached
+        linear forms, so only its new weight vectors cost a matvec.
         """
         feats = self._features(program.feature_map)
-        cache = self._picks
+        forms = self._forms.get(program.feature_map.version)
+        if forms is None:
+            bound = _FORMS_PER_RULE * program.n_rules
+            forms = self._forms[program.feature_map.version] = [_CachedForms(f, bound) for f in feats]
         out = [np.zeros(f.shape[:-1], dtype=bool) for f in feats]
         for slot, rule in enumerate(program.rules):
-            key = (rule, slot, sample)
-            picks = cache.get(key)
-            if picks is None:
-                picks = [
-                    dsl.rule_picks(rule, f, crn[:, :, slot, sample]) for f, crn in zip(feats, self._crn)
-                ]
-                cache[key] = picks
-                while len(cache) > 4 * program.n_rules:
-                    cache.popitem(last=False)
-            else:
-                cache.move_to_end(key)
+            picks, _ = _lru(self._picks, (rule, slot, sample), lambda: [
+                dsl.rule_picks(rule, f, crn[:, :, slot, sample], fm) for f, crn, fm in zip(feats, self._crn, forms)
+            ], 4 * program.n_rules)
             for sel, pick in zip(out, picks):
                 sel |= pick
         return out
@@ -324,9 +393,7 @@ class SurrogateEvaluator:
     def evaluate_detailed(self, program: Program) -> ObjectiveBreakdown:
         totals = np.zeros(2)
         for sample in range(self.rand_samples):
-            masks = self.selections(program, sample)
-            imit, deg = self._score_masks(masks)
-            totals += (imit, deg)
+            totals += self._memo_score(self.selections(program, sample))
         imit, deg = totals / self.rand_samples
         return ObjectiveBreakdown(-imit - self.degree_weight * deg, imit, deg)
 
@@ -334,6 +401,16 @@ class SurrogateEvaluator:
         """Score explicit selection masks; the full-mask case is the sanity ceiling."""
         imit, deg = self._score_masks(list(masks))
         return ObjectiveBreakdown(-imit - self.degree_weight * deg, imit, deg)
+
+    def _memo_score(self, masks: list[Array]) -> tuple[float, float]:
+        """_score_masks, memoised on a digest of the masks."""
+        digest = hashlib.blake2b(digest_size=16)
+        for mask in masks:
+            digest.update(mask)
+        score, missed = _lru(self._memo, digest.digest(), lambda: self._score_masks(masks), _MEMO_SIZE)
+        self.scored += missed
+        self.memo_hits += not missed
+        return score
 
     def _score_masks(self, masks: list[Array]) -> tuple[float, float]:
         ds = self.dataset
@@ -344,8 +421,7 @@ class SurrogateEvaluator:
         for block, sel in zip(ds.blocks, masks):
             m, n = block.n_tuples, block.n_agents
             hard = harden_rows(block.attention[r], sel).data
-            received = block.messages[r].transpose(0, 2, 1, 3)
-            msg_sum = np.einsum("mij,mijd->mid", hard, received)
+            msg_sum = np.einsum("mij,mijd->mid", hard, block.received(r))
             if ds.rounds == 2 and r == 0:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round

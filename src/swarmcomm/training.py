@@ -16,6 +16,7 @@ resampled every iteration.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -54,6 +55,10 @@ class TrainConfig:
             raise ValueError("discount must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError(f"grad_clip must be finite and >= 0 (0 turns clipping off), got {self.grad_clip}")
 
     @property
     def n_iterations(self) -> int:

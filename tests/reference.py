@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from swarmcomm import autodiff as ad
-from swarmcomm.dsl import CommGraph, FeatureMap, Program, RandRule, Rule, _eval_pred, featurize_pairs
+from swarmcomm.dsl import CommGraph, FeatureMap, LinearForms, Program, RandRule, Rule, _eval_pred, featurize_pairs
 from swarmcomm.transformer import TransformerParams, _mlp, harden_rows, squash_action
 
 Array = np.ndarray
@@ -105,7 +105,7 @@ def eval_rule(
     obs = np.stack([np.asarray(o, dtype=np.float64) for _, o in candidates])
     states = np.broadcast_to(np.asarray(s_i, dtype=np.float64), (len(candidates), len(s_i)))
     feats = featurize_pairs(states, obs, fmap)
-    keep = _eval_pred(rule.pred, feats)
+    keep = _eval_pred(rule.pred, LinearForms(feats))
     if not keep.any():
         return None
     if isinstance(rule, RandRule):

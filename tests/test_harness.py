@@ -199,10 +199,12 @@ class TestLockstep:
 
 
 def lossy_cross_policies():
-    """Three combined policies over one network: the lossy setup's program and two others."""
+    """Four combined policies over one network: the lossy setup's program and three others, one of them V2."""
     cfg, policy = lossy_cross_setup()
     others = [
         "#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter(d >= 0.2, l))\n",
+        "#dsl v1 features=V2 rules=2 state_dim=4\nargmax(map(c0xx - d, filter(c1xy >= -0.5, l)))\n"
+        "random(filter(theta + c0yy >= 0, l))\n",
         "#dsl v1 features=V1 rules=2 state_dim=4\nargmax(map(d, filter(1.0 >= 0, l)))\nrandom(filter(theta >= 0, l))\n",
     ]
     programs = [policy.programs[0], *(parse_program(text) for text in others)]
@@ -232,8 +234,8 @@ class TestEvaluateMany:
 
     @pytest.mark.parametrize("n_rollouts", [5, 2])
     def test_equals_separate_evaluate_calls(self, monkeypatch, n_rollouts):
-        # mixed agent counts, a random rule and lossy links; with 2 rollouts the
-        # 6 worlds outnumber the chunk bound of 3
+        # mixed agent counts, V1 and V2 feature maps, random rules and lossy
+        # links; with 2 rollouts the 8 worlds outnumber the chunk bound of 4
         cfg, policies = lossy_cross_policies()
         alone = [evaluate(p, cfg, n_rollouts, 1.0, 63) for p in policies]
         batches = self._spy_batches(monkeypatch)
@@ -999,6 +1001,26 @@ class TestCli:
             ("sweep", "--val-rollouts", "0"),
             ("collect", "--rollouts", "-1"),
             ("collect", "--seed", "-1"),
+            ("synthesize", "--rules", "0"),
+            # bad float options: non-finite or out of range
+            ("evaluate", "--gamma", "-3"),
+            ("evaluate", "--gamma", "1.5"),
+            ("evaluate", "--gamma", "nan"),
+            ("evaluate", "--comm-weight", "nan"),
+            ("evaluate", "--comm-weight", "inf"),
+            ("evaluate", "--comm-weight", "-1"),
+            ("sweep", "--comm-weight", "nan"),
+            ("synthesize", "--lambda", "nan"),
+            ("synthesize", "--lambda", "inf"),
+            ("synthesize", "--lambda", "0"),
+            ("synthesize", "--beta", "nan"),
+            ("synthesize", "--beta", "-1"),
+            ("train-oracle", "--lr", "nan"),
+            ("train-oracle", "--lr", "inf"),
+            ("train-oracle", "--lr", "-1"),
+            ("train-oracle", "--clip", "nan"),
+            ("train-oracle", "--clip", "inf"),
+            ("train-oracle", "--clip", "-1"),
         ],
     )
     def test_bad_counts_are_usage_errors(self, cli_workspace, tmp_path, capsys, command, flag, value):
@@ -1009,10 +1031,11 @@ class TestCli:
             "evaluate": ["--params", str(ws / "oracle.json"), "--config", str(ws / "task.json"), "--out", str(out)],
             "sweep": ["--dataset", str(ws / "data.jsonl"), "--config", str(ws / "task.json"), "--out-dir", str(out)],
             "collect": ["--params", str(ws / "oracle.json"), "--config", str(ws / "task.json"), "--out", str(out)],
+            "synthesize": ["--dataset", str(ws / "data.jsonl"), "--out", str(out)],
         }[command]
         assert cli.main([command, *argv, flag, value]) == 1
         err = capsys.readouterr().err
-        assert "error[usage]" in err
+        assert err.startswith("error[usage]") and len(err.splitlines()) == 1
         assert flag.lstrip("-").split("-")[0] in err
         assert "Traceback" not in err
         assert not out.exists()

@@ -212,19 +212,21 @@ class TestSurrogateObjective:
 
 
 class TestSelectionCache:
-    """The per-rule pick cache changes no score: chains equal ones scored without it."""
+    """The evaluator's caches change no score: chains equal ones scored without them."""
 
     @staticmethod
     def _chains(dataset, cfg, seed, round_index=0):
         cached = mcmc_synthesize(dataset, cfg, make_rng(seed), round_index=round_index)
-        # the same chain with an evaluator built from the same draws, its cache
-        # cleared before every candidate
+        # the same chain with an evaluator built from the same draws, its pick
+        # cache, linear-form caches and score memo cleared before every candidate
         rng = make_rng(seed)
         ev = SurrogateEvaluator(dataset, cfg.degree_weight, round_index, cfg.rand_rule_samples, rng)
         visited_random = []
 
         def uncached_objective(program):
             ev._picks.clear()
+            ev._forms.clear()
+            ev._memo.clear()
             visited_random.append(any(isinstance(r, RandRule) for r in program.rules))
             return ev.evaluate(program)
 
@@ -277,14 +279,37 @@ class TestSelectionCache:
 
         def objective(program):
             value = ev.evaluate(program)
-            sizes.append(len(ev._picks))
+            forms = [len(f.cache) for f in ev._forms["v1"]]
+            sizes.append((len(ev._picks), max(forms), len(ev._memo)))
             return value
 
         mcmc_synthesize(dataset, cfg, rng, objective_fn=objective)
-        assert max(sizes) <= 4 * cfg.n_rules
+        picks, forms, memo = np.max(sizes, axis=0)
+        # the pick cache, each block's linear forms and the score memo stay within their bounds
+        assert picks <= 4 * cfg.n_rules and forms <= 8 * cfg.n_rules and memo <= 256
         # a proposal edits one rule: far fewer evaluations than K per sample and candidate
         candidates = cfg.mcmc_steps + 1
         assert len(evaluations) < 0.5 * candidates * cfg.n_rules * cfg.rand_rule_samples * len(dataset.blocks)
+        # mostly one of its weight vectors, once for every sample: about one matvec per candidate and block
+        counters = ev.counters()
+        assert counters["matvec_blocks"] < 1.5 * candidates * len(dataset.blocks)
+        assert counters["scored"] + counters["memo_hits"] == candidates * cfg.rand_rule_samples
+
+    def test_evaluators_sharing_a_dataset_score_as_on_a_fresh_copy(self):
+        # blocks build their features and receiver-major messages once, for every evaluator
+        task = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
+        shared = tiny_dataset(n_rollouts=2, cfg=task)
+        rng = make_rng(34)
+        programs = [initial_program(SynthConfig(n_rules=2, feature_version=v), shared.state_dim, rng) for v in ("v1", "v2")]
+        for _ in range(6):
+            programs.append(propose(programs[-2], rng))
+        for round_index in (0, 1):
+            for sample_seed in (35, 36):
+                ev = SurrogateEvaluator(shared, 0.5, round_index, 2, make_rng(sample_seed))
+                fresh = SurrogateEvaluator(tiny_dataset(n_rollouts=2, cfg=task), 0.5, round_index, 2, make_rng(sample_seed))
+                for program in programs:
+                    assert ev.evaluate_detailed(program) == fresh.evaluate_detailed(program)
+        assert {key[0] for b in shared.blocks for key in b._derived} == {"features", "received"}
 
 
 class TestPropose:

@@ -3,7 +3,8 @@
     python3 tools/bench_file.py --pr N \
         --parent-root PARENT_CHECKOUT --parent-runs PARENT_RUN_DIR \
         --change-root . --change-runs CHANGE_RUN_DIR \
-        [--tier1-parent-s SECONDS] [--tier1-change-s SECONDS] --out BENCH_N.json
+        [--tier1-parent-s SECONDS] [--tier1-change-s SECONDS] \
+        [--parent-chain LOG ... --change-chain LOG ...] --out BENCH_N.json
 
 A run directory holds the captured stdout of ``bench/run.py``: one file
 ``<workload>.<seed>.log`` per untraced run (``--trace 0``) and one
@@ -14,8 +15,10 @@ deterministic counters of the traced run, the ``src/`` line count and the
 Tier-1 wall time when given; plus the machine (``nproc``, BLAS, thread
 variables) and, per metric, the change/parent ratio of the medians, the
 parent's interquartile range and how many same-seed pairs the change read
-lower or higher. Standard library only; the BLAS name is read from numpy in a
-child process.
+lower or higher. A chain log is the captured stdout of one
+``tools/chain_bench.py`` run; given them, the file also holds each side's
+per-candidate times, counters and output digests, paired in the order given.
+Standard library only; the BLAS name is read from numpy in a child process.
 """
 
 from __future__ import annotations
@@ -85,6 +88,30 @@ def summarize(run_dir: Path) -> dict:
     return out
 
 
+def summarize_chains(logs: list[Path]) -> dict:
+    """chain_bench runs of one side: per-run median and min ms per candidate, counters, digests."""
+    runs = [last_json_line(path) for path in logs]
+    medians = [r["ms_per_candidate"]["median"] for r in runs]
+    q1, _, q3 = statistics.quantiles(medians, n=4) if len(medians) > 1 else (medians[0],) * 3
+    first = runs[0]
+    return {
+        "runs": len(runs),
+        "steps": first["steps"],
+        "tuples": first["tuples"],
+        "median_ms_by_run": medians,
+        "min_ms_by_run": [r["ms_per_candidate"]["min"] for r in runs],
+        "median_ms": statistics.median(medians),
+        "q1_ms": q1,
+        "q3_ms": q3,
+        "matvecs_per_candidate": first["matvecs_per_candidate"],
+        "counters": first["counters"],
+        "deterministic": all((r["counters"], r["chain_sha256"], r["program_sha256"])
+                             == (first["counters"], first["chain_sha256"], first["program_sha256"]) for r in runs),
+        "chain_sha256": first["chain_sha256"],
+        "program_sha256": first["program_sha256"],
+    }
+
+
 def blas_name() -> str:
     code = ("import numpy; c = numpy.show_config(mode='dicts'); b = c['Build Dependencies']['blas'];"
             "print(b.get('name', '?'), b.get('version', ''))")
@@ -104,6 +131,8 @@ def main() -> int:
     parser.add_argument("--change-runs", type=Path, required=True)
     parser.add_argument("--tier1-parent-s", type=float)
     parser.add_argument("--tier1-change-s", type=float)
+    parser.add_argument("--parent-chain", type=Path, nargs="+", default=[])
+    parser.add_argument("--change-chain", type=Path, nargs="+", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -135,6 +164,19 @@ def main() -> int:
                 "change_higher": sum(m["by_seed"][s] > b["by_seed"][s] for s in pairs),
             }
         comparison[workload] = rows
+    chain = None
+    if args.parent_chain and args.change_chain:
+        chain = {side: summarize_chains(getattr(args, f"{side}_chain")) for side in ("parent", "change")}
+        before, after = chain["parent"], chain["change"]
+        pairs = list(zip(before["median_ms_by_run"], after["median_ms_by_run"]))
+        chain["change_vs_parent"] = {
+            "median_ratio": after["median_ms"] / before["median_ms"],
+            "parent_iqr_ms": before["q3_ms"] - before["q1_ms"],
+            "pairs": len(pairs),
+            "change_lower": sum(a < b for b, a in pairs),
+            "same_outputs": (before["chain_sha256"], before["program_sha256"])
+            == (after["chain_sha256"], after["program_sha256"]),
+        }
     doc = {
         "pr": args.pr,
         "command": "python3 bench/run.py --workload W --seed S --seconds 35 --trace 0|1",
@@ -150,6 +192,8 @@ def main() -> int:
         "change": sides["change"],
         "change_vs_parent": comparison,
     }
+    if chain is not None:
+        doc["chain_bench"] = dict(chain, command="python3 tools/chain_bench.py --root ROOT --steps N")
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
