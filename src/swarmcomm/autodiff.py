@@ -6,6 +6,13 @@ append a record (op name, input ids, output id, vjp closure) to the tape, and
 ``backward`` walks the records in reverse. Tensors without a tape behave as
 plain numpy wrappers, which gives evaluation code a zero-cost fast path
 through the same forward functions.
+
+A record notes which of its inputs need a gradient: a ``requires_grad`` leaf,
+or an op output that depends on one. Its vjp computes only those, so the
+gradients of constants (noise, masks, scalars) are never formed. ``backward``
+drops each record's vjp as soon as it has run or been skipped, which frees the
+forward arrays the closure saved; the walked tape is spent and a second
+``backward`` on it raises, as in PyTorch without ``retain_graph``.
 """
 
 from __future__ import annotations
@@ -41,12 +48,17 @@ def _check_finite(data: Array, context: str) -> None:
         raise NonFiniteValue(f"non-finite result in {context}")
 
 
+# vjp(g, need): the gradient of each input flagged in need, None for the others
+Vjp = Callable[[Array, tuple[bool, ...]], tuple[Optional[Array], ...]]
+
+
 @dataclass
 class TapeRecord:
     op: str
     input_ids: tuple[int, ...]
     output_id: int
-    vjp: Callable[[Array], tuple[Optional[Array], ...]]
+    vjp: Optional[Vjp]  # None once backward has walked past the record
+    need: tuple[bool, ...]  # per input: does a weight's gradient flow through it
 
 
 class Tape:
@@ -56,6 +68,8 @@ class Tape:
         self.records: list[TapeRecord] = []
         self.leaf_values: dict[int, Array] = {}
         self.leaf_requires_grad: dict[int, bool] = {}
+        self.spent = False  # set by backward, which frees the saved values
+        self._grad_ids: set[int] = set()  # requires_grad leaves and the op outputs that depend on one
         self._next_id = 0
 
     def _alloc_id(self) -> int:
@@ -69,6 +83,8 @@ class Tape:
         node_id = self._alloc_id()
         self.leaf_values[node_id] = arr
         self.leaf_requires_grad[node_id] = requires_grad
+        if requires_grad:
+            self._grad_ids.add(node_id)
         return Tensor(arr, tape=self, node_id=node_id)
 
     def constant(self, data: TensorLike) -> "Tensor":
@@ -79,11 +95,14 @@ class Tape:
         op: str,
         inputs: Sequence["Tensor"],
         out_data: Array,
-        vjp: Callable[[Array], tuple[Optional[Array], ...]],
+        vjp: Vjp,
     ) -> "Tensor":
         _check_finite(out_data, op)
         node_id = self._alloc_id()
-        self.records.append(TapeRecord(op, tuple(t.node_id for t in inputs), node_id, vjp))
+        need = tuple(t.node_id in self._grad_ids for t in inputs)
+        if any(need):
+            self._grad_ids.add(node_id)
+        self.records.append(TapeRecord(op, tuple(t.node_id for t in inputs), node_id, vjp, need))
         return Tensor(out_data, tape=self, node_id=node_id)
 
 
@@ -147,6 +166,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def _only(need: tuple[bool, ...], *grads: Callable[[], Array]) -> tuple[Optional[Array], ...]:
+    """Each input's gradient, computed by its thunk where need is set, else None."""
+    return tuple(grad() if n else None for n, grad in zip(need, grads))
+
+
 def _softmax_raw(x: Array) -> Array:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -165,8 +189,8 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
         return Tensor(out)
     sa, sb = ta.data.shape, tb.data.shape
 
-    def vjp(g: Array):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+    def vjp(g: Array, need):
+        return _only(need, lambda: _unbroadcast(g, sa), lambda: _unbroadcast(g, sb))
 
     return tape.emit("add", (ta, tb), out, vjp)
 
@@ -178,8 +202,8 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
         return Tensor(out)
     sa, sb = ta.data.shape, tb.data.shape
 
-    def vjp(g: Array):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
+    def vjp(g: Array, need):
+        return _only(need, lambda: _unbroadcast(g, sa), lambda: _unbroadcast(-g, sb))
 
     return tape.emit("sub", (ta, tb), out, vjp)
 
@@ -191,8 +215,8 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
         return Tensor(out)
     da, db = ta.data, tb.data
 
-    def vjp(g: Array):
-        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
+    def vjp(g: Array, need):
+        return _only(need, lambda: _unbroadcast(g * db, da.shape), lambda: _unbroadcast(g * da, db.shape))
 
     return tape.emit("mul", (ta, tb), out, vjp)
 
@@ -206,10 +230,12 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
         return Tensor(out)
     da, db = ta.data, tb.data
 
-    def vjp(g: Array):
-        ga = _unbroadcast(g / db, da.shape)
-        gb = _unbroadcast(-g * da / (db * db), db.shape)
-        return ga, gb
+    def vjp(g: Array, need):
+        return _only(
+            need,
+            lambda: _unbroadcast(g / db, da.shape),
+            lambda: _unbroadcast(-g * da / (db * db), db.shape),
+        )
 
     return tape.emit("div", (ta, tb), out, vjp)
 
@@ -226,14 +252,14 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         return Tensor(out)
     da, db = ta.data, tb.data
 
-    def vjp(g: Array):
+    def vjp(g: Array, need):
         if da.ndim == 2 and db.ndim == 2:
-            return g @ db.T, da.T @ g
+            return _only(need, lambda: g @ db.T, lambda: da.T @ g)
         if da.ndim == 2 and db.ndim == 1:
-            return np.outer(g, db), da.T @ g
+            return _only(need, lambda: np.outer(g, db), lambda: da.T @ g)
         if da.ndim == 1 and db.ndim == 2:
-            return db @ g, np.outer(da, g)
-        return g * db, g * da
+            return _only(need, lambda: db @ g, lambda: np.outer(da, g))
+        return _only(need, lambda: g * db, lambda: g * da)
 
     return tape.emit("matmul", (ta, tb), out, vjp)
 
@@ -269,11 +295,14 @@ def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: Tenso
     dx, dw1, dw2 = tx.data, tw1.data, tw2.data
     sb1, sb2 = tb1.data.shape, tb2.data.shape
 
-    def vjp(g: Array):
-        gh = g @ dw2.T
-        gw2 = h.T @ g
-        gpre = gh * (1.0 - h * h)
-        return gpre @ dw1.T, dx.T @ gpre, _unbroadcast(gpre, sb1), gw2, _unbroadcast(g, sb2)
+    def vjp(g: Array, need):
+        gx = gw1 = gb1 = None
+        if need[0] or need[1] or need[2]:
+            gh = g @ dw2.T
+            gpre = gh * (1.0 - h * h)
+            gx, gw1, gb1 = _only(need[:3], lambda: gpre @ dw1.T, lambda: dx.T @ gpre, lambda: _unbroadcast(gpre, sb1))
+        gw2, gb2 = _only(need[3:], lambda: h.T @ g, lambda: _unbroadcast(g, sb2))
+        return gx, gw1, gb1, gw2, gb2
 
     return tape.emit("mlp", items, out, vjp)
 
@@ -299,8 +328,8 @@ def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
     sizes = [t.data.shape[axis] for t in items]
     splits = np.cumsum(sizes)[:-1]
 
-    def vjp(g: Array):
-        return tuple(np.split(g, splits, axis=axis))
+    def vjp(g: Array, need):
+        return tuple(part if n else None for n, part in zip(need, np.split(g, splits, axis=axis)))
 
     return tape.emit("concat", items, out, vjp)
 
@@ -313,7 +342,7 @@ def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
         return Tensor(out)
     orig = ta.data.shape
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         return (g.reshape(orig),)
 
     return tape.emit("reshape", (ta,), out, vjp)
@@ -327,7 +356,7 @@ def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
         return Tensor(out)
     inverse = tuple(np.argsort(axes))
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         return (np.transpose(g, inverse),)
 
     return tape.emit("transpose", (ta,), out, vjp)
@@ -340,7 +369,7 @@ def getitem(a: TensorLike, key) -> Tensor:
         return Tensor(out)
     shape = ta.data.shape
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         full = np.zeros(shape, dtype=np.float64)
         np.add.at(full, key, g)
         return (full,)
@@ -355,7 +384,7 @@ def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         return Tensor(out)
     shape = ta.data.shape
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         if axis is None:
             return (np.broadcast_to(g, shape).copy(),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
@@ -372,7 +401,7 @@ def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         return Tensor(out)
     data = ta.data
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         mask = np.zeros(data.shape, dtype=np.float64)
         if axis is None:
             mask.flat[int(np.argmax(data))] = 1.0
@@ -393,7 +422,7 @@ def relu(a: TensorLike) -> Tensor:
         return Tensor(out)
     mask = (ta.data > 0.0).astype(np.float64)
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         return (g * mask,)
 
     return tape.emit("relu", (ta,), out, vjp)
@@ -405,7 +434,7 @@ def tanh(a: TensorLike) -> Tensor:
     if tape is None:
         return Tensor(out)
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         return (g * (1.0 - out * out),)
 
     return tape.emit("tanh", (ta,), out, vjp)
@@ -418,7 +447,7 @@ def sqrt(a: TensorLike) -> Tensor:
         _check_finite(out, "sqrt")
         return Tensor(out)
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         return (g * 0.5 / out,)
 
     return tape.emit("sqrt", (ta,), out, vjp)
@@ -431,7 +460,7 @@ def softmax(a: TensorLike) -> Tensor:
     if tape is None:
         return Tensor(out)
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
@@ -447,7 +476,7 @@ def l2_norm(a: TensorLike) -> Tensor:
     data = ta.data
     safe = np.where(out == 0.0, 1.0, out)
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         zero = np.expand_dims(out == 0.0, -1)
         scale = np.where(zero, 0.0, np.expand_dims(g, -1) / np.expand_dims(safe, -1))
         return (data * scale,)
@@ -464,7 +493,7 @@ def take_along_last(a: TensorLike, indices: Array) -> Tensor:
         return Tensor(out)
     shape = ta.data.shape
 
-    def vjp(g: Array):
+    def vjp(g: Array, _need):
         full = np.zeros(shape, dtype=np.float64)
         flat_full = full.reshape(-1, shape[-1])
         flat_idx = np.broadcast_to(idx, g.shape).reshape(-1, g.shape[-1])
@@ -482,18 +511,28 @@ def take_along_last(a: TensorLike, indices: Array) -> Tensor:
 
 
 def backward(tape: Tape, output: Tensor) -> dict[int, Array]:
-    """Reverse-mode gradients of a scalar output w.r.t. every requires_grad leaf."""
+    """Reverse-mode gradients of a scalar output w.r.t. every requires_grad leaf.
+
+    Spends the tape: each record's vjp is dropped once it has run or been
+    skipped, so the forward arrays it saved are freed during the walk. The
+    records themselves stay; a second backward raises AutodiffError.
+    """
     if output.tape is not tape:
         raise AutodiffError("output does not belong to this tape")
     if output.data.size != 1:
         raise AutodiffError("backward requires a scalar output")
+    if tape.spent:
+        raise AutodiffError("backward already ran on this tape and freed its saved values")
+    tape.spent = True
     grads: dict[int, Array] = {output.node_id: np.ones_like(output.data)}
     wanted = {i for i, req in tape.leaf_requires_grad.items() if req}
     for rec in reversed(tape.records):
+        vjp, rec.vjp = rec.vjp, None
         g_out = grads.pop(rec.output_id, None)
-        if g_out is None:
+        if g_out is None or not any(rec.need):
             continue
-        input_grads = rec.vjp(g_out)
+        input_grads = vjp(g_out, rec.need)
+        del vjp
         for node_id, g_in in zip(rec.input_ids, input_grads):
             if g_in is None:
                 continue

@@ -100,6 +100,33 @@ def _stack(values: list, key: str, shape: tuple[int, ...], kinds: str = "fiu") -
     return arr
 
 
+def _numbers(value: Any) -> Any:
+    """A rectangular nest of numbers as an array; anything else unchanged, for _stack to reject."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return value
+    return arr if arr.dtype.kind in "fiu" else value
+
+
+def _parse_row(line: str) -> dict:
+    """One dataset line, its number lists turned into arrays as it is read.
+
+    A row line holds fixed keys and numbers only, so a true or false token in
+    it is a boolean standing in for a number.
+    """
+    if "true" in line or "false" in line:
+        raise SynthError("dataset rows hold numbers only, got true or false")
+    row = json.loads(line)
+    _agent_count(row)
+    for key, value in row.items():
+        if key in ("msg", "alpha") and isinstance(value, list):
+            row[key] = [_numbers(v) for v in value]
+        elif key in ("s", "o", "a", "goal_perm_inv"):
+            row[key] = _numbers(value)
+    return row
+
+
 @dataclass
 class DatasetBlock:
     """Tuples sharing one agent count, stacked for vectorized scoring."""
@@ -231,8 +258,8 @@ class SynthDataset:
             if params.task_mismatch(task):
                 raise SynthError(f"header task: {params.task_mismatch(task)}")
             groups: dict[int, list[dict]] = {}
-            for row in map(json.loads, filter(str.strip, fh)):
-                groups.setdefault(_agent_count(row), []).append(row)
+            for row in map(_parse_row, filter(str.strip, fh)):
+                groups.setdefault(row["n"], []).append(row)
         return cls(task, params, [DatasetBlock.from_rows(params, rows) for rows in groups.values()])
 
 

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("discount must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.val_interval < 1:
+            raise ValueError(f"val_interval must be >= 1, got {self.val_interval}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):

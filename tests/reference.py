@@ -3,7 +3,8 @@
 One agent or one row at a time, written from the definitions: a message from
 one (state, observation) pair, one attention row, one agent's action, one
 feature vector, the per-agent rule interpreter, the communication graph
-built agent by agent with it, and a rollout's (discounted) return.
+built agent by agent with it, and a rollout's (discounted) return. Plus a
+reverse walk of a tape that asks every vjp for the gradient of every input.
 """
 
 from typing import Iterable, Optional, Sequence
@@ -15,6 +16,22 @@ from swarmcomm.dsl import CommGraph, FeatureMap, LinearForms, Program, RandRule,
 from swarmcomm.transformer import TransformerParams, _mlp, harden_rows, squash_action
 
 Array = np.ndarray
+
+
+def every_input_backward(tape: ad.Tape, output: ad.Tensor) -> dict[int, Array]:
+    """Gradients of a scalar output w.r.t. every requires_grad leaf, from a walk
+    that computes the gradient of every input of every op it reaches, constants
+    included, and frees nothing: autodiff.backward can walk the tape after it.
+    """
+    grads = {output.node_id: np.ones_like(output.data)}
+    for rec in reversed(tape.records):
+        g_out = grads.pop(rec.output_id, None)
+        if g_out is None:
+            continue
+        for node_id, g_in in zip(rec.input_ids, rec.vjp(g_out, (True,) * len(rec.input_ids))):
+            grads[node_id] = grads[node_id] + g_in if node_id in grads else g_in
+    wanted = [i for i, req in tape.leaf_requires_grad.items() if req]
+    return {i: grads[i] if i in grads else np.zeros_like(tape.leaf_values[i]) for i in wanted}
 
 
 def trajectory_return(traj, gamma: float = 1.0) -> float:

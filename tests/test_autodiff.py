@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,61 @@ class TestTapeMechanics:
             assert all(i in produced for i in rec.input_ids)
             assert rec.output_id not in produced
             produced.add(rec.output_id)
+
+
+class TestSpentTape:
+    """backward computes only the gradients that reach a weight and frees the tape as it walks it."""
+
+    def test_second_backward_raises(self):
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
+        out = ad.tensor_sum(ad.mul(x, x))
+        backward(tape, out)
+        assert tape.spent
+        with pytest.raises(ad.AutodiffError, match="already ran"):
+            backward(tape, out)
+
+    def test_rejected_output_spends_nothing(self):
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
+        y = ad.mul(x, x)
+        with pytest.raises(ad.AutodiffError):
+            backward(tape, y)
+        with pytest.raises(ad.AutodiffError):
+            backward(Tape(), ad.tensor_sum(y))
+        assert not tape.spent
+        grads = backward(tape, ad.tensor_sum(y))
+        np.testing.assert_array_equal(grads[x.node_id], [2.0, 4.0])
+
+    def test_saved_intermediate_is_freed_and_records_kept(self):
+        tape = Tape()
+        x = tape.leaf(make_rng(0).normal(size=(300, 300)), requires_grad=True)
+        h = ad.tanh(x)
+        saved = weakref.ref(h.data)
+        out = ad.tensor_sum(ad.mul(h, h))
+        del h
+        n_records = len(tape.records)
+        assert saved() is not None  # the tanh and mul vjps hold it
+        backward(tape, out)
+        assert saved() is None
+        assert len(tape.records) == n_records
+        assert all(rec.vjp is None for rec in tape.records)
+
+    def test_only_inputs_that_reach_a_weight_need_a_gradient(self):
+        tape = Tape()
+        w = tape.leaf(np.ones(3), requires_grad=True)
+        noise = tape.constant(np.arange(3.0))
+        masked = ad.mul(noise, tape.constant(np.array([1.0, 0.0, 1.0])))
+        out = ad.tensor_sum(ad.div(ad.add(w, masked), 2.0))
+        assert [rec.need for rec in tape.records] == [(False, False), (True, False), (True, False), (True,)]
+        asked = []
+        rec = tape.records[1]
+        vjp = rec.vjp
+        rec.vjp = lambda g, need: asked.append(need) or vjp(g, need)
+        grads = backward(tape, out)
+        assert asked == [(True, False)]
+        np.testing.assert_array_equal(grads[w.node_id], np.full(3, 0.5))
+        assert set(grads) == {w.node_id}
 
 
 class TestAdam:

@@ -511,6 +511,7 @@ BAD_DATASETS = {
     "header-task_kind": _bad_dataset("grid", lambda h, rows: h["task"].update(task_kind="random-cross")),
     "o=NaN": _bad_dataset("grid", lambda h, rows: rows[0]["o"][0][1].__setitem__(0, float("nan"))),
     "unknown-row-key": _bad_dataset("grid", lambda h, rows: rows[0].update(extra=1)),
+    "s=true": _bad_dataset("grid", lambda h, rows: rows[0]["s"][0].__setitem__(1, True)),
 }
 
 

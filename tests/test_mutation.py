@@ -6,7 +6,9 @@ header keys are dropped, duplicated or retyped, lines truncated, arrays
 reshaped, and NaN, wrong widths or out-of-range indices written in; the
 manifest's args and fields are retyped. Every mutant goes through
 ``cli.main`` (``synthesize --steps 1`` or ``rerun``) and must exit 0, or exit 1
-with exactly one ``error[...]`` line; it must never raise.
+with exactly one ``error[...]`` line; it must never raise. A dataset with a
+boolean inside one of its arrays must exit 1 with one ``error[bad-config]``
+line.
 """
 
 import copy
@@ -24,6 +26,7 @@ from conftest import make_rng
 SEED = 1990
 N_DATASET_MUTANTS = 70  # per task kind
 N_MANIFEST_MUTANTS = 60
+N_BOOLEAN_MUTANTS = 15  # per task kind
 
 ARRAY_KEYS = ("s", "o", "msg", "alpha", "a", "goal_perm_inv")
 # no valid count here: a manifest's rollouts of 2 ** 70 would run; no small int, which is an open file descriptor
@@ -187,6 +190,30 @@ def test_dataset_mutants_exit_cleanly(collected, tmp_path, capsys):
             problem = _outcome(argv, capsys)
             if problem:
                 failures.append(f"{name} mutant {k} ({what}): {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def test_boolean_inside_an_array_is_one_bad_config_line(collected, tmp_path, capsys):
+    rng = random.Random(SEED + 2)
+    failures = []
+    for name, root in collected.items():
+        header, *rows = [json.loads(line) for line in (root / "data.jsonl").read_text().splitlines()]
+        for k in range(N_BOOLEAN_MUTANTS):
+            mutant = copy.deepcopy(rows)
+            row = rng.choice(mutant)
+            key = rng.choice([key for key in ARRAY_KEYS if key in row])
+            parent, i = _leaf(row[key], rng)
+            parent[i] = rng.choice((True, False))
+            path = tmp_path / f"{name}-bool-{k}.jsonl"
+            path.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *mutant]))
+            argv = ["synthesize", "--dataset", str(path), "--steps", "1", "--out", str(tmp_path / "p.txt"), "--seed", "3"]
+            try:
+                rc = cli.main(argv)
+            except (Exception, SystemExit) as exc:  # the failure under test, reported per mutant
+                rc = f"raised {type(exc).__name__}: {exc}"
+            lines = capsys.readouterr().err.splitlines()
+            if rc != 1 or len(lines) != 1 or not lines[0].startswith("error[bad-config]: "):
+                failures.append(f"{name} mutant {k} ({key} = {parent[i]}): exit {rc}, stderr {lines[-3:]}")
     assert not failures, "\n".join(failures)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from swarmcomm import autodiff as ad
 from swarmcomm.autodiff import Tensor
-from swarmcomm.dsl import DetRule, FeatureMap, Program, ScoreExpr, feature_names, true_predicate
+from swarmcomm.dsl import DetRule, FeatureMap, Program, RandRule, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import GlobalState, RewardParams, TaskConfig, WorldBatch, rollout, sample_initial
 from swarmcomm.policy import CombinedPolicy, TfFullPolicy
 from swarmcomm.training import (
@@ -18,7 +19,7 @@ from swarmcomm.training import (
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import trajectory_return
+from reference import every_input_backward, trajectory_return
 
 
 def single_agent_sampler(distance: float):
@@ -113,6 +114,38 @@ class TestUnrollRolloutConsistency:
         assert score == pytest.approx(float(np.mean(per_world)), abs=1e-9)
 
 
+class TestBackwardMatchesEveryInputWalk:
+    """One training iteration's weight gradients are bitwise those of a walk that computes every input's gradient."""
+
+    def _check_iteration(self, cfg, seed, programs=None):
+        rng = make_rng(seed)
+        params = init_for_task(cfg, rng, key_dim=4, msg_dim=4, hidden_dim=8)
+        worlds = sample_world_batch(cfg, 4, rng)
+        tape = ad.Tape()
+        weights = {name: tape.leaf(value, requires_grad=True) for name, value in params.store.params.items()}
+        score = unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, programs=programs, tape=tape, weights=weights)
+        expected = every_input_backward(tape, score)
+        grads = ad.backward(tape, score)
+        assert set(grads) == {t.node_id for t in weights.values()}
+        for name, t in weights.items():
+            assert grads[t.node_id].tobytes() == expected[t.node_id].tobytes(), name
+        assert any(np.any(g != 0.0) for g in grads.values())
+
+    def test_crossing(self):
+        cfg = TaskConfig(task_kind="random-cross", n_agents_per_group=2, horizon=6, group_presence_prob=1.0)
+        self._check_iteration(cfg, seed=40)
+
+    def test_grid_with_lossy_links(self):
+        cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=1, horizon=6, link_failure_prob=0.3)
+        self._check_iteration(cfg, seed=41)
+
+    def test_retrain_with_a_random_rule(self):
+        cfg = TaskConfig(task_kind="random-cross", n_agents_per_group=2, horizon=6, group_presence_prob=1.0)
+        fmap = FeatureMap("v1")
+        program = Program((RandRule(true_predicate(fmap, 4)), nearest_program().rules[0]), fmap)
+        self._check_iteration(cfg, seed=42, programs=[program])
+
+
 class TestTrainOracle:
     def test_zero_rollouts_returns_initial_params(self):
         cfg = single_agent_cfg(horizon=5)
@@ -163,6 +196,11 @@ class TestTrainOracle:
         assert [(c.iteration, c.mean_reward) for c in r1.curve] == [
             (c.iteration, c.mean_reward) for c in r2.curve
         ]
+
+    @pytest.mark.parametrize("val_interval", [0, -3])
+    def test_val_interval_below_one_rejected(self, val_interval):
+        with pytest.raises(ValueError, match="val_interval"):
+            TrainConfig(val_interval=val_interval)
 
     def test_grad_norm_recorded_and_finite(self):
         cfg = single_agent_cfg(horizon=5)

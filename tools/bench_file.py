@@ -4,7 +4,8 @@
         --parent-root PARENT_CHECKOUT --parent-runs PARENT_RUN_DIR \
         --change-root . --change-runs CHANGE_RUN_DIR \
         [--tier1-parent-s SECONDS] [--tier1-change-s SECONDS] \
-        [--parent-chain LOG ... --change-chain LOG ...] --out BENCH_N.json
+        [--parent-chain LOG ... --change-chain LOG ...] \
+        [--parent-stage-rss LOG ... --change-stage-rss LOG ...] --out BENCH_N.json
 
 A run directory holds the captured stdout of ``bench/run.py``: one file
 ``<workload>.<seed>.log`` per untraced run (``--trace 0``) and one
@@ -18,6 +19,9 @@ parent's interquartile range and how many same-seed pairs the change read
 lower or higher. A chain log is the captured stdout of one
 ``tools/chain_bench.py`` run; given them, the file also holds each side's
 per-candidate times, counters and output digests, paired in the order given.
+A stage-rss log is the captured stdout of one ``tools/stage_rss.py`` run;
+given them, the file also holds, per side and workload, the peak resident
+memory and minor page faults after each stage and the stage that set the peak.
 Standard library only; the BLAS name is read from numpy in a child process.
 """
 
@@ -112,6 +116,20 @@ def summarize_chains(logs: list[Path]) -> dict:
     }
 
 
+def summarize_stage_rss(logs: list[Path]) -> dict:
+    """stage_rss runs of one side, by workload: peak, the stage that set it, and every stage's figures."""
+    out = {}
+    for path in logs:
+        r = last_json_line(path)
+        out[r["workload"]] = {
+            "seed": r["seed"],
+            "peak_rss_mb": r["peak_rss_mb"],
+            "peak_stage": r["peak_stage"],
+            "stages": {s["stage"]: {"maxrss_mb": s["maxrss_mb"], "minflt": s["minflt"]} for s in r["stages"]},
+        }
+    return out
+
+
 def blas_name() -> str:
     code = ("import numpy; c = numpy.show_config(mode='dicts'); b = c['Build Dependencies']['blas'];"
             "print(b.get('name', '?'), b.get('version', ''))")
@@ -133,6 +151,8 @@ def main() -> int:
     parser.add_argument("--tier1-change-s", type=float)
     parser.add_argument("--parent-chain", type=Path, nargs="+", default=[])
     parser.add_argument("--change-chain", type=Path, nargs="+", default=[])
+    parser.add_argument("--parent-stage-rss", type=Path, nargs="+", default=[])
+    parser.add_argument("--change-stage-rss", type=Path, nargs="+", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -194,6 +214,11 @@ def main() -> int:
     }
     if chain is not None:
         doc["chain_bench"] = dict(chain, command="python3 tools/chain_bench.py --root ROOT --steps N")
+    if args.parent_stage_rss and args.change_stage_rss:
+        doc["stage_rss"] = {
+            "command": "python3 tools/stage_rss.py --root ROOT --workload W --seed S",
+            **{side: summarize_stage_rss(getattr(args, f"{side}_stage_rss")) for side in ("parent", "change")},
+        }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
