@@ -1,18 +1,22 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 The training loop differentiates a fully unrolled multi-step simulation, so
-everything here is tape-based: operations executed on tape-attached tensors
-append a record (op name, input ids, output id, vjp closure) to the tape, and
+everything here is tape-based: operations on a weight's gradient path append
+a record (op name, input ids, output id, vjp closure) to the tape, and
 ``backward`` walks the records in reverse. Tensors without a tape behave as
 plain numpy wrappers, which gives evaluation code a zero-cost fast path
 through the same forward functions.
 
-A record notes which of its inputs need a gradient: a ``requires_grad`` leaf,
-or an op output that depends on one. Its vjp computes only those, so the
-gradients of constants (noise, masks, scalars) are never formed. ``backward``
-drops each record's vjp as soon as it has run or been skipped, which frees the
-forward arrays the closure saved; the walked tape is spent and a second
-``backward`` on it raises, as in PyTorch without ``retain_graph``.
+Only the gradient's path is recorded: ``requires_grad`` leaves (the weights)
+and the outputs of ops with at least one such input get a node id, and only
+those ops append a record. A constant (noise, masks, scalars, positions) stays
+attached to its tape, so mixing tapes still raises and every op on it checks
+its output for non-finite values, but it gets no id and no record, and the
+tape keeps no reference to it. A vjp computes the gradients of the inputs with
+an id only. ``backward`` drops each record's vjp as soon as it has run or been
+skipped, which frees the forward arrays the closure saved; the walked tape is
+spent and a second ``backward`` on it raises, as in PyTorch without
+``retain_graph``.
 """
 
 from __future__ import annotations
@@ -55,21 +59,18 @@ Vjp = Callable[[Array, tuple[bool, ...]], tuple[Optional[Array], ...]]
 @dataclass
 class TapeRecord:
     op: str
-    input_ids: tuple[int, ...]
+    input_ids: tuple[Optional[int], ...]  # None for a constant input, which needs no gradient
     output_id: int
     vjp: Optional[Vjp]  # None once backward has walked past the record
-    need: tuple[bool, ...]  # per input: does a weight's gradient flow through it
 
 
 class Tape:
-    """Append-only record of primitive ops, topologically ordered by construction."""
+    """Append-only record of the ops on a weight's gradient path, topologically ordered by construction."""
 
     def __init__(self) -> None:
         self.records: list[TapeRecord] = []
-        self.leaf_values: dict[int, Array] = {}
-        self.leaf_requires_grad: dict[int, bool] = {}
         self.spent = False  # set by backward, which frees the saved values
-        self._grad_ids: set[int] = set()  # requires_grad leaves and the op outputs that depend on one
+        self._weight_shapes: dict[int, tuple[int, ...]] = {}  # requires_grad leaves, by node id
         self._next_id = 0
 
     def _alloc_id(self) -> int:
@@ -80,11 +81,10 @@ class Tape:
     def leaf(self, data: TensorLike, requires_grad: bool = False) -> "Tensor":
         arr = _as_array(data)
         _check_finite(arr, "leaf")
+        if not requires_grad:
+            return Tensor(arr, tape=self)
         node_id = self._alloc_id()
-        self.leaf_values[node_id] = arr
-        self.leaf_requires_grad[node_id] = requires_grad
-        if requires_grad:
-            self._grad_ids.add(node_id)
+        self._weight_shapes[node_id] = arr.shape
         return Tensor(arr, tape=self, node_id=node_id)
 
     def constant(self, data: TensorLike) -> "Tensor":
@@ -98,11 +98,11 @@ class Tape:
         vjp: Vjp,
     ) -> "Tensor":
         _check_finite(out_data, op)
+        input_ids = tuple(t.node_id for t in inputs)
+        if input_ids.count(None) == len(input_ids):  # no gradient flows through a function of constants
+            return Tensor(out_data, tape=self)
         node_id = self._alloc_id()
-        need = tuple(t.node_id in self._grad_ids for t in inputs)
-        if any(need):
-            self._grad_ids.add(node_id)
-        self.records.append(TapeRecord(op, tuple(t.node_id for t in inputs), node_id, vjp, need))
+        self.records.append(TapeRecord(op, input_ids, node_id, vjp))
         return Tensor(out_data, tape=self, node_id=node_id)
 
 
@@ -128,31 +128,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, tape={'yes' if self.tape else 'no'})"
 
 
-def _coerce_pair(a: TensorLike, b: TensorLike) -> tuple[Tensor, Tensor, Optional[Tape]]:
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
+def _coerce(*operands: TensorLike) -> tuple[list[Tensor], Optional[Tape]]:
+    """The operands as tensors and the tape they share, if any.
+
+    On a tape, every operand not yet on it becomes one of its constants.
+    """
     tape = None
-    if ta is not None and ta.tape is not None:
-        tape = ta.tape
-    if tb is not None and tb.tape is not None:
-        if tape is not None and tb.tape is not tape:
-            raise AutodiffError("operands recorded on different tapes")
-        tape = tb.tape
-    if ta is None:
-        ta = tape.constant(a) if tape is not None else Tensor(a)
-    elif ta.tape is None and tape is not None:
-        ta = tape.constant(ta.data)
-    if tb is None:
-        tb = tape.constant(b) if tape is not None else Tensor(b)
-    elif tb.tape is None and tape is not None:
-        tb = tape.constant(tb.data)
-    return ta, tb, tape
-
-
-def _coerce_one(a: TensorLike) -> tuple[Tensor, Optional[Tape]]:
-    if isinstance(a, Tensor):
-        return a, a.tape
-    return Tensor(a), None
+    for x in operands:
+        if isinstance(x, Tensor) and x.tape is not None:
+            if tape is not None and x.tape is not tape:
+                raise AutodiffError("operands recorded on different tapes")
+            tape = x.tape
+    if tape is None:
+        return [x if isinstance(x, Tensor) else Tensor(x) for x in operands], None
+    return [
+        x if isinstance(x, Tensor) and x.tape is tape else tape.constant(x.data if isinstance(x, Tensor) else x)
+        for x in operands
+    ], tape
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -183,7 +175,7 @@ def _softmax_raw(x: Array) -> Array:
 
 
 def add(a: TensorLike, b: TensorLike) -> Tensor:
-    ta, tb, tape = _coerce_pair(a, b)
+    (ta, tb), tape = _coerce(a, b)
     out = ta.data + tb.data
     if tape is None:
         return Tensor(out)
@@ -196,7 +188,7 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    ta, tb, tape = _coerce_pair(a, b)
+    (ta, tb), tape = _coerce(a, b)
     out = ta.data - tb.data
     if tape is None:
         return Tensor(out)
@@ -209,7 +201,7 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
-    ta, tb, tape = _coerce_pair(a, b)
+    (ta, tb), tape = _coerce(a, b)
     out = ta.data * tb.data
     if tape is None:
         return Tensor(out)
@@ -222,7 +214,7 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def div(a: TensorLike, b: TensorLike) -> Tensor:
-    ta, tb, tape = _coerce_pair(a, b)
+    (ta, tb), tape = _coerce(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ta.data / tb.data
     if tape is None:
@@ -241,7 +233,7 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def matmul(a: TensorLike, b: TensorLike) -> Tensor:
-    ta, tb, tape = _coerce_pair(a, b)
+    (ta, tb), tape = _coerce(a, b)
     if ta.ndim not in (1, 2) or tb.ndim not in (1, 2):
         raise ShapeMismatch("matmul supports 1-D and 2-D operands only")
     try:
@@ -272,7 +264,7 @@ def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: Tenso
     the chain's own expressions. On a tape the pre-activation and the output
     are checked for non-finite values, where the chain checked every op.
     """
-    items, tape = _coerce_many((x, w1, b1, w2, b2))
+    items, tape = _coerce(x, w1, b1, w2, b2)
     tx, tw1, tb1, tw2, tb2 = items
     if (
         tx.ndim != 2 or tw1.ndim != 2 or tw2.ndim != 2
@@ -307,21 +299,8 @@ def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: Tenso
     return tape.emit("mlp", items, out, vjp)
 
 
-def _coerce_many(tensors: Sequence[TensorLike]) -> tuple[list[Tensor], Optional[Tape]]:
-    items = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    tape = None
-    for t in items:
-        if t.tape is not None:
-            if tape is not None and t.tape is not tape:
-                raise AutodiffError("operands recorded on different tapes")
-            tape = t.tape
-    if tape is not None:
-        items = [t if t.tape is tape else tape.constant(t.data) for t in items]
-    return items, tape
-
-
 def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
-    items, tape = _coerce_many(tensors)
+    items, tape = _coerce(*tensors)
     out = np.concatenate([t.data for t in items], axis=axis)
     if tape is None:
         return Tensor(out)
@@ -335,7 +314,7 @@ def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
 
 
 def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     shape = tuple(int(s) for s in shape)
     out = ta.data.reshape(shape)
     if tape is None:
@@ -349,7 +328,7 @@ def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     axes = tuple(int(x) for x in axes)
     out = np.transpose(ta.data, axes)
     if tape is None:
@@ -363,7 +342,7 @@ def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
 
 
 def getitem(a: TensorLike, key) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = ta.data[key]
     if tape is None:
         return Tensor(out)
@@ -378,7 +357,7 @@ def getitem(a: TensorLike, key) -> Tensor:
 
 
 def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = ta.data.sum(axis=axis, keepdims=keepdims)
     if tape is None:
         return Tensor(out)
@@ -395,7 +374,7 @@ def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
 
 def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
     """Reduction max; ties route the gradient to the first maximal element."""
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = ta.data.max(axis=axis, keepdims=keepdims)
     if tape is None:
         return Tensor(out)
@@ -416,7 +395,7 @@ def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(a: TensorLike) -> Tensor:
     """max(x, 0); subgradient at the kink is 0."""
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = np.maximum(ta.data, 0.0)
     if tape is None:
         return Tensor(out)
@@ -429,7 +408,7 @@ def relu(a: TensorLike) -> Tensor:
 
 
 def tanh(a: TensorLike) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = np.tanh(ta.data)
     if tape is None:
         return Tensor(out)
@@ -441,7 +420,7 @@ def tanh(a: TensorLike) -> Tensor:
 
 
 def sqrt(a: TensorLike) -> Tensor:
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = np.sqrt(ta.data)
     if tape is None:
         _check_finite(out, "sqrt")
@@ -455,7 +434,7 @@ def sqrt(a: TensorLike) -> Tensor:
 
 def softmax(a: TensorLike) -> Tensor:
     """Softmax over the last axis."""
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = _softmax_raw(ta.data)
     if tape is None:
         return Tensor(out)
@@ -469,7 +448,7 @@ def softmax(a: TensorLike) -> Tensor:
 
 def l2_norm(a: TensorLike) -> Tensor:
     """Euclidean norm over the last axis; gradient defined as 0 at the origin."""
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     out = np.sqrt((ta.data ** 2).sum(axis=-1))
     if tape is None:
         return Tensor(out)
@@ -486,7 +465,7 @@ def l2_norm(a: TensorLike) -> Tensor:
 
 def take_along_last(a: TensorLike, indices: Array) -> Tensor:
     """Gather along the last axis: out[..., k] = a[..., indices[..., k]]."""
-    ta, tape = _coerce_one(a)
+    (ta,), tape = _coerce(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = np.take_along_axis(ta.data, idx, axis=-1)
     if tape is None:
@@ -524,14 +503,13 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Array]:
     if tape.spent:
         raise AutodiffError("backward already ran on this tape and freed its saved values")
     tape.spent = True
-    grads: dict[int, Array] = {output.node_id: np.ones_like(output.data)}
-    wanted = {i for i, req in tape.leaf_requires_grad.items() if req}
+    grads: dict[Optional[int], Array] = {output.node_id: np.ones_like(output.data)}
     for rec in reversed(tape.records):
         vjp, rec.vjp = rec.vjp, None
         g_out = grads.pop(rec.output_id, None)
-        if g_out is None or not any(rec.need):
+        if g_out is None:
             continue
-        input_grads = vjp(g_out, rec.need)
+        input_grads = vjp(g_out, tuple(i is not None for i in rec.input_ids))
         del vjp
         for node_id, g_in in zip(rec.input_ids, input_grads):
             if g_in is None:
@@ -540,13 +518,7 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Array]:
                 grads[node_id] = grads[node_id] + g_in
             else:
                 grads[node_id] = g_in
-    result: dict[int, Array] = {}
-    for node_id in wanted:
-        g = grads.get(node_id)
-        if g is None:
-            g = np.zeros_like(tape.leaf_values[node_id])
-        result[node_id] = g
-    return result
+    return {i: grads[i] if i in grads else np.zeros(shape) for i, shape in tape._weight_shapes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from . import dsl, env, harness, synth
+from .autodiff import NonFiniteValue
 from .dsl import parse_program, print_program
 from .env import TaskConfig, rollout
 from .harness import RunManifest, evaluate, file_sha256, report, resolve_seed
@@ -489,6 +490,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (env.EnvError, dsl.DslError, synth.SynthError) as exc:
         print(f"error[bad-config]: {exc}", file=sys.stderr)
+        return 1
+    except (NonFiniteValue, env.RolloutError) as exc:  # the message names the op or the quantity
+        print(f"error[non-finite]: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error[missing-input]: {exc}", file=sys.stderr)

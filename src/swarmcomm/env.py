@@ -76,6 +76,10 @@ class TaskConfig:
             raise EnvError("n_agents_per_group must be >= 1")
         if not (1 <= self.min_groups <= 4):
             raise EnvError("min_groups must be in 1..4")
+        for name in ("box_offset", "box_half_width"):
+            # initial states are drawn from ranges 2 * value wide, which must not overflow
+            if not np.isfinite(2.0 * getattr(self, name)):
+                raise EnvError(f"{name} must be finite with a finite sampling range 2 * {name}, got {getattr(self, name)}")
 
     @property
     def formation(self) -> bool:

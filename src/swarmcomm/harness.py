@@ -147,20 +147,17 @@ def evaluate_many(
             members = group[lo : lo + bound]
             parts, counts = np.unique(owner[members], return_counts=True)
             stepped = policies[parts[0]] if len(parts) == 1 else StackedPolicy([policies[p] for p in parts], counts)
-            try:
-                steps = simulate(stepped, cfg, [starts[k] for k in members], [rngs[k] for k in members], reward_params)
-                for t, (out, step_rewards) in enumerate(steps):
-                    used = np.logical_or.reduce(out.policy.delivered)
-                    stats = np.stack(degree_stats(used), axis=-1)
-                    if verify_degrees:
-                        for b in range(len(members)):
-                            recount = _recount_degrees(used[b])
-                            if tuple(stats[b]) != recount:
-                                raise HarnessError(f"degree mismatch: {tuple(stats[b])} vs {recount}")
-                    rewards[members, t] = step_rewards
-                    degrees[members, t] = stats
-            except Exception as exc:
-                raise HarnessError(f"rollouts {members} failed: {exc}") from exc
+            steps = simulate(stepped, cfg, [starts[k] for k in members], [rngs[k] for k in members], reward_params)
+            for t, (out, step_rewards) in enumerate(steps):
+                used = np.logical_or.reduce(out.policy.delivered)
+                stats = np.stack(degree_stats(used), axis=-1)
+                if verify_degrees:
+                    for b in range(len(members)):
+                        recount = _recount_degrees(used[b])
+                        if tuple(stats[b]) != recount:
+                            raise HarnessError(f"degree mismatch: {tuple(stats[b])} vs {recount}")
+                rewards[members, t] = step_rewards
+                degrees[members, t] = stats
     return [
         _aggregate(policy, cfg, rewards[p * n_rollouts : (p + 1) * n_rollouts],
                    degrees[p * n_rollouts : (p + 1) * n_rollouts], comm_weight, seed, gamma)

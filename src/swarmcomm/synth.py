@@ -133,7 +133,7 @@ class DatasetBlock:
 
     states: Array  # (M, N, ds)
     obs: Array  # (M, N, N, 2)
-    messages: list[Array]  # per round: (M, N, N, dm), [m, i, j] = message i -> j
+    messages: list[Array]  # per round: (M, N, N, dm), receiver-major, [m, i, j] = message j -> i
     attention: list[Array]  # per round: (M, N, N) soft rows
     actions: Array  # (M, N, da), oracle actions (global goal order for coverage)
     goal_perm_inv: Optional[Array] = None  # (M, N, da) for unlabeled-goals
@@ -163,7 +163,12 @@ class DatasetBlock:
         return cls(  # one stack per round keeps every round's block contiguous
             states=_stack(col["s"], "s", (n, params.state_dim)),
             obs=_stack(col["o"], "o", (n, n, 2)),
-            messages=[_stack([m[k] for m in col["msg"]], "msg", (n, n, params.msg_dim)) for k in range(r)],
+            messages=[  # rows hold them sender-major, the search reads them receiver-major
+                np.ascontiguousarray(
+                    _stack([m[k] for m in col["msg"]], "msg", (n, n, params.msg_dim)).transpose(0, 2, 1, 3)
+                )
+                for k in range(r)
+            ],
             attention=[_stack([a[k] for a in col["alpha"]], "alpha", (n, n)) for k in range(r)],
             actions=_stack(col["a"], "a", (n, da)),
             goal_perm_inv=perm,
@@ -178,19 +183,10 @@ class DatasetBlock:
         return self.states.shape[1]
 
     def features(self, fmap: FeatureMap) -> Array:
-        """Pair features (M, N, N, d') of every tuple under fmap (see dsl.featurize_agents)."""
-        return self._once(("features", fmap.version), lambda: dsl.featurize_agents(self.states, self.obs, fmap))
-
-    def received(self, round_index: int) -> Array:
-        """One round's messages, receiver-major and contiguous: (M, N, N, dm), [m, i, j] = message j -> i."""
-        return self._once(
-            ("received", round_index),
-            lambda: np.ascontiguousarray(self.messages[round_index].transpose(0, 2, 1, 3)),
-        )
-
-    def _once(self, key: tuple, build: Callable[[], Array]) -> Array:
+        """Pair features (M, N, N, d') of every tuple under fmap (see dsl.featurize_agents), built once."""
+        key = ("features", fmap.version)
         if key not in self._derived:
-            self._derived[key] = build()
+            self._derived[key] = dsl.featurize_agents(self.states, self.obs, fmap)
         return self._derived[key]
 
 
@@ -230,7 +226,7 @@ class SynthDataset:
                         "n": block.n_agents,
                         "s": block.states[m].tolist(),
                         "o": block.obs[m].tolist(),
-                        "msg": [msgs[m].tolist() for msgs in block.messages],
+                        "msg": [msgs[m].transpose(1, 0, 2).tolist() for msgs in block.messages],
                         "alpha": [att[m].tolist() for att in block.attention],
                         "a": block.actions[m].tolist(),
                     }
@@ -352,9 +348,9 @@ class SurrogateEvaluator:
         (8 * K entries, K of the first program scored with that feature map);
       - per digest of the selection masks, the imitation and degree terms
         (256 entries).
-    The pair features and the receiver-major messages come from the dataset's
-    blocks, which build them once for every evaluator. No cache changes a
-    score: each returns exactly what recomputing would.
+    The pair features come from the dataset's blocks, which build them once
+    for every evaluator. No cache changes a score: each returns exactly what
+    recomputing would.
     """
 
     def __init__(
@@ -448,7 +444,7 @@ class SurrogateEvaluator:
         for block, sel in zip(ds.blocks, masks):
             m, n = block.n_tuples, block.n_agents
             hard = harden_rows(block.attention[r], sel).data
-            msg_sum = np.einsum("mij,mijd->mid", hard, block.received(r))
+            msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
             if ds.rounds == 2 and r == 0:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round

@@ -21,7 +21,8 @@ Array = np.ndarray
 def every_input_backward(tape: ad.Tape, output: ad.Tensor) -> dict[int, Array]:
     """Gradients of a scalar output w.r.t. every requires_grad leaf, from a walk
     that computes the gradient of every input of every op it reaches, constants
-    included, and frees nothing: autodiff.backward can walk the tape after it.
+    included, keeps those of the inputs with a node id, and frees nothing:
+    autodiff.backward can walk the tape after it.
     """
     grads = {output.node_id: np.ones_like(output.data)}
     for rec in reversed(tape.records):
@@ -29,9 +30,9 @@ def every_input_backward(tape: ad.Tape, output: ad.Tensor) -> dict[int, Array]:
         if g_out is None:
             continue
         for node_id, g_in in zip(rec.input_ids, rec.vjp(g_out, (True,) * len(rec.input_ids))):
-            grads[node_id] = grads[node_id] + g_in if node_id in grads else g_in
-    wanted = [i for i, req in tape.leaf_requires_grad.items() if req]
-    return {i: grads[i] if i in grads else np.zeros_like(tape.leaf_values[i]) for i in wanted}
+            if node_id is not None:
+                grads[node_id] = grads[node_id] + g_in if node_id in grads else g_in
+    return {i: grads[i] if i in grads else np.zeros(shape) for i, shape in tape._weight_shapes.items()}
 
 
 def trajectory_return(traj, gamma: float = 1.0) -> float:

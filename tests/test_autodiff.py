@@ -308,11 +308,51 @@ class TestTapeMechanics:
         x = tape.leaf(np.ones(2), requires_grad=True)
         y = ad.add(ad.mul(x, 2.0), ad.tanh(x))
         ad.tensor_sum(y)
-        produced = set(tape.leaf_values)
+        produced = {x.node_id}  # the weights; a constant input has no id
         for rec in tape.records:
-            assert all(i in produced for i in rec.input_ids)
+            assert all(i is None or i in produced for i in rec.input_ids)
             assert rec.output_id not in produced
             produced.add(rec.output_id)
+
+    def test_an_op_on_constants_only_adds_no_record(self):
+        tape = Tape()
+        w = tape.leaf(np.ones(3), requires_grad=True)
+        noise = tape.constant(np.arange(3.0))
+        scaled = ad.tanh(ad.mul(noise, 0.5))
+        assert tape.records == []
+        assert noise.node_id is None and scaled.node_id is None
+        assert scaled.tape is tape  # still attached: mixing tapes raises, results are checked
+        with pytest.raises(ad.AutodiffError):
+            ad.add(scaled, Tape().leaf(np.ones(3)))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            ad.mul(tape.constant(np.full(3, 1e200)), 1e200)
+        out = ad.tensor_sum(ad.mul(w, scaled))
+        assert [rec.op for rec in tape.records] == ["mul", "sum"]
+        assert tape.records[0].input_ids == (w.node_id, None)
+        np.testing.assert_array_equal(backward(tape, out)[w.node_id], scaled.data)
+
+    def test_a_constant_is_freed_once_the_caller_drops_it(self):
+        tape = Tape()
+        w = tape.leaf(np.ones(3), requires_grad=True)
+        noise = np.arange(3.0)
+        alive = weakref.ref(noise)
+        out = ad.tensor_sum(ad.add(w, noise))  # add's vjp saves only shapes
+        del noise
+        assert alive() is None
+        np.testing.assert_array_equal(backward(tape, out)[w.node_id], np.ones(3))
+
+    def test_a_weight_no_gradient_reaches_gets_zeros_of_its_shape(self):
+        tape = Tape()
+        w = tape.leaf(np.ones(2), requires_grad=True)
+        unused_value = np.ones((2, 3))
+        unused = tape.leaf(unused_value, requires_grad=True)
+        alive = weakref.ref(unused_value)
+        unused_id = unused.node_id
+        del unused, unused_value  # the tape keeps the weight's shape, not its array
+        assert alive() is None
+        grads = backward(tape, ad.tensor_sum(ad.mul(w, w)))
+        assert set(grads) == {w.node_id, unused_id}
+        assert grads[unused_id].shape == (2, 3) and not grads[unused_id].any()
 
 
 class TestSpentTape:
@@ -359,9 +399,11 @@ class TestSpentTape:
         noise = tape.constant(np.arange(3.0))
         masked = ad.mul(noise, tape.constant(np.array([1.0, 0.0, 1.0])))
         out = ad.tensor_sum(ad.div(ad.add(w, masked), 2.0))
-        assert [rec.need for rec in tape.records] == [(False, False), (True, False), (True, False), (True,)]
+        # the mul of two constants is not recorded; an input needs a gradient exactly when it has an id
+        added, divided, _ = tape.records
+        assert [rec.input_ids for rec in tape.records] == [(w.node_id, None), (added.output_id, None), (divided.output_id,)]
         asked = []
-        rec = tape.records[1]
+        rec = tape.records[0]
         vjp = rec.vjp
         rec.vjp = lambda g, need: asked.append(need) or vjp(g, need)
         grads = backward(tape, out)

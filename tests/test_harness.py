@@ -469,6 +469,9 @@ BAD_INPUTS = {
     "v_max=NaN": _bad_config("v_max", float("nan")),
     "dt=Infinity": _bad_config("dt", float("inf")),
     "obs_noise_sigma=NaN": _bad_config("obs_noise_sigma", float("nan")),
+    # initial states are drawn from ranges 2 * box_half_width and 2 * box_offset wide
+    "box_half_width=1e308": _bad_config("box_half_width", 1e308),
+    "box_offset=-1e308": _bad_config("box_offset", -1e308),
     "params=[]": _bad_params(lambda doc: doc.update(params=[])),
     "meta.rounds='1'": _bad_params(lambda doc: doc["meta"].update(rounds="1")),
     "meta.hidden_dim=7": _bad_params(lambda doc: doc["meta"].update(hidden_dim=7)),
@@ -910,6 +913,55 @@ class TestCli:
         assert "error[bad-config]" in err
         assert str(program) in err and field.split("=")[0] in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def _one_error_line(self, argv, capsys):
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[")
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "collect", "attn-dump", "retrain"])
+    def test_params_that_overflow_in_a_rollout_are_one_non_finite_line(self, cli_workspace, tmp_path, capsys, command):
+        cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=2, horizon=4, obs_noise_sigma=0.05)
+        env.save_config(tmp_path / "task.json", cfg, RewardParams())
+        doc = json.loads((cli_workspace / "oracle.json").read_text())
+        for name in ("out.w1", "out.w2"):
+            doc["params"][name]["values"] = [1e200] * len(doc["params"][name]["values"])
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, "--params", str(params), "--config", str(tmp_path / "task.json"), "--out", str(out)]
+        if command in ("evaluate", "collect"):
+            argv += ["--rollouts", "1"]
+        elif command == "retrain":
+            argv += ["--program", str(cli_workspace / "program.txt"), "--rollouts", "2", "--batch", "2"]
+        assert self._one_error_line(argv, capsys).startswith("error[non-finite]: non-finite result in ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("dt", 1e308, "error[non-finite]: non-finite result in div"),
+            ("box_offset", 1e300, "error[non-finite]: non-finite result in "),
+            ("collision_distance", 1e-320, "error[non-finite]: non-finite result in div"),
+            ("v_max", 1e308, "error[bad-config]: velocity exceeds v_max"),
+        ],
+    )
+    def test_a_config_that_overflows_in_a_rollout_is_one_error_line(
+        self, cli_workspace, tmp_path, capsys, key, value, expected
+    ):
+        config = tmp_path / "task.json"
+        config.write_text(json.dumps({**json.loads((cli_workspace / "task.json").read_text()), key: value}))
+        out = tmp_path / "m.json"
+        argv = [
+            "evaluate", "--params", str(cli_workspace / "oracle.json"), "--config", str(config),
+            "--rollouts", "1", "--out", str(out),
+        ]
+        assert self._one_error_line(argv, capsys).startswith(expected)
         assert not out.exists()
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))

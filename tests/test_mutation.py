@@ -1,20 +1,23 @@
-"""Seeded mutation test of the dataset and manifest readers.
+"""Seeded mutation test of the dataset, manifest, task-config and parameter readers.
 
 In the style of Miller, Fredriksen and So (CACM 1990): a tiny collected
 dataset and its ``collect`` manifest are mutated from a fixed seed. Row and
 header keys are dropped, duplicated or retyped, lines truncated, arrays
 reshaped, and NaN, wrong widths or out-of-range indices written in; the
-manifest's args and fields are retyped. Every mutant goes through
-``cli.main`` (``synthesize --steps 1`` or ``rerun``) and must exit 0, or exit 1
-with exactly one ``error[...]`` line; it must never raise. A dataset with a
-boolean inside one of its arrays must exit 1 with one ``error[bad-config]``
-line.
+manifest's args and fields are retyped. The task config and the oracle's
+parameter file are mutated the same way, and given huge, tiny or negative
+numbers that overflow inside a rollout. Every mutant goes through
+``cli.main`` (``synthesize --steps 1``, ``rerun`` or ``evaluate --rollouts 1``)
+and must exit 0, or exit 1 with exactly one ``error[...]`` line; it must never
+raise. A dataset with a boolean inside one of its arrays must exit 1 with one
+``error[bad-config]`` line.
 """
 
 import copy
 import json
 import random
 
+import numpy as np
 import pytest
 
 from swarmcomm import cli, env
@@ -27,11 +30,15 @@ SEED = 1990
 N_DATASET_MUTANTS = 70  # per task kind
 N_MANIFEST_MUTANTS = 60
 N_BOOLEAN_MUTANTS = 15  # per task kind
+N_CONFIG_MUTANTS = 60  # per task kind
+N_PARAMS_MUTANTS = 60  # per task kind
 
 ARRAY_KEYS = ("s", "o", "msg", "alpha", "a", "goal_perm_inv")
 # no valid count here: a manifest's rollouts of 2 ** 70 would run; no small int, which is an open file descriptor
 ODD_VALUES = ("x", "", None, True, False, 1.5, -1, [], {}, [[]], [1.0, "x"], float("nan"), float("inf"))
 ODD_ROW_VALUES = ODD_VALUES + (0, 7, 2 ** 70)
+# valid or not, none a huge count: a horizon or group size of 2 ** 70 would run
+EXTREMES = (0, -1, 2, 0.5, -0.5, 1e300, -1e300, 1e308, -1e308, 1e-320, 5e-324, -1e-320)
 TASKS = {
     "grid": TaskConfig(task_kind="random-grid", n_agents_per_group=1, horizon=2, obs_noise_sigma=0.05),
     "coverage": TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=2),
@@ -161,10 +168,59 @@ def _manifest_mutant(rng, text):
     return f"{op} {key}", json.dumps(doc)
 
 
+def _config_mutant(rng, text):
+    doc = json.loads(text)
+    if rng.random() < 0.1:
+        return "truncate", text[: rng.randrange(len(text))]
+    key = rng.choice(sorted(doc))
+    op = rng.choice(("extreme", "extreme", "extreme", "retype", "drop", "unknown", "kind"))
+    if op == "extreme":
+        doc[key] = rng.choice(EXTREMES)
+    elif op == "retype":
+        doc[key] = rng.choice(ODD_VALUES)
+    elif op == "drop":
+        del doc[key]
+    elif op == "unknown":
+        doc["extra"] = rng.choice(ODD_VALUES)
+    else:
+        key = doc["task_kind"] = rng.choice(("random-cross", "random-grid", "unlabeled-goals"))
+    return f"{op} {key} = {doc.get(key, '-')!r:.40}", json.dumps(doc)
+
+
+def _params_mutant(rng, text):
+    doc = json.loads(text)
+    if rng.random() < 0.1:
+        return "truncate", text[: rng.randrange(len(text))]
+    name = rng.choice(sorted(doc["params"]))
+    weight = doc["params"][name]
+    values = weight["values"]
+    op = rng.choice(("scale", "scale", "extreme", "extreme", "retype-value", "reshape", "cut", "drop", "meta"))
+    if op == "scale":  # every weight of one network, which 1e200 makes overflow where a product enters
+        factor = rng.choice((1e200, -1e200, 1e150, 0.0, 1e-320))
+        net = name.split(".")[0]
+        for key in [key for key in doc["params"] if key.split(".")[0] == net]:
+            doc["params"][key]["values"] = [v * factor for v in doc["params"][key]["values"]]
+    elif op == "extreme":
+        values[rng.randrange(len(values))] = rng.choice(EXTREMES + (float("nan"), float("inf")))
+    elif op == "retype-value":
+        values[rng.randrange(len(values))] = rng.choice(ODD_VALUES)
+    elif op == "reshape":
+        weight["shape"] = rng.choice((weight["shape"][::-1], weight["shape"] + [1], [len(values)], [], ["x"]))
+    elif op == "cut":
+        del values[rng.randrange(len(values))]
+    elif op == "drop":
+        del doc["params"][name]
+    else:
+        name = rng.choice(sorted(doc["meta"]))
+        doc["meta"][name] = rng.choice(ODD_VALUES + EXTREMES[:3])
+    return f"{op} {name}", json.dumps(doc)
+
+
 def _outcome(argv, capsys):
     """None when cli.main exits 0, or 1 with exactly one error[...] line; else what went wrong."""
     try:
-        rc = cli.main(argv)
+        with np.errstate(all="ignore"):  # numpy would warn on each overflow a mutant causes
+            rc = cli.main(argv)
     except (Exception, SystemExit) as exc:  # the failure under test, reported per mutant
         capsys.readouterr()
         return f"raised {type(exc).__name__}: {exc}"
@@ -232,4 +288,28 @@ def test_manifest_mutants_exit_cleanly(collected, tmp_path, capsys, monkeypatch)
         problem = _outcome(["rerun", str(path)], capsys)
         if problem:
             failures.append(f"manifest mutant {k} ({what}): {problem}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("kind, mutate, n_mutants", [
+    ("task.json", _config_mutant, N_CONFIG_MUTANTS),
+    ("oracle.json", _params_mutant, N_PARAMS_MUTANTS),
+])
+def test_config_and_params_mutants_exit_cleanly(collected, tmp_path, capsys, kind, mutate, n_mutants):
+    rng = random.Random(SEED + 3)
+    failures = []
+    for name, root in collected.items():
+        text = (root / kind).read_text()
+        for k in range(n_mutants):
+            what, mutant = mutate(rng, text)
+            path = tmp_path / f"{name}-{k}-{kind}"
+            path.write_text(mutant)
+            inputs = {"task.json": root / "task.json", "oracle.json": root / "oracle.json", kind: path}
+            argv = [
+                "evaluate", "--params", str(inputs["oracle.json"]), "--config", str(inputs["task.json"]),
+                "--rollouts", "1", "--out", str(tmp_path / "m.json"), "--seed", "4",
+            ]
+            problem = _outcome(argv, capsys)
+            if problem:
+                failures.append(f"{name} {kind} mutant {k} ({what}): {problem}")
     assert not failures, "\n".join(failures)

@@ -142,7 +142,7 @@ class TestSurrogateObjective:
         # replace actions with the exact reconstruction, then J = -0.5 * 3
         weights = dataset.params.store.params
         hard = harden_rows(block.attention[0], sel).data
-        received = block.messages[0].transpose(0, 2, 1, 3)
+        received = block.messages[0]  # receiver-major: [m, i, j] = message j -> i
         msum = np.einsum("mij,mijd->mid", hard, received)
         u = _mlp(weights, "out", np.concatenate([block.states, msum], axis=-1).reshape(3, -1)).data.reshape(1, 3, 2)
         block.actions = squash_action(u, dataset.task.v_max).data
@@ -296,7 +296,7 @@ class TestSelectionCache:
         assert counters["scored"] + counters["memo_hits"] == candidates * cfg.rand_rule_samples
 
     def test_evaluators_sharing_a_dataset_score_as_on_a_fresh_copy(self):
-        # blocks build their features and receiver-major messages once, for every evaluator
+        # blocks build their features once, for every evaluator
         task = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
         shared = tiny_dataset(n_rollouts=2, cfg=task)
         rng = make_rng(34)
@@ -309,7 +309,7 @@ class TestSelectionCache:
                 fresh = SurrogateEvaluator(tiny_dataset(n_rollouts=2, cfg=task), 0.5, round_index, 2, make_rng(sample_seed))
                 for program in programs:
                     assert ev.evaluate_detailed(program) == fresh.evaluate_detailed(program)
-        assert {key[0] for b in shared.blocks for key in b._derived} == {"features", "received"}
+        assert {key[0] for b in shared.blocks for key in b._derived} == {"features"}
 
 
 class TestPropose:
