@@ -17,6 +17,15 @@ an id only. ``backward`` drops each record's vjp as soon as it has run or been
 skipped, which frees the forward arrays the closure saved; the walked tape is
 spent and a second ``backward`` on it raises, as in PyTorch without
 ``retain_graph``.
+
+A fused op records a chain of primitive ops as one: ``mlp`` here, and the
+attention round, output head, reward and dynamics of a training step in
+``transformer`` and ``env``. It computes with the chain's own numpy
+expressions (the kernels below are shared), checks for non-finite values each
+array whose overflow a later op of the chain could hide, and lists an input
+the chain used several times once per use, in the order the chain's reverse
+walk reached those uses. ``backward`` then adds that input's gradients in the
+chain's order, so every weight gradient is bitwise the chain's.
 """
 
 from __future__ import annotations
@@ -47,8 +56,8 @@ def _as_array(x: Any) -> Array:
     return arr
 
 
-def _check_finite(data: Array, context: str) -> None:
-    if not np.all(np.isfinite(data)):
+def check_finite(data: Array, context: str) -> None:
+    if not np.isfinite(data).all():
         raise NonFiniteValue(f"non-finite result in {context}")
 
 
@@ -80,7 +89,7 @@ class Tape:
 
     def leaf(self, data: TensorLike, requires_grad: bool = False) -> "Tensor":
         arr = _as_array(data)
-        _check_finite(arr, "leaf")
+        check_finite(arr, "leaf")
         if not requires_grad:
             return Tensor(arr, tape=self)
         node_id = self._alloc_id()
@@ -97,12 +106,9 @@ class Tape:
         out_data: Array,
         vjp: Vjp,
     ) -> "Tensor":
-        _check_finite(out_data, op)
-        input_ids = tuple(t.node_id for t in inputs)
-        if input_ids.count(None) == len(input_ids):  # no gradient flows through a function of constants
-            return Tensor(out_data, tape=self)
+        """Record an op on the gradient path (see on_path); its caller has checked the values."""
         node_id = self._alloc_id()
-        self.records.append(TapeRecord(op, input_ids, node_id, vjp))
+        self.records.append(TapeRecord(op, tuple(t.node_id for t in inputs), node_id, vjp))
         return Tensor(out_data, tape=self, node_id=node_id)
 
 
@@ -128,7 +134,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, tape={'yes' if self.tape else 'no'})"
 
 
-def _coerce(*operands: TensorLike) -> tuple[list[Tensor], Optional[Tape]]:
+def coerce(*operands: TensorLike) -> tuple[list[Tensor], Optional[Tape]]:
     """The operands as tensors and the tape they share, if any.
 
     On a tape, every operand not yet on it becomes one of its constants.
@@ -147,8 +153,30 @@ def _coerce(*operands: TensorLike) -> tuple[list[Tensor], Optional[Tape]]:
     ], tape
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
+def on_path(tape: Optional[Tape], inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on these inputs is on a weight's gradient path, so it is recorded and needs a vjp."""
+    return tape is not None and any(t.node_id is not None for t in inputs)
+
+
+def _unrecorded(tape: Optional[Tape], op: str, inputs: Sequence[Tensor], out: Array) -> Optional[Tensor]:
+    """A primitive's result when it is not recorded, or None when it is on the gradient path.
+
+    Off a tape the result is a plain tensor. On a tape it is checked for
+    non-finite values first; an op on constants alone stays on the tape
+    without a record. The check comes before the caller builds any vjp.
+    """
+    if tape is None:
+        return Tensor(out)
+    check_finite(out, op)
+    if on_path(tape, inputs):
+        return None
+    return Tensor(out, tape=tape)
+
+
+def unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum gradient over axes that were broadcast in the forward pass."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -163,10 +191,75 @@ def _only(need: tuple[bool, ...], *grads: Callable[[], Array]) -> tuple[Optional
     return tuple(grad() if n else None for n, grad in zip(need, grads))
 
 
-def _softmax_raw(x: Array) -> Array:
+# ---------------------------------------------------------------------------
+# kernels shared by the primitive and the fused ops
+# ---------------------------------------------------------------------------
+
+
+def softmax_forward(x: Array) -> Array:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_vjp(g: Array, out: Array) -> Array:
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def l2_norm_forward(x: Array) -> Array:
+    return np.sqrt((x ** 2).sum(axis=-1))
+
+
+def l2_norm_vjp(g: Array, x: Array, out: Array) -> Array:
+    safe = np.where(out == 0.0, 1.0, out)
+    zero = np.expand_dims(out == 0.0, -1)
+    scale = np.where(zero, 0.0, np.expand_dims(g, -1) / np.expand_dims(safe, -1))
+    return x * scale
+
+
+def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Optional[str]) -> tuple[Array, Array]:
+    """(tanh(x @ w1 + b1), that @ w2 + b2); the pre-activation is checked when check names an op.
+
+    The tanh is applied in place, so the first array is what the vjp needs.
+    """
+    h = x @ w1
+    h += b1
+    if check is not None:
+        check_finite(h, check)
+    np.tanh(h, out=h)
+    out = h @ w2
+    out += b2
+    return h, out
+
+
+def mlp_vjp(
+    g: Array, x: Array, w1: Array, w2: Array, h: Array, need: Sequence[bool]
+) -> tuple[Optional[Array], ...]:
+    """Gradients of (x, w1, b1, w2, b2) where need is set, with the matmul/add/tanh chain's expressions."""
+    gx = gw1 = gb1 = None
+    if need[0] or need[1] or need[2]:
+        gpre = g @ w2.T  # times 1 - h*h below, in place: no fresh (rows, hidden) temporaries
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        gpre *= slope
+        del slope
+        gx = gpre @ w1.T if need[0] else None
+        gw1 = x.T @ gpre if need[1] else None
+        gb1 = unbroadcast(gpre, w1.shape[1:]) if need[2] else None
+    gw2 = h.T @ g if need[3] else None
+    gb2 = unbroadcast(g, w2.shape[1:]) if need[4] else None
+    return gx, gw1, gb1, gw2, gb2
+
+
+def take_along_last_vjp(g: Array, idx: Array, shape: tuple[int, ...]) -> Array:
+    full = np.zeros(shape, dtype=np.float64)
+    flat_full = full.reshape(-1, shape[-1])
+    flat_idx = np.broadcast_to(idx, g.shape).reshape(-1, g.shape[-1])
+    flat_g = g.reshape(-1, g.shape[-1])
+    rows = np.repeat(np.arange(flat_full.shape[0]), flat_idx.shape[1])
+    np.add.at(flat_full, (rows, flat_idx.ravel()), flat_g.ravel())
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -175,73 +268,74 @@ def _softmax_raw(x: Array) -> Array:
 
 
 def add(a: TensorLike, b: TensorLike) -> Tensor:
-    (ta, tb), tape = _coerce(a, b)
+    (ta, tb), tape = coerce(a, b)
     out = ta.data + tb.data
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "add", (ta, tb), out)) is not None:
+        return res
     sa, sb = ta.data.shape, tb.data.shape
 
     def vjp(g: Array, need):
-        return _only(need, lambda: _unbroadcast(g, sa), lambda: _unbroadcast(g, sb))
+        return _only(need, lambda: unbroadcast(g, sa), lambda: unbroadcast(g, sb))
 
     return tape.emit("add", (ta, tb), out, vjp)
 
 
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    (ta, tb), tape = _coerce(a, b)
+    (ta, tb), tape = coerce(a, b)
     out = ta.data - tb.data
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "sub", (ta, tb), out)) is not None:
+        return res
     sa, sb = ta.data.shape, tb.data.shape
 
     def vjp(g: Array, need):
-        return _only(need, lambda: _unbroadcast(g, sa), lambda: _unbroadcast(-g, sb))
+        return _only(need, lambda: unbroadcast(g, sa), lambda: unbroadcast(-g, sb))
 
     return tape.emit("sub", (ta, tb), out, vjp)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
-    (ta, tb), tape = _coerce(a, b)
+    (ta, tb), tape = coerce(a, b)
     out = ta.data * tb.data
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "mul", (ta, tb), out)) is not None:
+        return res
     da, db = ta.data, tb.data
 
     def vjp(g: Array, need):
-        return _only(need, lambda: _unbroadcast(g * db, da.shape), lambda: _unbroadcast(g * da, db.shape))
+        return _only(need, lambda: unbroadcast(g * db, da.shape), lambda: unbroadcast(g * da, db.shape))
 
     return tape.emit("mul", (ta, tb), out, vjp)
 
 
 def div(a: TensorLike, b: TensorLike) -> Tensor:
-    (ta, tb), tape = _coerce(a, b)
+    (ta, tb), tape = coerce(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ta.data / tb.data
     if tape is None:
-        _check_finite(out, "div")
-        return Tensor(out)
+        check_finite(out, "div")
+    if (res := _unrecorded(tape, "div", (ta, tb), out)) is not None:
+        return res
     da, db = ta.data, tb.data
 
     def vjp(g: Array, need):
         return _only(
             need,
-            lambda: _unbroadcast(g / db, da.shape),
-            lambda: _unbroadcast(-g * da / (db * db), db.shape),
+            lambda: unbroadcast(g / db, da.shape),
+            lambda: unbroadcast(-g * da / (db * db), db.shape),
         )
 
     return tape.emit("div", (ta, tb), out, vjp)
 
 
 def matmul(a: TensorLike, b: TensorLike) -> Tensor:
-    (ta, tb), tape = _coerce(a, b)
+    (ta, tb), tape = coerce(a, b)
     if ta.ndim not in (1, 2) or tb.ndim not in (1, 2):
         raise ShapeMismatch("matmul supports 1-D and 2-D operands only")
     try:
         out = ta.data @ tb.data
     except ValueError as exc:
         raise ShapeMismatch(str(exc)) from exc
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "matmul", (ta, tb), out)) is not None:
+        return res
     da, db = ta.data, tb.data
 
     def vjp(g: Array, need):
@@ -264,7 +358,7 @@ def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: Tenso
     the chain's own expressions. On a tape the pre-activation and the output
     are checked for non-finite values, where the chain checked every op.
     """
-    items, tape = _coerce(x, w1, b1, w2, b2)
+    items, tape = coerce(x, w1, b1, w2, b2)
     tx, tw1, tb1, tw2, tb2 = items
     if (
         tx.ndim != 2 or tw1.ndim != 2 or tw2.ndim != 2
@@ -275,35 +369,22 @@ def mlp(x: TensorLike, w1: TensorLike, b1: TensorLike, w2: TensorLike, b2: Tenso
             f"mlp shapes do not chain: x {tx.shape}, w1 {tw1.shape}, b1 {tb1.shape}, "
             f"w2 {tw2.shape}, b2 {tb2.shape}"
         )
-    h = tx.data @ tw1.data
-    h += tb1.data
-    if tape is not None:
-        _check_finite(h, "mlp")
-    np.tanh(h, out=h)
-    out = h @ tw2.data
-    out += tb2.data
-    if tape is None:
-        return Tensor(out)
+    h, out = mlp_forward(tx.data, tw1.data, tb1.data, tw2.data, tb2.data, None if tape is None else "mlp")
+    if (res := _unrecorded(tape, "mlp", items, out)) is not None:
+        return res
     dx, dw1, dw2 = tx.data, tw1.data, tw2.data
-    sb1, sb2 = tb1.data.shape, tb2.data.shape
 
     def vjp(g: Array, need):
-        gx = gw1 = gb1 = None
-        if need[0] or need[1] or need[2]:
-            gh = g @ dw2.T
-            gpre = gh * (1.0 - h * h)
-            gx, gw1, gb1 = _only(need[:3], lambda: gpre @ dw1.T, lambda: dx.T @ gpre, lambda: _unbroadcast(gpre, sb1))
-        gw2, gb2 = _only(need[3:], lambda: h.T @ g, lambda: _unbroadcast(g, sb2))
-        return gx, gw1, gb1, gw2, gb2
+        return mlp_vjp(g, dx, dw1, dw2, h, need)
 
     return tape.emit("mlp", items, out, vjp)
 
 
 def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
-    items, tape = _coerce(*tensors)
+    items, tape = coerce(*tensors)
     out = np.concatenate([t.data for t in items], axis=axis)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "concat", items, out)) is not None:
+        return res
     sizes = [t.data.shape[axis] for t in items]
     splits = np.cumsum(sizes)[:-1]
 
@@ -314,11 +395,11 @@ def concat(tensors: Sequence[TensorLike], axis: int = -1) -> Tensor:
 
 
 def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     shape = tuple(int(s) for s in shape)
     out = ta.data.reshape(shape)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "reshape", (ta,), out)) is not None:
+        return res
     orig = ta.data.shape
 
     def vjp(g: Array, _need):
@@ -328,11 +409,11 @@ def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     axes = tuple(int(x) for x in axes)
     out = np.transpose(ta.data, axes)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "transpose", (ta,), out)) is not None:
+        return res
     inverse = tuple(np.argsort(axes))
 
     def vjp(g: Array, _need):
@@ -342,10 +423,12 @@ def transpose(a: TensorLike, axes: Sequence[int]) -> Tensor:
 
 
 def getitem(a: TensorLike, key) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = ta.data[key]
-    if tape is None:
-        return Tensor(out)
+    if tape is not None:
+        out = np.array(out, copy=True)
+    if (res := _unrecorded(tape, "getitem", (ta,), out)) is not None:
+        return res
     shape = ta.data.shape
 
     def vjp(g: Array, _need):
@@ -353,14 +436,15 @@ def getitem(a: TensorLike, key) -> Tensor:
         np.add.at(full, key, g)
         return (full,)
 
-    return tape.emit("getitem", (ta,), np.array(out, copy=True), vjp)
+    return tape.emit("getitem", (ta,), out, vjp)
 
 
 def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = ta.data.sum(axis=axis, keepdims=keepdims)
-    if tape is None:
-        return Tensor(out)
+    out = np.asarray(out, dtype=np.float64)
+    if (res := _unrecorded(tape, "sum", (ta,), out)) is not None:
+        return res
     shape = ta.data.shape
 
     def vjp(g: Array, _need):
@@ -369,15 +453,16 @@ def tensor_sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, shape).copy(),)
 
-    return tape.emit("sum", (ta,), np.asarray(out, dtype=np.float64), vjp)
+    return tape.emit("sum", (ta,), out, vjp)
 
 
 def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
     """Reduction max; ties route the gradient to the first maximal element."""
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = ta.data.max(axis=axis, keepdims=keepdims)
-    if tape is None:
-        return Tensor(out)
+    out = np.asarray(out, dtype=np.float64)
+    if (res := _unrecorded(tape, "max", (ta,), out)) is not None:
+        return res
     data = ta.data
 
     def vjp(g: Array, _need):
@@ -390,15 +475,15 @@ def tensor_max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (mask * g_exp,)
 
-    return tape.emit("max", (ta,), np.asarray(out, dtype=np.float64), vjp)
+    return tape.emit("max", (ta,), out, vjp)
 
 
 def relu(a: TensorLike) -> Tensor:
     """max(x, 0); subgradient at the kink is 0."""
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = np.maximum(ta.data, 0.0)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "relu", (ta,), out)) is not None:
+        return res
     mask = (ta.data > 0.0).astype(np.float64)
 
     def vjp(g: Array, _need):
@@ -408,10 +493,10 @@ def relu(a: TensorLike) -> Tensor:
 
 
 def tanh(a: TensorLike) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = np.tanh(ta.data)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "tanh", (ta,), out)) is not None:
+        return res
 
     def vjp(g: Array, _need):
         return (g * (1.0 - out * out),)
@@ -420,11 +505,12 @@ def tanh(a: TensorLike) -> Tensor:
 
 
 def sqrt(a: TensorLike) -> Tensor:
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     out = np.sqrt(ta.data)
     if tape is None:
-        _check_finite(out, "sqrt")
-        return Tensor(out)
+        check_finite(out, "sqrt")
+    if (res := _unrecorded(tape, "sqrt", (ta,), out)) is not None:
+        return res
 
     def vjp(g: Array, _need):
         return (g * 0.5 / out,)
@@ -434,52 +520,42 @@ def sqrt(a: TensorLike) -> Tensor:
 
 def softmax(a: TensorLike) -> Tensor:
     """Softmax over the last axis."""
-    (ta,), tape = _coerce(a)
-    out = _softmax_raw(ta.data)
-    if tape is None:
-        return Tensor(out)
+    (ta,), tape = coerce(a)
+    out = softmax_forward(ta.data)
+    if (res := _unrecorded(tape, "softmax", (ta,), out)) is not None:
+        return res
 
     def vjp(g: Array, _need):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (softmax_vjp(g, out),)
 
     return tape.emit("softmax", (ta,), out, vjp)
 
 
 def l2_norm(a: TensorLike) -> Tensor:
     """Euclidean norm over the last axis; gradient defined as 0 at the origin."""
-    (ta,), tape = _coerce(a)
-    out = np.sqrt((ta.data ** 2).sum(axis=-1))
-    if tape is None:
-        return Tensor(out)
+    (ta,), tape = coerce(a)
+    out = np.asarray(l2_norm_forward(ta.data), dtype=np.float64)
+    if (res := _unrecorded(tape, "l2_norm", (ta,), out)) is not None:
+        return res
     data = ta.data
-    safe = np.where(out == 0.0, 1.0, out)
 
     def vjp(g: Array, _need):
-        zero = np.expand_dims(out == 0.0, -1)
-        scale = np.where(zero, 0.0, np.expand_dims(g, -1) / np.expand_dims(safe, -1))
-        return (data * scale,)
+        return (l2_norm_vjp(g, data, out),)
 
-    return tape.emit("l2_norm", (ta,), np.asarray(out, dtype=np.float64), vjp)
+    return tape.emit("l2_norm", (ta,), out, vjp)
 
 
 def take_along_last(a: TensorLike, indices: Array) -> Tensor:
     """Gather along the last axis: out[..., k] = a[..., indices[..., k]]."""
-    (ta,), tape = _coerce(a)
+    (ta,), tape = coerce(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = np.take_along_axis(ta.data, idx, axis=-1)
-    if tape is None:
-        return Tensor(out)
+    if (res := _unrecorded(tape, "take_along_last", (ta,), out)) is not None:
+        return res
     shape = ta.data.shape
 
     def vjp(g: Array, _need):
-        full = np.zeros(shape, dtype=np.float64)
-        flat_full = full.reshape(-1, shape[-1])
-        flat_idx = np.broadcast_to(idx, g.shape).reshape(-1, g.shape[-1])
-        flat_g = g.reshape(-1, g.shape[-1])
-        rows = np.repeat(np.arange(flat_full.shape[0]), flat_idx.shape[1])
-        np.add.at(flat_full, (rows, flat_idx.ravel()), flat_g.ravel())
-        return (full,)
+        return (take_along_last_vjp(g, idx, shape),)
 
     return tape.emit("take_along_last", (ta,), out, vjp)
 

@@ -484,7 +484,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every overflow ends in one error[non-finite] line from a finiteness check, not in numpy warnings first
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ chunks are named positionally (``sx0, sy0, sn0, sa0, ...``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -123,6 +124,7 @@ class BoolOp:
 Predicate = Union[PredicateAtom, BoolOp]
 
 MAX_PREDICATE_DEPTH = 2
+MAX_PAREN_NESTING = 32  # far above what a predicate within the depth bound needs; keeps the parser's recursion shallow
 
 
 @dataclass(frozen=True)
@@ -377,6 +379,7 @@ class _RuleParser:
         self.names = names
         self.name_index = {name: k for k, name in enumerate(names)}
         self.dim = len(names)
+        self.nesting = 0
 
     def parse_rule(self) -> Rule:
         kind, word, col = self.toks.next()
@@ -435,16 +438,21 @@ class _RuleParser:
             raise ParseError(str(exc), self.line, col) from exc
 
     def _pred_atom_or_group(self) -> Predicate:
-        kind, _, _ = self.toks.peek()
+        kind, _, col = self.toks.peek()
         if kind == "(":
+            self.nesting += 1
+            if self.nesting > MAX_PAREN_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_NESTING}", self.line, col)
             self.toks.next()
             inner = self._pred_or()
             self.toks.expect(")")
+            self.nesting -= 1
             return inner
         lhs = self._linear()
         self.toks.expect(">=")
         rhs = self._linear()
         weights = [a - b for a, b in zip(lhs, rhs)]
+        self._check_finite(weights, col)
         return PredicateAtom(tuple(weights))
 
     def _linear(self) -> list[float]:
@@ -461,7 +469,13 @@ class _RuleParser:
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.next()[0]
             self._term(weights, 1.0 if op == "+" else -1.0)
+        self._check_finite(weights, col)
         return weights
+
+    def _check_finite(self, weights: list[float], col: int) -> None:
+        """A coefficient written as 1e999, or summed past the float range, would score every sender inf or nan."""
+        if not all(math.isfinite(w) for w in weights):
+            raise ParseError("expression has a coefficient that is not a finite float", self.line, col)
 
     def _term(self, weights: list[float], sign: float) -> None:
         kind, word, col = self.toks.peek()

@@ -365,23 +365,17 @@ class Policy(Protocol):
 
 @dataclass
 class RewardTerms:
-    """The per-agent parts of one step's rewards."""
+    """The per-agent parts of one step's rewards and their taped sum."""
 
-    goal: Tensor  # (B, N) formation: distance to the own goal; coverage: largest weight on each goal
-    hinge: Optional[Tensor] = None  # formation: (B, N, N) collision hinge, zero diagonal
-
-    def total(self) -> Tensor:
-        """The B worlds' rewards summed into one scalar, as the training objective adds them."""
-        if self.hinge is not None:
-            return ad.mul(ad.add(ad.tensor_sum(self.goal), ad.tensor_sum(self.hinge)), -1.0)
-        b, n = self.goal.shape
-        return ad.sub(ad.tensor_sum(self.goal), float(n * b))
+    goal: Array  # (B, N) formation: distance to the own goal; coverage: largest weight on each goal
+    total: Tensor  # the B worlds' rewards summed into one scalar, as the training objective adds them
+    hinge: Optional[Array] = None  # formation: (B, N, N) collision hinge, zero diagonal
 
     def per_world(self) -> Array:
         """(B,) rewards."""
         if self.hinge is not None:
-            return -(self.goal.data.sum(axis=1) + self.hinge.data.sum(axis=(1, 2)))
-        return self.goal.data.sum(axis=1) - self.goal.shape[1]
+            return -(self.goal.sum(axis=1) + self.hinge.sum(axis=(1, 2)))
+        return self.goal.sum(axis=1) - self.goal.shape[1]
 
 
 def step_rewards(
@@ -394,28 +388,98 @@ def step_rewards(
 ) -> RewardTerms:
     """Formation: -(sum of goal distances + collision hinge over ordered pairs).
     Coverage: sum over goals of the largest weight any agent puts on it, minus N.
-    rel: (B, N, N, 2) relative positions x_j - x_i.
+    rel: (B, N, N, 2) relative positions x_j - x_i. On a tape the total is one record.
     """
     if not formation:
-        return RewardTerms(ad.tensor_max(actions, axis=1))
-    goal_dists = ad.l2_norm(ad.sub(pos, goals))
-    pair_dists = ad.l2_norm(rel)
-    hinge = ad.relu(
-        ad.mul(ad.sub(2.0, ad.div(pair_dists, params.collision_distance)), params.collision_weight)
-    )
-    n = pair_dists.shape[-1]
-    return RewardTerms(goal_dists, ad.mul(hinge, (1.0 - np.eye(n))[None]))
+        items, tape = ad.coerce(actions)
+        shares = items[0].data
+        goal = shares.max(axis=1)
+        b, n = goal.shape
+        total = np.asarray(goal.sum() - float(n * b))
+        if tape is not None:
+            ad.check_finite(total, "step_rewards")
+        if not ad.on_path(tape, items):
+            return RewardTerms(goal, Tensor(total, tape=tape))
+
+        def coverage_vjp(g: Array, _need):
+            g_goal = np.broadcast_to(g, goal.shape).copy()
+            mask = np.zeros(shares.shape, dtype=np.float64)
+            np.put_along_axis(mask, np.expand_dims(np.argmax(shares, axis=1), 1), 1.0, axis=1)
+            return (mask * np.expand_dims(g_goal, 1),)
+
+        return RewardTerms(goal, tape.emit("step_rewards", items, total, coverage_vjp))
+
+    items, tape = ad.coerce(rel, pos, goals)
+    (t_rel, t_pos), goal_data = items[:2], items[2].data
+    diff = t_pos.data - goal_data
+    goal = ad.l2_norm_forward(diff)
+    pair = ad.l2_norm_forward(t_rel.data)
+    cd, cw = np.asarray(params.collision_distance), np.asarray(params.collision_weight)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closeness = pair / cd
+    ad.check_finite(closeness, "div (step_rewards)")
+    scaled = (2.0 - closeness) * cw
+    if tape is not None:
+        ad.check_finite(scaled, "step_rewards")
+    offdiag = (1.0 - np.eye(pair.shape[-1]))[None]
+    hinge = np.maximum(scaled, 0.0) * offdiag
+    total = np.asarray((goal.sum() + hinge.sum()) * -1.0)
+    if tape is not None:
+        ad.check_finite(total, "step_rewards")
+    if not ad.on_path(tape, items[:2]):
+        return RewardTerms(goal, Tensor(total, tape=tape), hinge)
+    rel_data, pos_shape = t_rel.data, t_pos.shape
+
+    def formation_vjp(g: Array, need):
+        g_sum = g * np.asarray(-1.0)
+        g_rel = g_pos = None
+        if need[0]:
+            g_hinge = (np.broadcast_to(g_sum, hinge.shape).copy() * offdiag) * (scaled > 0.0).astype(np.float64)
+            g_closeness = -(g_hinge * cw)
+            g_rel = ad.l2_norm_vjp(g_closeness / cd, rel_data, pair)
+        if need[1]:
+            g_pos = ad.unbroadcast(ad.l2_norm_vjp(np.broadcast_to(g_sum, goal.shape).copy(), diff, goal), pos_shape)
+        return g_rel, g_pos
+
+    return RewardTerms(goal, tape.emit("step_rewards", items[:2], total, formation_vjp), hinge)
 
 
 def advance(pos: ad.TensorLike, goals: ad.TensorLike, actions: ad.TensorLike, cfg: TaskConfig) -> Tensor:
-    """x' = x + v dt; v is the action (formation) or the weighted goals minus x (coverage)."""
+    """x' = x + v dt; v is the action (formation) or the weighted goals minus x (coverage).
+
+    On a tape this is one record. In coverage it lists pos twice, once per use,
+    in the order the reverse walk of the equivalent op chain reached them.
+    """
+    items, tape = ad.coerce(pos, actions)
+    t_pos, t_act = items
+    dt = np.asarray(cfg.dt)
     if cfg.formation:
-        velocity = actions
+        out = t_pos.data + t_act.data * dt
+        inputs = [t_pos, t_act]
     else:
-        b, n = actions.shape[0], actions.shape[1]
-        weighted = ad.mul(ad.reshape(actions, (b, n, n, 1)), ad.reshape(goals, (b, 1, n, 2)))
-        velocity = ad.sub(ad.tensor_sum(weighted, axis=2), pos)
-    return ad.add(pos, ad.mul(velocity, cfg.dt))
+        b, n = t_act.shape[0], t_act.shape[1]
+        act4 = t_act.data.reshape(b, n, n, 1)
+        goals4 = np.asarray(goals.data if isinstance(goals, Tensor) else goals, dtype=np.float64).reshape(b, 1, n, 2)
+        velocity = (act4 * goals4).sum(axis=2) - t_pos.data
+        out = t_pos.data + velocity * dt
+        inputs = [t_pos, t_pos, t_act]
+    if tape is not None:
+        ad.check_finite(out, "advance")
+    if not ad.on_path(tape, items):
+        return Tensor(out, tape=tape)
+    pos_shape, act_shape = t_pos.shape, t_act.shape
+
+    def vjp(g: Array, need):
+        g_pos = ad.unbroadcast(g, pos_shape) if need[0] else None
+        g_velocity = g * dt
+        if cfg.formation:
+            return g_pos, ad.unbroadcast(g_velocity, act_shape) if need[1] else None
+        g_pos_2 = ad.unbroadcast(-g_velocity, pos_shape) if need[1] else None
+        g_weighted = np.broadcast_to(np.expand_dims(g_velocity, 2), (b, n, n, 2)).copy()
+        g_act = ad.unbroadcast(g_weighted * goals4, act4.shape).reshape(act_shape) if need[2] else None
+        return g_pos, g_pos_2, g_act
+
+    return tape.emit("advance", inputs, out, vjp)
 
 
 def check_actions(actions: Array, cfg: TaskConfig) -> None:

@@ -135,7 +135,7 @@ def unroll_score(
     gamma_t = 1.0
     for _ in range(cfg.horizon):
         out = env.world_step(policy, cfg, reward_params, batch, pos, rngs, weights)
-        contrib = ad.mul(out.rewards.total(), gamma_t / b)
+        contrib = ad.mul(out.rewards.total, gamma_t / b)
         total = contrib if total is None else ad.add(total, contrib)
         pos = out.next_positions
         gamma_t *= discount

@@ -156,8 +156,12 @@ def init_for_task(cfg, rng: np.random.Generator, **dims) -> TransformerParams:
     )
 
 
+def _net(weights: dict[str, ad.TensorLike], net: str) -> list[ad.TensorLike]:
+    return [weights[f"{net}.{p}"] for p in ("w1", "b1", "w2", "b2")]
+
+
 def _mlp(weights: dict[str, ad.TensorLike], net: str, x: ad.TensorLike) -> Tensor:
-    return ad.mlp(x, *(weights[f"{net}.{p}"] for p in ("w1", "b1", "w2", "b2")))
+    return ad.mlp(x, *_net(weights, net))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +186,35 @@ class ForwardResult:
     rounds: list[RoundState]
 
 
-def _tile_over_senders(x: Tensor, n: int) -> Tensor:
-    b = x.shape[0]
-    d = x.shape[-1]
-    expanded = ad.reshape(x, (b, x.shape[1], 1, d))
-    ones = np.ones((1, 1, n, 1))
-    return ad.mul(expanded, ones)
+def _pairs(x: Array, obs: Array) -> Array:
+    """(B*N*N, d+2) rows [x_i, o_ij]: each agent's vector tiled over the senders next to its observations."""
+    b, n, d = x.shape
+    tiled = np.broadcast_to(x.reshape(b, n, 1, d), (b, n, n, d))  # the chain's x * ones, exactly
+    return np.concatenate([tiled, obs], axis=-1).reshape(b * n * n, d + 2)
+
+
+def _untile(g_flat: Array, b: int, n: int, d: int) -> tuple[Array, Array]:
+    """The vjp of _pairs: the gradients of (x, obs) from the gradient of its rows."""
+    g_tiled, g_obs = np.split(g_flat.reshape(b, n, n, d + 2), [d], axis=-1)
+    return g_tiled.sum(axis=2), g_obs  # the chain summed g_tiled * ones over the senders in this order
+
+
+def _harden(soft: Array, mask: Array) -> tuple[Array, Array, Array]:
+    """(masked rows, normalizers, hardened rows); the hardened rows are checked like the chain's div."""
+    masked = soft * mask
+    z = masked.sum(axis=-1, keepdims=True)
+    zz = z + (z == 0.0).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hard = masked / zz
+    ad.check_finite(hard, "div (harden_rows)")
+    return masked, zz, hard
+
+
+def _harden_vjp(g: Array, soft_shape: tuple[int, ...], mask: Array, masked: Array, zz: Array) -> Array:
+    """The gradient of the soft rows, through the chain's div, add, sum and mul vjps in reverse."""
+    g_zz = ad.unbroadcast(-g * masked / (zz * zz), zz.shape)
+    g_masked = ad.unbroadcast(g / zz, masked.shape) + np.broadcast_to(g_zz, masked.shape).copy()
+    return ad.unbroadcast(g_masked * mask, soft_shape)
 
 
 def harden_rows(soft: ad.TensorLike, mask: Array) -> Tensor:
@@ -197,20 +224,61 @@ def harden_rows(soft: ad.TensorLike, mask: Array) -> Tensor:
     (nothing selected) comes out all-zero, and the agent then acts on its state
     plus a zero message sum. Gradients flow through the kept weights and the
     normalizer, never through the discrete mask. Training, rollouts and the
-    synthesis surrogate all harden attention through this one function.
+    synthesis surrogate all harden attention through this one function, or
+    through forward_round, which runs the same arithmetic.
     """
-    masked = ad.mul(soft, np.asarray(mask, dtype=np.float64))
-    z = ad.tensor_sum(masked, axis=-1, keepdims=True)
-    return ad.div(masked, ad.add(z, (z.data == 0.0).astype(np.float64)))
+    items, tape = ad.coerce(soft)
+    mask = np.asarray(mask, dtype=np.float64)
+    masked, zz, hard = _harden(items[0].data, mask)
+    if not ad.on_path(tape, items):
+        return Tensor(hard, tape=tape)
+
+    def vjp(g: Array, _need):
+        return (_harden_vjp(g, items[0].shape, mask, masked, zz),)
+
+    return tape.emit("harden_rows", items, hard, vjp)
+
+
+def _squash(u: Array, v_max: float, op: str) -> tuple[Array, Array, Array, Array]:
+    """(norm, tanh(norm), factor, u * factor); norm and factor are checked like the chain's sqrt and div."""
+    n2 = (u * u).sum(axis=-1, keepdims=True)
+    norm = np.sqrt(n2 + _SQUASH_EPS)
+    ad.check_finite(norm, f"sqrt ({op})")
+    th = np.tanh(norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = th * v_max / norm
+    ad.check_finite(factor, f"div ({op})")
+    return norm, th, factor, u * factor
+
+
+def _squash_vjp(g: Array, u: Array, v_max: float, norm: Array, th: Array, factor: Array) -> tuple[Array, Array, Array]:
+    """The gradient of u from each of the chain's three uses of u, in its reverse-walk order."""
+    g_factor = ad.unbroadcast(g * u, factor.shape)
+    tv = th * np.asarray(v_max)
+    g_norm = ad.unbroadcast(-g_factor * tv / (norm * norm), norm.shape)
+    g_th = ad.unbroadcast(g_factor / norm * np.asarray(v_max), th.shape)
+    g_norm = g_norm + g_th * (1.0 - th * th)
+    g_uu = np.broadcast_to(g_norm * 0.5 / norm, u.shape).copy()
+    return ad.unbroadcast(g * factor, u.shape), g_uu * u, g_uu * u
 
 
 def squash_action(u: ad.TensorLike, v_max: float) -> Tensor:
-    """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|."""
-    u_t = u if isinstance(u, Tensor) else Tensor(u)
-    n2 = ad.tensor_sum(ad.mul(u_t, u_t), axis=-1, keepdims=True)
-    norm = ad.sqrt(ad.add(n2, _SQUASH_EPS))
-    factor = ad.div(ad.mul(ad.tanh(norm), v_max), norm)
-    return ad.mul(u_t, factor)
+    """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|.
+
+    On a tape this is one record that lists u three times, once per use.
+    """
+    items, tape = ad.coerce(u)
+    norm, th, factor, out = _squash(items[0].data, v_max, "squash_action")
+    if tape is not None:
+        ad.check_finite(out, "squash_action")
+    if not ad.on_path(tape, items):
+        return Tensor(out, tape=tape)
+    data = items[0].data
+
+    def vjp(g: Array, _need):
+        return _squash_vjp(g, data, v_max, norm, th, factor)
+
+    return tape.emit("squash_action", items * 3, out, vjp)
 
 
 def output_head(
@@ -225,21 +293,44 @@ def output_head(
 
     Formation tasks squash the output network's u into the v_max ball;
     unlabeled-goals takes a softmax over the agent's own goal ordering and
-    reorders it into global goal order.
+    reorders it into global goal order. On a tape this is one record.
     """
-    b, n = states.shape[0], states.shape[1]
-    out_in = ad.concat([states, msg_sum], axis=-1)
-    u = ad.reshape(
-        _mlp(weights, "out", ad.reshape(out_in, (b * n, params.state_dim + params.msg_dim))),
-        (b, n, params.action_dim),
-    )
-    if params.task_kind == "unlabeled-goals":
-        if goal_perm_inv is None:
-            raise ValueError("unlabeled-goals forward needs goal_perm_inv")
-        return ad.take_along_last(ad.softmax(u), np.asarray(goal_perm_inv, dtype=np.int64))
-    if v_max is None:
+    coverage = params.task_kind == "unlabeled-goals"
+    if coverage and goal_perm_inv is None:
+        raise ValueError("unlabeled-goals forward needs goal_perm_inv")
+    if not coverage and v_max is None:
         raise ValueError("formation forward needs v_max")
-    return squash_action(u, v_max)
+    items, tape = ad.coerce(states, msg_sum, *_net(weights, "out"))
+    s, m, w1, b1, w2, b2 = (t.data for t in items)
+    b, n = s.shape[0], s.shape[1]
+    x = np.concatenate([s, m], axis=-1).reshape(b * n, params.state_dim + params.msg_dim)
+    h, u_flat = ad.mlp_forward(x, w1, b1, w2, b2, None if tape is None else "mlp (output_head)")
+    u = u_flat.reshape(b, n, params.action_dim)
+    if tape is not None:
+        ad.check_finite(u, "output_head")
+    if coverage:
+        idx = np.asarray(goal_perm_inv, dtype=np.int64)
+        soft = ad.softmax_forward(u)
+        out = np.take_along_axis(soft, idx, axis=-1)
+    else:
+        norm, th, factor, out = _squash(u, v_max, "output_head")
+    if tape is not None:
+        ad.check_finite(out, "output_head")
+    if not ad.on_path(tape, items):
+        return Tensor(out, tape=tape)
+    w_need = [t.node_id is not None for t in items[2:]]
+
+    def vjp(g: Array, need):
+        if coverage:
+            g_u = ad.softmax_vjp(ad.take_along_last_vjp(g, idx, soft.shape), soft)
+        else:
+            g_a, g_b, g_c = _squash_vjp(g, u, v_max, norm, th, factor)
+            g_u = g_a + g_b + g_c
+        g_x, *g_w = ad.mlp_vjp(g_u.reshape(b * n, params.action_dim), x, w1, w2, h, [need[0] or need[1], *w_need])
+        g_s, g_m = np.split(g_x.reshape(b, n, -1), [params.state_dim], axis=-1) if g_x is not None else (None, None)
+        return (g_s if need[0] else None, g_m if need[1] else None, *g_w)
+
+    return tape.emit("output_head", items, out, vjp)
 
 
 def forward_round(
@@ -255,56 +346,127 @@ def forward_round(
 
     select_fn(round_index, soft_rows) may return a (B, N, N) mask from the soft
     attention; the rows are then hardened to it in-graph.
+
+    On a tape the round is one record whose output is the round's only input
+    to the rest of the network: the internal vectors in the first of two
+    rounds, the message sum otherwise. The other fields are constants of the
+    tape. An input the round uses more than once (the states, the
+    observations) is listed once per use, in the order the reverse walk of
+    the equivalent op chain reached those uses, so ``backward`` adds their
+    gradients in the chain's order and every weight gradient is bitwise the
+    chain's.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
+    if round_index > 0 and internal is None:
+        raise ValueError("round 2 needs the internal vectors from round 1")
     if weights is None:
         weights = dict(params.store.params)
-    states_t = states if isinstance(states, Tensor) else Tensor(states)
-    obs_t = obs if isinstance(obs, Tensor) else Tensor(obs)
-    b, n = states_t.shape[0], states_t.shape[1]
     suffix = "" if round_index == 0 else "2"
-
-    state_tiled = _tile_over_senders(states_t, n)
-    pair_state_in = ad.concat([state_tiled, obs_t], axis=-1)
-    flat_pairs = ad.reshape(pair_state_in, (b * n * n, params.state_dim + 2))
-    keys = ad.reshape(_mlp(weights, f"key{suffix}", flat_pairs), (b, n, n, params.key_dim))
-
+    to_internal = params.rounds >= 2 and round_index == 0
+    nets = [f"key{suffix}", "msg" if round_index == 0 else "msg2", f"query{suffix}"] + ["internal"] * to_internal
+    net_weights = [w for net in nets for w in _net(weights, net)]
     if round_index == 0:
-        msg_src = flat_pairs
-        msg_net = "msg"
+        items, tape = ad.coerce(states, obs, *net_weights)
+        (t_s, t_o), t_w = items[:2], items[2:]
+        # uses in the chain's reverse order: the internal network's input, the query's, the pair rows'
+        uses = [t_s] * (2 + to_internal) + [t_o]
     else:
-        if internal is None:
-            raise ValueError("round 2 needs the internal vectors from round 1")
-        h_tiled = _tile_over_senders(internal, n)
-        pair_h_in = ad.concat([h_tiled, obs_t], axis=-1)
-        msg_src = ad.reshape(pair_h_in, (b * n * n, params.internal_dim + 2))
-        msg_net = "msg2"
-    messages = ad.reshape(_mlp(weights, msg_net, msg_src), (b, n, n, params.msg_dim))
+        items, tape = ad.coerce(states, obs, internal, *net_weights)
+        (t_s, t_o, t_h), t_w = items[:3], items[3:]
+        # the query's, then the message rows' (internal and obs), then the key rows' (obs and states)
+        uses = [t_s, t_o, t_h, t_o, t_s]
+    check = None if tape is None else "mlp (forward_round)"
+    s, o = t_s.data, t_o.data
+    b, n, ds = s.shape
+    dk, dm = params.key_dim, params.msg_dim
+    wk, wm, wq, *wi = [[t.data for t in t_w[4 * k:4 * k + 4]] for k in range(len(nets))]
 
-    queries = ad.reshape(
-        _mlp(weights, f"query{suffix}", ad.reshape(states_t, (b * n, params.state_dim))),
-        (b, n, params.key_dim),
-    )
-    q_exp = ad.reshape(queries, (b, n, 1, params.key_dim))
-    logits = ad.div(ad.tensor_sum(ad.mul(q_exp, keys), axis=-1), float(np.sqrt(params.key_dim)))
-    soft = ad.softmax(logits)
+    flat = _pairs(s, o)
+    kh, keys_flat = ad.mlp_forward(flat, *wk, check)
+    keys = keys_flat.reshape(b, n, n, dk)
+    msg_in = flat if round_index == 0 else _pairs(t_h.data, o)
+    mh, msg_flat = ad.mlp_forward(msg_in, *wm, check)
+    messages = msg_flat.reshape(b, n, n, dm)
+    s_flat = s.reshape(b * n, ds)
+    qh, q_flat = ad.mlp_forward(s_flat, *wq, check)
+    queries = q_flat.reshape(b, n, dk)
+    q_exp = queries.reshape(b, n, 1, dk)
+    root_dk = np.asarray(float(np.sqrt(dk)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logits = (q_exp * keys).sum(axis=-1) / root_dk
+    ad.check_finite(logits, "div (forward_round)")
+    soft = ad.softmax_forward(logits)
 
-    mask = select_fn(round_index, soft.data) if select_fn is not None else None
-    attention = harden_rows(soft, mask) if mask is not None else soft
+    mask = select_fn(round_index, soft) if select_fn is not None else None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        masked, zz, attention = _harden(soft, mask)
+    else:
+        attention = soft
+    received = messages.transpose(0, 2, 1, 3)
+    att4 = attention.reshape(b, n, n, 1)
+    msg_sum = (att4 * received).sum(axis=2)
+    out = msg_sum
+    if to_internal:
+        agg = np.concatenate([s, msg_sum], axis=-1).reshape(b * n, ds + dm)
+        ih, internal_flat = ad.mlp_forward(agg, *wi[0], check)
+        out = internal_flat.reshape(b, n, params.internal_dim)
+    if tape is not None:
+        ad.check_finite(out, "forward_round")
 
-    received = ad.transpose(messages, (0, 2, 1, 3))
-    weighted = ad.mul(ad.reshape(attention, (b, n, n, 1)), received)
-    msg_sum = ad.tensor_sum(weighted, axis=2)
+    def state(recorded: Tensor) -> RoundState:
+        fields = [Tensor(a, tape=tape) for a in (queries, keys, messages, soft, attention)]
+        if to_internal:
+            return RoundState(*fields, Tensor(msg_sum, tape=tape), recorded)
+        return RoundState(*fields, recorded)
 
-    internal_out: Optional[Tensor] = None
-    if params.rounds >= 2 and round_index == 0:
-        agg = ad.concat([states_t, msg_sum], axis=-1)
-        internal_out = ad.reshape(
-            _mlp(weights, "internal", ad.reshape(agg, (b * n, params.state_dim + params.msg_dim))),
-            (b, n, params.internal_dim),
-        )
-    return RoundState(queries, keys, messages, soft, attention, msg_sum, internal_out)
+    inputs = uses + t_w
+    if not ad.on_path(tape, inputs):
+        return state(Tensor(out, tape=tape))
+    use_need = [t.node_id is not None for t in uses]
+    w_need = [t.node_id is not None for t in t_w]
+    n_uses = len(uses)
+
+    def vjp(g: Array, need):
+        grads: list[Optional[Array]] = [None] * n_uses
+        if to_internal:
+            g_agg, *g_wi = ad.mlp_vjp(g.reshape(b * n, -1), agg, *wi[0][::2], ih, [True, *w_need[12:]])
+            g_s_agg, g_sum = np.split(g_agg.reshape(b, n, ds + dm), [ds], axis=-1)
+            grads[0] = g_s_agg
+        else:
+            g_sum, g_wi = g, []
+        g_weighted = np.broadcast_to(np.expand_dims(g_sum, 2), (b, n, n, dm))
+        g_att = ad.unbroadcast(g_weighted * received, att4.shape).reshape(b, n, n)
+        g_messages = np.transpose(ad.unbroadcast(g_weighted * att4, received.shape), (0, 2, 1, 3))
+        g_soft = _harden_vjp(g_att, soft.shape, mask, masked, zz) if mask is not None else g_att
+        g_logits = ad.unbroadcast(ad.softmax_vjp(g_soft, soft) / root_dk, (b, n, n))
+        g_prod = np.broadcast_to(np.expand_dims(g_logits, -1), (b, n, n, dk))
+        g_queries = ad.unbroadcast(g_prod * keys, q_exp.shape).reshape(b * n, dk)
+        g_keys = ad.unbroadcast(g_prod * q_exp, keys.shape).reshape(b * n * n, dk)
+        q = int(to_internal)  # where the query's use of the states is listed
+        g_sq, *g_wq = ad.mlp_vjp(g_queries, s_flat, *wq[::2], qh, [use_need[q], *w_need[8:12]])
+        if g_sq is not None:
+            grads[q] = g_sq.reshape(b, n, ds)
+        if round_index == 0:
+            pair_need = use_need[q + 1] or use_need[q + 2]
+            g_flat, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), flat, *wm[::2], mh, [pair_need, *w_need[4:8]])
+            g_key_flat, *g_wk = ad.mlp_vjp(g_keys, flat, *wk[::2], kh, [pair_need, *w_need[0:4]])
+            if pair_need:
+                g_flat += g_key_flat  # the chain's sum of the two uses, in place in the array this vjp made
+                grads[q + 1], grads[q + 2] = _untile(g_flat, b, n, ds)
+        else:
+            msg_need = use_need[1] or use_need[2]
+            g_msg_in, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), msg_in, *wm[::2], mh, [msg_need, *w_need[4:8]])
+            if msg_need:
+                grads[2], grads[1] = _untile(g_msg_in, b, n, params.internal_dim)
+            key_need = use_need[3] or use_need[4]
+            g_key_flat, *g_wk = ad.mlp_vjp(g_keys, flat, *wk[::2], kh, [key_need, *w_need[0:4]])
+            if key_need:
+                grads[4], grads[3] = _untile(g_key_flat, b, n, ds)
+        return (*(gr if nd else None for gr, nd in zip(grads, need)), *g_wk, *g_wm, *g_wq, *g_wi)
+
+    return state(tape.emit("forward_round", inputs, out, vjp))
 
 
 def forward_policy(

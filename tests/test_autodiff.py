@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -340,6 +341,21 @@ class TestTapeMechanics:
         del noise
         assert alive() is None
         np.testing.assert_array_equal(backward(tape, out)[w.node_id], np.ones(3))
+
+    @pytest.mark.parametrize("op", [ad.relu, ad.l2_norm, ad.tanh])
+    def test_an_op_on_constants_only_saves_nothing_for_a_vjp(self, op):
+        tape = Tape()
+        x = tape.constant(make_rng(5).normal(size=(500, 500)))
+        tracemalloc.start()
+        try:
+            out = op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, plus the finiteness check's bool array and l2_norm's squares
+        allowed = out.data.nbytes + x.data.size + (x.data.nbytes if op is ad.l2_norm else 0)
+        assert out.node_id is None and tape.records == []
+        assert peak <= allowed + 64 * 1024
 
     def test_a_weight_no_gradient_reaches_gets_zeros_of_its_shape(self):
         tape = Tape()

@@ -430,6 +430,19 @@ class TestSurfaceSyntax:
             parse_program(text)
         assert (err.value.line, err.value.col) == (2, len("random(filter(d >= ") + 1)
 
+    @pytest.mark.parametrize("expr", ["1e999*d >= 0", "d >= -1e999", "1e308*d + 1e308*d >= 0", "1e308*d >= -1e308*d"])
+    def test_coefficient_that_is_not_finite_is_a_parse_error(self, expr):
+        text = f"#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter({expr}, l))\n"
+        with pytest.raises(ParseError, match="not a finite float"):
+            parse_program(text)
+
+    def test_deep_parentheses_are_a_parse_error_not_a_recursion_error(self):
+        deep = "(" * 2000 + "d >= 0" + ")" * 2000
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_program(f"#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter({deep}, l))\n")
+        shallow = "(" * 5 + "d >= 0" + ")" * 5
+        assert parse_program(f"#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter({shallow}, l))\n")
+
     def test_roundtrip_random_programs(self):
         rng = make_rng(13)
         for _ in range(100):

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -941,6 +944,26 @@ class TestCli:
             argv += ["--program", str(cli_workspace / "program.txt"), "--rollouts", "2", "--batch", "2"]
         assert self._one_error_line(argv, capsys).startswith("error[non-finite]: non-finite result in ")
         assert not out.exists()
+
+    def test_an_overflow_prints_no_numpy_warning_ahead_of_its_error_line(self, cli_workspace, tmp_path):
+        # in a fresh interpreter: pytest would capture numpy's RuntimeWarnings apart from stderr
+        doc = json.loads((cli_workspace / "oracle.json").read_text())
+        for name in ("out.w1", "out.w2"):
+            doc["params"][name]["values"] = [1e200] * len(doc["params"][name]["values"])
+        (tmp_path / "huge.json").write_text(json.dumps(doc))
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "swarmcomm.cli", "evaluate", "--params", str(tmp_path / "huge.json"),
+                "--config", str(cli_workspace / "task.json"), "--policy", "tf-full", "--rollouts", "1",
+                "--out", str(tmp_path / "m.json"),
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"},
+        )
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[non-finite]: non-finite result in "), run.stderr
 
     @pytest.mark.parametrize(
         "key, value, expected",

@@ -6,9 +6,12 @@ header keys are dropped, duplicated or retyped, lines truncated, arrays
 reshaped, and NaN, wrong widths or out-of-range indices written in; the
 manifest's args and fields are retyped. The task config and the oracle's
 parameter file are mutated the same way, and given huge, tiny or negative
-numbers that overflow inside a rollout. Every mutant goes through
-``cli.main`` (``synthesize --steps 1``, ``rerun`` or ``evaluate --rollouts 1``)
-and must exit 0, or exit 1 with exactly one ``error[...]`` line; it must never
+numbers that overflow inside a rollout. A valid two-rule program's text loses
+or repeats tokens, gets stray characters, unbalanced parentheses, unknown
+feature names, non-finite or overflowing coefficients and a changed header.
+Every mutant goes through ``cli.main`` (``synthesize --steps 1``, ``rerun``,
+``evaluate --rollouts 1`` or ``evaluate --policy combined --rollouts 1``) and
+must exit 0, or exit 1 with exactly one ``error[...]`` line; it must never
 raise. A dataset with a boolean inside one of its arrays must exit 1 with one
 ``error[bad-config]`` line.
 """
@@ -16,8 +19,8 @@ raise. A dataset with a boolean inside one of its arrays must exit 1 with one
 import copy
 import json
 import random
+import re
 
-import numpy as np
 import pytest
 
 from swarmcomm import cli, env
@@ -32,6 +35,7 @@ N_MANIFEST_MUTANTS = 60
 N_BOOLEAN_MUTANTS = 15  # per task kind
 N_CONFIG_MUTANTS = 60  # per task kind
 N_PARAMS_MUTANTS = 60  # per task kind
+N_PROGRAM_MUTANTS = 80  # per task kind
 
 ARRAY_KEYS = ("s", "o", "msg", "alpha", "a", "goal_perm_inv")
 # no valid count here: a manifest's rollouts of 2 ** 70 would run; no small int, which is an open file descriptor
@@ -39,6 +43,25 @@ ODD_VALUES = ("x", "", None, True, False, 1.5, -1, [], {}, [[]], [1.0, "x"], flo
 ODD_ROW_VALUES = ODD_VALUES + (0, 7, 2 ** 70)
 # valid or not, none a huge count: a horizon or group size of 2 ** 70 would run
 EXTREMES = (0, -1, 2, 0.5, -0.5, 1e300, -1e300, 1e308, -1e308, 1e-320, 5e-324, -1e-320)
+# a valid two-rule program per task: V1 features of grid's 4-wide states, V2 of coverage's 6-wide ones
+PROGRAMS = {
+    "grid": (
+        "#dsl v1 features=V1 rules=2 state_dim=4\n"
+        "random(filter(0.5*d - 1.0 >= 0 and (ox >= -2.0 or oy + 0.25*sx0 >= 0), l))\n"
+        "argmax(map(-d + 0.5*theta - 0.1, filter(d - 0.2 >= 0 or -ox >= 1.5, l)))\n"
+    ),
+    "coverage": (
+        "#dsl v1 features=V2 rules=2 state_dim=6\n"
+        "argmax(map(-d + 2.0*c0xy, filter(sn1 - 0.5 >= 0 or (sa0 >= 0.1 and oy >= -1e-3), l)))\n"
+        "random(filter(-d + 3 >= 0, l))\n"
+    ),
+}
+PROGRAM_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9.]+(?:e[-+]?[0-9]+)?|>=|\S")
+STRAY = ("(", ")", ",", "*", "+", "-", ">", "=", "#", "!", "@", ";", "[", "]", "{", "\\", "'", '"', "\t", "\x00", "é", "∞", "\u202e")
+ODD_NUMBERS = ("nan", "inf", "-inf", "1e999", "-1e999", "1e308", "5e-324", "1e-400", "0x1p3", "1_0", "00", "1.2.3", ".", "e5")
+ODD_NAMES = ("zz", "sx9", "theta2", "D", "l", "filter", "and", "or", "map", "random", "argmax", "const", "_")
+ODD_HEADER_VALUES = ("", "0", "1", "3", "-1", "x", "V3", "v2", "V1", "2.5", "1e3", "99999999999999999999999", "٣")
+
 TASKS = {
     "grid": TaskConfig(task_kind="random-grid", n_agents_per_group=1, horizon=2, obs_noise_sigma=0.05),
     "coverage": TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=2),
@@ -219,8 +242,7 @@ def _params_mutant(rng, text):
 def _outcome(argv, capsys):
     """None when cli.main exits 0, or 1 with exactly one error[...] line; else what went wrong."""
     try:
-        with np.errstate(all="ignore"):  # numpy would warn on each overflow a mutant causes
-            rc = cli.main(argv)
+        rc = cli.main(argv)
     except (Exception, SystemExit) as exc:  # the failure under test, reported per mutant
         capsys.readouterr()
         return f"raised {type(exc).__name__}: {exc}"
@@ -312,4 +334,66 @@ def test_config_and_params_mutants_exit_cleanly(collected, tmp_path, capsys, kin
             problem = _outcome(argv, capsys)
             if problem:
                 failures.append(f"{name} {kind} mutant {k} ({what}): {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def _program_mutant(rng, text):
+    header, *rules = text.splitlines()
+    op = rng.choice(("drop", "duplicate", "stray", "number", "name", "paren", "nest", "header", "line"))
+    k = rng.randrange(len(rules))
+    tokens = PROGRAM_TOKEN.findall(rules[k])
+    i = rng.randrange(len(tokens))
+    if op == "drop":
+        del tokens[i]
+    elif op == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif op == "stray":
+        tokens.insert(i, rng.choice(STRAY))
+    elif op == "number":
+        numbers = [j for j, tok in enumerate(tokens) if tok[0].isdigit()]
+        tokens[rng.choice(numbers)] = rng.choice(ODD_NUMBERS)
+    elif op == "name":
+        names = [j for j, tok in enumerate(tokens) if tok[0].isalpha() and tok not in ("argmax", "map", "random", "filter", "l", "and", "or")]
+        tokens[rng.choice(names)] = rng.choice(ODD_NAMES)
+    elif op == "paren":
+        parens = [j for j, tok in enumerate(tokens) if tok in "()"]
+        del tokens[rng.choice(parens)]
+    elif op == "nest":
+        depth = rng.choice((3, 40, 2000))
+        at = tokens.index("filter") + 2
+        tokens[at:at] = ["("] * depth
+        tokens.insert(tokens.index(",", at), ")" * depth)
+    elif op == "header":
+        fields = header.split()
+        j = rng.randrange(2, len(fields))
+        key = fields[j].split("=")[0]
+        fields[j] = f"{key}={rng.choice(ODD_HEADER_VALUES)}" if rng.random() < 0.8 else rng.choice(("", key, f"{key}=", "=", "x=1"))
+        header = " ".join(fields)
+    else:
+        rules.insert(k, rng.choice(("", "#dsl v1", rules[k], rules[k][: len(rules[k]) // 2])))
+    rules[k] = " ".join(tokens) if op != "line" else rules[k]
+    return op, "\n".join([header, *rules]) + "\n"
+
+
+def test_program_mutants_exit_cleanly(collected, tmp_path, capsys):
+    rng = random.Random(SEED + 4)
+    failures = []
+    for name, root in collected.items():
+        valid = PROGRAMS[name]
+        n_rounds = TASKS[name].comm_rounds
+        for k in range(N_PROGRAM_MUTANTS):
+            what, mutant = _program_mutant(rng, valid)
+            paths = []
+            for r in range(n_rounds):
+                paths.append(tmp_path / f"{name}-{k}-{r}.txt")
+                paths[-1].write_text(mutant if r == k % n_rounds else valid)
+            argv = [
+                "evaluate", "--params", str(root / "oracle.json"), "--config", str(root / "task.json"),
+                "--policy", "combined", "--rollouts", "1", "--out", str(tmp_path / "m.json"), "--seed", "4",
+            ]
+            for path in paths:
+                argv += ["--program", str(path)]
+            problem = _outcome(argv, capsys)
+            if problem:
+                failures.append(f"{name} program mutant {k} ({what}): {problem}\n{mutant}")
     assert not failures, "\n".join(failures)
