@@ -53,10 +53,8 @@ from .transformer import (
     TransformerParams,
     forward_policy,
     forward_round,
-    harden_rows,
     init_for_task,
     init_transformer,
-    squash_action,
 )
 
 __version__ = "0.1.0"

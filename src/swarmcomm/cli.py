@@ -213,10 +213,22 @@ def cmd_retrain(args: argparse.Namespace) -> int:
     return _save_trained("retrain", args, seed, [args.config, args.params, *args.program], result, "retrained")
 
 
-def _build_policy(args: argparse.Namespace, params: TransformerParams, cfg: TaskConfig):
-    programs = _load_programs(args.program, params) if args.policy == "combined" and args.program else None
+def _build_policy(args: argparse.Namespace) -> tuple[TaskConfig, env.RewardParams, env.Policy]:
+    """The task, rewards and --policy that evaluate and attn-dump run.
+
+    A flag the chosen policy does not read is a usage error, raised before any
+    input file is read: --k belongs to dist and hard-attn, --program to combined.
+    """
+    if args.k is not None and args.policy not in ("dist", "hard-attn"):
+        raise CliError("usage", f"--k applies to --policy dist and hard-attn only, not {args.policy}")
+    if args.program and args.policy != "combined":
+        raise CliError("usage", f"--program applies to --policy combined only, not {args.policy}")
+    cfg, rewards = _read(args.config, env.load_config)
+    params = _read(args.params, TransformerParams.load)
+    _check_dims(params, cfg)
+    programs = _load_programs(args.program, params) if args.program else None
     try:
-        return make_policy(args.policy, params, v_max=cfg.v_max, k=args.k, programs=programs)
+        return cfg, rewards, make_policy(args.policy, params, v_max=cfg.v_max, k=args.k, programs=programs)
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
 
@@ -225,10 +237,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
     _require(0.0 < args.gamma <= 1.0, f"--gamma must be in (0, 1], got {args.gamma}")
     _require_comm_weight(args)
-    cfg, rewards = _read(args.config, env.load_config)
-    params = _read(args.params, TransformerParams.load)
-    _check_dims(params, cfg)
-    policy = _build_policy(args, params, cfg)
+    cfg, rewards, policy = _build_policy(args)
     seed = _seed(args)
     metrics = evaluate(
         policy, cfg, args.rollouts, args.comm_weight, seed, rewards, gamma=args.gamma
@@ -304,10 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_attn_dump(args: argparse.Namespace) -> int:
-    cfg, rewards = _read(args.config, env.load_config)
-    params = _read(args.params, TransformerParams.load)
-    _check_dims(params, cfg)
-    policy = _build_policy(args, params, cfg)
+    cfg, rewards, policy = _build_policy(args)
     seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
     traj = rollout(policy, cfg, rng, rewards)

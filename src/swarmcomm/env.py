@@ -16,7 +16,7 @@ a generator spawned from one master SeedSequence.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
@@ -123,11 +123,6 @@ def load_config(path: Union[str, Path]) -> tuple[TaskConfig, RewardParams]:
         decode(TaskConfig, {k: v for k, v in doc.items() if k in task_keys}),
         decode(RewardParams, {k: v for k, v in doc.items() if k not in task_keys}),
     )
-
-
-def save_config(path: Union[str, Path], cfg: TaskConfig, rewards: RewardParams) -> None:
-    doc = {**asdict(cfg), **asdict(rewards)}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass

@@ -118,10 +118,11 @@ def evaluate_many(
     then its steps. The worlds of all policies are grouped by agent count,
     kept in policy-major order and stepped in lockstep in chunks of at most
     max(n_rollouts, len(policies)) worlds; a chunk that spans several policies
-    runs them as one ``StackedPolicy``, so they must share their class, params
-    and v_max. The results do not depend on the grouping. The combined
-    objective is the discounted cumulative reward minus comm_weight times the
-    summed per-step max degree, averaged over rollouts.
+    runs them as one ``StackedPolicy``, so several policies must all be
+    ``CombinedPolicy`` instances over one params and v_max. The results do not
+    depend on the grouping. The combined objective is the discounted
+    cumulative reward minus comm_weight times the summed per-step max degree,
+    averaged over rollouts.
     """
     if n_rollouts < 1:
         raise HarnessError("n_rollouts must be >= 1")
@@ -287,10 +288,6 @@ def sweep(
 
 def metrics_to_json(metrics: Sequence[Metrics]) -> str:
     return json.dumps([asdict(m) for m in metrics], indent=2, sort_keys=True) + "\n"
-
-
-def metrics_from_json(text: str) -> list[Metrics]:
-    return [decode(Metrics, doc) for doc in json.loads(text)]
 
 
 def metrics_to_csv(metrics: Sequence[Metrics]) -> str:

@@ -188,52 +188,35 @@ class NoCommPolicy(_TransformerPolicy):
 
 
 class StackedPolicy(_TransformerPolicy):
-    """Several policies of one class over one network, stepped in one batch.
+    """Several combined policies over one network, stepped in one batch.
 
     The first counts[0] worlds of a batch belong to parts[0], the next
     counts[1] to parts[1], and so on. One network forward serves the whole
-    batch; each part builds the request masks of its own worlds. The parts
-    must share their class, params and v_max. Stacked CombinedPolicy parts
-    share the pair features too: the whole batch is featurized once per
-    feature map and round, and each part interprets its own slice.
+    batch, so the parts must share their params and v_max. The whole batch is
+    featurized once per feature map and round, and each part interprets its
+    own slice of the pair features.
     """
 
-    def __init__(self, parts: Sequence[_TransformerPolicy], counts: Sequence[int]):
+    def __init__(self, parts: Sequence[CombinedPolicy], counts: Sequence[int]):
         first = parts[0]
         for part in parts:
-            if (
-                not isinstance(part, _TransformerPolicy)
-                or type(part) is not type(first)
-                or part.params is not first.params
-                or part.v_max != first.v_max
-            ):
-                raise ValueError("stacked policies must be transformer policies of one class, params and v_max")
+            if not isinstance(part, CombinedPolicy) or part.params is not first.params or part.v_max != first.v_max:
+                raise ValueError("stacked policies must be combined policies of one params and v_max")
         if len(counts) != len(parts) or min(counts) < 1:
             raise ValueError("need one positive world count per stacked policy")
         super().__init__(first.params, first.v_max)
         self.parts = list(parts)
-        self.name = first.name
-        self.full_comm = first.full_comm
         self._bounds = [0, *np.cumsum(counts).tolist()]
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
         if soft.shape[0] != self._bounds[-1]:
             raise ValueError(f"stacked policy expects {self._bounds[-1]} worlds, got {soft.shape[0]}")
-        spans = list(zip(self.parts, self._bounds, self._bounds[1:]))
-        if isinstance(self.parts[0], CombinedPolicy):
-            fmaps = [part.programs[round_index].feature_map for part in self.parts]
-            feats = {fmap: dsl.featurize_agents(states, obs, fmap) for fmap in set(fmaps)}
-            return np.concatenate([
-                part.interpret(round_index, feats[fmap][lo:hi], rngs[lo:hi])
-                for (part, lo, hi), fmap in zip(spans, fmaps)
-            ])
+        fmaps = [part.programs[round_index].feature_map for part in self.parts]
+        feats = {fmap: dsl.featurize_agents(states, obs, fmap) for fmap in set(fmaps)}
         return np.concatenate([
-            part.request_mask(round_index, soft[lo:hi], states[lo:hi], obs[lo:hi], rngs[lo:hi])
-            for part, lo, hi in spans
+            part.interpret(round_index, feats[fmap][lo:hi], rngs[lo:hi])
+            for part, fmap, lo, hi in zip(self.parts, fmaps, self._bounds, self._bounds[1:])
         ])
-
-    def _attention_mask(self, delivered, p_fail) -> Optional[Array]:
-        return self.parts[0]._attention_mask(delivered, p_fail)
 
 
 POLICY_NAMES = ("tf-full", "combined", "dist", "hard-attn", "no-comm")

@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dsl
 from .dsl import (
     BoolOp,
@@ -41,7 +42,7 @@ from .dsl import (
 from .env import RewardParams, TaskConfig, sample_initial, simulate
 from .jsondoc import decode
 from .policy import TfFullPolicy
-from .transformer import TransformerParams, _mlp, harden_rows, output_head
+from .transformer import TransformerParams, _harden, _net, _pairs, output_head
 
 Array = np.ndarray
 
@@ -420,11 +421,6 @@ class SurrogateEvaluator:
         imit, deg = totals / self.rand_samples
         return ObjectiveBreakdown(-imit - self.degree_weight * deg, imit, deg)
 
-    def objective_for_masks(self, masks: Sequence[Array]) -> ObjectiveBreakdown:
-        """Score explicit selection masks; the full-mask case is the sanity ceiling."""
-        imit, deg = self._score_masks(list(masks))
-        return ObjectiveBreakdown(-imit - self.degree_weight * deg, imit, deg)
-
     def _memo_score(self, masks: list[Array]) -> tuple[float, float]:
         """_score_masks, memoised on a digest of the masks."""
         digest = hashlib.blake2b(digest_size=16)
@@ -443,22 +439,14 @@ class SurrogateEvaluator:
         total_deg = 0.0
         for block, sel in zip(ds.blocks, masks):
             m, n = block.n_tuples, block.n_agents
-            hard = harden_rows(block.attention[r], sel).data
+            hard = _harden(block.attention[r], sel)[2]
             msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
             if ds.rounds == 2 and r == 0:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round
-                h = _mlp(
-                    weights,
-                    "internal",
-                    np.concatenate([block.states, msg_sum], axis=-1).reshape(m * n, -1),
-                ).data.reshape(m, n, -1)
-                h_tiled = np.broadcast_to(h[:, :, None, :], (m, n, n, h.shape[-1]))
-                msg2 = _mlp(
-                    weights,
-                    "msg2",
-                    np.concatenate([h_tiled, block.obs], axis=-1).reshape(m * n * n, -1),
-                ).data.reshape(m, n, n, -1)
+                agg = np.concatenate([block.states, msg_sum], axis=-1).reshape(m * n, -1)
+                h = ad.mlp_forward(agg, *_net(weights, "internal"), None)[1].reshape(m, n, -1)
+                msg2 = ad.mlp_forward(_pairs(h, block.obs), *_net(weights, "msg2"), None)[1].reshape(m, n, n, -1)
                 received2 = msg2.transpose(0, 2, 1, 3)
                 msg_sum = np.einsum("mij,mijd->mid", block.attention[1], received2)
             recon = output_head(

@@ -7,8 +7,9 @@ applied to (own state, attention-weighted message sum). Two-round variants
 aggregate round one into an internal vector that replaces the state in the
 round-two message network; round-two keys and queries still read the raw state.
 
-Forward passes run through the autodiff ops, so the same code serves training
-(tape attached) and evaluation (plain numpy).
+Forward passes run through two fused autodiff ops, forward_round and
+output_head, so the same code serves training (tape attached) and evaluation
+(plain numpy).
 """
 
 from __future__ import annotations
@@ -160,10 +161,6 @@ def _net(weights: dict[str, ad.TensorLike], net: str) -> list[ad.TensorLike]:
     return [weights[f"{net}.{p}"] for p in ("w1", "b1", "w2", "b2")]
 
 
-def _mlp(weights: dict[str, ad.TensorLike], net: str, x: ad.TensorLike) -> Tensor:
-    return ad.mlp(x, *_net(weights, net))
-
-
 # ---------------------------------------------------------------------------
 # batched forward pass
 # ---------------------------------------------------------------------------
@@ -200,13 +197,20 @@ def _untile(g_flat: Array, b: int, n: int, d: int) -> tuple[Array, Array]:
 
 
 def _harden(soft: Array, mask: Array) -> tuple[Array, Array, Array]:
-    """(masked rows, normalizers, hardened rows); the hardened rows are checked like the chain's div."""
+    """(masked rows, normalizers, hardened rows): attention rows masked to the selected senders, renormalized.
+
+    A row whose kept mass z is > 0 is divided by exactly z; a row with z == 0
+    (nothing selected) comes out all-zero, and the agent then acts on its
+    state plus a zero message sum. Training and rollouts harden inside
+    forward_round; the synthesis surrogate calls this directly. The hardened
+    rows are checked like the chain's div.
+    """
     masked = soft * mask
     z = masked.sum(axis=-1, keepdims=True)
     zz = z + (z == 0.0).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         hard = masked / zz
-    ad.check_finite(hard, "div (harden_rows)")
+    ad.check_finite(hard, "div (harden)")
     return masked, zz, hard
 
 
@@ -217,30 +221,11 @@ def _harden_vjp(g: Array, soft_shape: tuple[int, ...], mask: Array, masked: Arra
     return ad.unbroadcast(g_masked * mask, soft_shape)
 
 
-def harden_rows(soft: ad.TensorLike, mask: Array) -> Tensor:
-    """Mask attention rows to the selected senders and renormalize them.
-
-    A row whose kept mass z is > 0 is divided by exactly z; a row with z == 0
-    (nothing selected) comes out all-zero, and the agent then acts on its state
-    plus a zero message sum. Gradients flow through the kept weights and the
-    normalizer, never through the discrete mask. Training, rollouts and the
-    synthesis surrogate all harden attention through this one function, or
-    through forward_round, which runs the same arithmetic.
-    """
-    items, tape = ad.coerce(soft)
-    mask = np.asarray(mask, dtype=np.float64)
-    masked, zz, hard = _harden(items[0].data, mask)
-    if not ad.on_path(tape, items):
-        return Tensor(hard, tape=tape)
-
-    def vjp(g: Array, _need):
-        return (_harden_vjp(g, items[0].shape, mask, masked, zz),)
-
-    return tape.emit("harden_rows", items, hard, vjp)
-
-
 def _squash(u: Array, v_max: float, op: str) -> tuple[Array, Array, Array, Array]:
-    """(norm, tanh(norm), factor, u * factor); norm and factor are checked like the chain's sqrt and div."""
+    """(norm, tanh(norm), factor, u * factor): u rescaled into the open v_max ball, u * v_max * tanh(|u|)/|u|.
+
+    norm and factor are checked like the chain's sqrt and div, naming op.
+    """
     n2 = (u * u).sum(axis=-1, keepdims=True)
     norm = np.sqrt(n2 + _SQUASH_EPS)
     ad.check_finite(norm, f"sqrt ({op})")
@@ -260,25 +245,6 @@ def _squash_vjp(g: Array, u: Array, v_max: float, norm: Array, th: Array, factor
     g_norm = g_norm + g_th * (1.0 - th * th)
     g_uu = np.broadcast_to(g_norm * 0.5 / norm, u.shape).copy()
     return ad.unbroadcast(g * factor, u.shape), g_uu * u, g_uu * u
-
-
-def squash_action(u: ad.TensorLike, v_max: float) -> Tensor:
-    """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|.
-
-    On a tape this is one record that lists u three times, once per use.
-    """
-    items, tape = ad.coerce(u)
-    norm, th, factor, out = _squash(items[0].data, v_max, "squash_action")
-    if tape is not None:
-        ad.check_finite(out, "squash_action")
-    if not ad.on_path(tape, items):
-        return Tensor(out, tape=tape)
-    data = items[0].data
-
-    def vjp(g: Array, _need):
-        return _squash_vjp(g, data, v_max, norm, th, factor)
-
-    return tape.emit("squash_action", items * 3, out, vjp)
 
 
 def output_head(

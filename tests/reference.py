@@ -4,13 +4,19 @@ One agent or one row at a time, written from the definitions: a message from
 one (state, observation) pair, one attention row, one agent's action, one
 feature vector, the per-agent rule interpreter, the communication graph
 built agent by agent with it, and a rollout's (discounted) return. Plus a
-reverse walk of a tape that asks every vjp for the gradient of every input,
-and the chain of primitive ops that each fused op of a training step
-(forward_round, output_head, harden_rows, squash_action, step_rewards,
-advance) replaces, with use_op_chain to run a whole step on it.
+reverse walk of a tape that asks every vjp for the gradient of every input;
+the primitive ops that no training step records (div, transpose, tensor_max,
+relu, sqrt, softmax, l2_norm, take_along_last and the two-layer mlp), whose
+arithmetic the program keeps only inside the fused ops' kernels; the chain of primitive ops
+that each fused op of a training step (forward_round, output_head,
+step_rewards, advance) replaces, with use_op_chain to run a whole step on it;
+and the small readers, writers and scorers that only tests call.
 """
 
-from typing import Iterable, Optional, Sequence
+import json
+from dataclasses import asdict
+from pathlib import Path
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,7 +25,10 @@ from swarmcomm import env, transformer
 from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import CommGraph, FeatureMap, LinearForms, Program, RandRule, Rule, _eval_pred, featurize_pairs
 from swarmcomm.env import RewardParams, RewardTerms, TaskConfig
-from swarmcomm.transformer import _SQUASH_EPS, RoundState, TransformerParams, _mlp, harden_rows, squash_action
+from swarmcomm.harness import Metrics
+from swarmcomm.jsondoc import decode
+from swarmcomm.synth import ObjectiveBreakdown, SurrogateEvaluator
+from swarmcomm.transformer import _SQUASH_EPS, RoundState, TransformerParams, _harden, _net
 
 Array = np.ndarray
 
@@ -42,6 +51,171 @@ def every_input_backward(tape: ad.Tape, output: ad.Tensor) -> dict[int, Array]:
 
 
 # ---------------------------------------------------------------------------
+# the primitive ops no training step records
+# ---------------------------------------------------------------------------
+
+
+def div(a: ad.TensorLike, b: ad.TensorLike) -> Tensor:
+    (ta, tb), tape = ad.coerce(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ta.data / tb.data
+    if tape is None:
+        ad.check_finite(out, "div")
+    if (res := ad._unrecorded(tape, "div", (ta, tb), out)) is not None:
+        return res
+    da, db = ta.data, tb.data
+
+    def vjp(g: Array, need):
+        return ad._only(
+            need,
+            lambda: ad.unbroadcast(g / db, da.shape),
+            lambda: ad.unbroadcast(-g * da / (db * db), db.shape),
+        )
+
+    return tape.emit("div", (ta, tb), out, vjp)
+
+
+def mlp(x: ad.TensorLike, w1: ad.TensorLike, b1: ad.TensorLike, w2: ad.TensorLike, b2: ad.TensorLike) -> Tensor:
+    """tanh(x @ w1 + b1) @ w2 + b2 for 2-D x, recorded as one tape op.
+
+    Values and gradients are bitwise those of the matmul/add/tanh chain: the
+    forward adds the biases and applies tanh in place, and the vjp evaluates
+    the chain's own expressions. On a tape the pre-activation and the output
+    are checked for non-finite values, where the chain checked every op.
+    """
+    items, tape = ad.coerce(x, w1, b1, w2, b2)
+    tx, tw1, tb1, tw2, tb2 = items
+    if (
+        tx.ndim != 2 or tw1.ndim != 2 or tw2.ndim != 2
+        or tx.shape[1] != tw1.shape[0] or tb1.shape != tw1.shape[1:]
+        or tw2.shape[0] != tw1.shape[1] or tb2.shape != tw2.shape[1:]
+    ):
+        raise ad.ShapeMismatch(
+            f"mlp shapes do not chain: x {tx.shape}, w1 {tw1.shape}, b1 {tb1.shape}, "
+            f"w2 {tw2.shape}, b2 {tb2.shape}"
+        )
+    h, out = ad.mlp_forward(tx.data, tw1.data, tb1.data, tw2.data, tb2.data, None if tape is None else "mlp")
+    if (res := ad._unrecorded(tape, "mlp", items, out)) is not None:
+        return res
+    dx, dw1, dw2 = tx.data, tw1.data, tw2.data
+
+    def vjp(g: Array, need):
+        return ad.mlp_vjp(g, dx, dw1, dw2, h, need)
+
+    return tape.emit("mlp", items, out, vjp)
+
+
+def transpose(a: ad.TensorLike, axes: Sequence[int]) -> Tensor:
+    (ta,), tape = ad.coerce(a)
+    axes = tuple(int(x) for x in axes)
+    out = np.transpose(ta.data, axes)
+    if (res := ad._unrecorded(tape, "transpose", (ta,), out)) is not None:
+        return res
+    inverse = tuple(np.argsort(axes))
+
+    def vjp(g: Array, _need):
+        return (np.transpose(g, inverse),)
+
+    return tape.emit("transpose", (ta,), out, vjp)
+
+
+def tensor_max(a: ad.TensorLike, axis=None, keepdims: bool = False) -> Tensor:
+    """Reduction max; ties route the gradient to the first maximal element."""
+    (ta,), tape = ad.coerce(a)
+    out = ta.data.max(axis=axis, keepdims=keepdims)
+    out = np.asarray(out, dtype=np.float64)
+    if (res := ad._unrecorded(tape, "max", (ta,), out)) is not None:
+        return res
+    data = ta.data
+
+    def vjp(g: Array, _need):
+        mask = np.zeros(data.shape, dtype=np.float64)
+        if axis is None:
+            mask.flat[int(np.argmax(data))] = 1.0
+            return (mask * g,)
+        idx = np.expand_dims(np.argmax(data, axis=axis), axis)
+        np.put_along_axis(mask, idx, 1.0, axis=axis)
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        return (mask * g_exp,)
+
+    return tape.emit("max", (ta,), out, vjp)
+
+
+def relu(a: ad.TensorLike) -> Tensor:
+    """max(x, 0); subgradient at the kink is 0."""
+    (ta,), tape = ad.coerce(a)
+    out = np.maximum(ta.data, 0.0)
+    if (res := ad._unrecorded(tape, "relu", (ta,), out)) is not None:
+        return res
+    mask = (ta.data > 0.0).astype(np.float64)
+
+    def vjp(g: Array, _need):
+        return (g * mask,)
+
+    return tape.emit("relu", (ta,), out, vjp)
+
+
+def sqrt(a: ad.TensorLike) -> Tensor:
+    (ta,), tape = ad.coerce(a)
+    out = np.sqrt(ta.data)
+    if tape is None:
+        ad.check_finite(out, "sqrt")
+    if (res := ad._unrecorded(tape, "sqrt", (ta,), out)) is not None:
+        return res
+
+    def vjp(g: Array, _need):
+        return (g * 0.5 / out,)
+
+    return tape.emit("sqrt", (ta,), out, vjp)
+
+
+def softmax(a: ad.TensorLike) -> Tensor:
+    """Softmax over the last axis."""
+    (ta,), tape = ad.coerce(a)
+    out = ad.softmax_forward(ta.data)
+    if (res := ad._unrecorded(tape, "softmax", (ta,), out)) is not None:
+        return res
+
+    def vjp(g: Array, _need):
+        return (ad.softmax_vjp(g, out),)
+
+    return tape.emit("softmax", (ta,), out, vjp)
+
+
+def l2_norm(a: ad.TensorLike) -> Tensor:
+    """Euclidean norm over the last axis; gradient defined as 0 at the origin."""
+    (ta,), tape = ad.coerce(a)
+    out = np.asarray(ad.l2_norm_forward(ta.data), dtype=np.float64)
+    if (res := ad._unrecorded(tape, "l2_norm", (ta,), out)) is not None:
+        return res
+    data = ta.data
+
+    def vjp(g: Array, _need):
+        return (ad.l2_norm_vjp(g, data, out),)
+
+    return tape.emit("l2_norm", (ta,), out, vjp)
+
+
+def take_along_last(a: ad.TensorLike, indices: Array) -> Tensor:
+    """Gather along the last axis: out[..., k] = a[..., indices[..., k]]."""
+    (ta,), tape = ad.coerce(a)
+    idx = np.asarray(indices, dtype=np.int64)
+    out = np.take_along_axis(ta.data, idx, axis=-1)
+    if (res := ad._unrecorded(tape, "take_along_last", (ta,), out)) is not None:
+        return res
+    shape = ta.data.shape
+
+    def vjp(g: Array, _need):
+        return (ad.take_along_last_vjp(g, idx, shape),)
+
+    return tape.emit("take_along_last", (ta,), out, vjp)
+
+
+def _mlp(weights: dict[str, ad.TensorLike], net: str, x: ad.TensorLike) -> Tensor:
+    return mlp(x, *_net(weights, net))
+
+
+# ---------------------------------------------------------------------------
 # the op chain the fused ops replace
 # ---------------------------------------------------------------------------
 
@@ -55,25 +229,23 @@ def _tile_over_senders(x: Tensor, n: int) -> Tensor:
 
 
 def chain_harden_rows(soft: ad.TensorLike, mask: Array) -> Tensor:
-    """Mask attention rows to the selected senders and renormalize them.
+    """Mask attention rows to the selected senders and renormalize them (transformer._harden as ops).
 
     A row whose kept mass z is > 0 is divided by exactly z; a row with z == 0
-    (nothing selected) comes out all-zero, and the agent then acts on its state
-    plus a zero message sum. Gradients flow through the kept weights and the
-    normalizer, never through the discrete mask. Training, rollouts and the
-    synthesis surrogate all harden attention through this one function.
+    (nothing selected) comes out all-zero. Gradients flow through the kept
+    weights and the normalizer, never through the discrete mask.
     """
     masked = ad.mul(soft, np.asarray(mask, dtype=np.float64))
     z = ad.tensor_sum(masked, axis=-1, keepdims=True)
-    return ad.div(masked, ad.add(z, (z.data == 0.0).astype(np.float64)))
+    return div(masked, ad.add(z, (z.data == 0.0).astype(np.float64)))
 
 
 def chain_squash_action(u: ad.TensorLike, v_max: float) -> Tensor:
     """Smoothly rescale to the open v_max ball: u * v_max * tanh(|u|)/|u|."""
     u_t = u if isinstance(u, Tensor) else Tensor(u)
     n2 = ad.tensor_sum(ad.mul(u_t, u_t), axis=-1, keepdims=True)
-    norm = ad.sqrt(ad.add(n2, _SQUASH_EPS))
-    factor = ad.div(ad.mul(ad.tanh(norm), v_max), norm)
+    norm = sqrt(ad.add(n2, _SQUASH_EPS))
+    factor = div(ad.mul(ad.tanh(norm), v_max), norm)
     return ad.mul(u_t, factor)
 
 
@@ -100,7 +272,7 @@ def chain_output_head(
     if params.task_kind == "unlabeled-goals":
         if goal_perm_inv is None:
             raise ValueError("unlabeled-goals forward needs goal_perm_inv")
-        return ad.take_along_last(ad.softmax(u), np.asarray(goal_perm_inv, dtype=np.int64))
+        return take_along_last(softmax(u), np.asarray(goal_perm_inv, dtype=np.int64))
     if v_max is None:
         raise ValueError("formation forward needs v_max")
     return chain_squash_action(u, v_max)
@@ -151,13 +323,13 @@ def chain_forward_round(
         (b, n, params.key_dim),
     )
     q_exp = ad.reshape(queries, (b, n, 1, params.key_dim))
-    logits = ad.div(ad.tensor_sum(ad.mul(q_exp, keys), axis=-1), float(np.sqrt(params.key_dim)))
-    soft = ad.softmax(logits)
+    logits = div(ad.tensor_sum(ad.mul(q_exp, keys), axis=-1), float(np.sqrt(params.key_dim)))
+    soft = softmax(logits)
 
     mask = select_fn(round_index, soft.data) if select_fn is not None else None
     attention = chain_harden_rows(soft, mask) if mask is not None else soft
 
-    received = ad.transpose(messages, (0, 2, 1, 3))
+    received = transpose(messages, (0, 2, 1, 3))
     weighted = ad.mul(ad.reshape(attention, (b, n, n, 1)), received)
     msg_sum = ad.tensor_sum(weighted, axis=2)
 
@@ -170,6 +342,7 @@ def chain_forward_round(
         )
     return RoundState(queries, keys, messages, soft, attention, msg_sum, internal_out)
 
+
 def chain_step_rewards(
     pos: ad.TensorLike,
     rel: ad.TensorLike,
@@ -179,13 +352,13 @@ def chain_step_rewards(
     params: RewardParams,
 ) -> RewardTerms:
     if not formation:
-        goal = ad.tensor_max(actions, axis=1)
+        goal = tensor_max(actions, axis=1)
         b, n = goal.shape
         return RewardTerms(goal.data, ad.sub(ad.tensor_sum(goal), float(n * b)))
-    goal_dists = ad.l2_norm(ad.sub(pos, goals))
-    pair_dists = ad.l2_norm(rel)
-    hinge = ad.relu(
-        ad.mul(ad.sub(2.0, ad.div(pair_dists, params.collision_distance)), params.collision_weight)
+    goal_dists = l2_norm(ad.sub(pos, goals))
+    pair_dists = l2_norm(rel)
+    hinge = relu(
+        ad.mul(ad.sub(2.0, div(pair_dists, params.collision_distance)), params.collision_weight)
     )
     n = pair_dists.shape[-1]
     hinge = ad.mul(hinge, (1.0 - np.eye(n))[None])
@@ -239,7 +412,7 @@ def message(
 def soft_attention(query: Array, keys: Array, key_dim: int) -> Array:
     """Row of attention weights: softmax of scaled dot products against each key."""
     logits = np.asarray(keys, float) @ np.asarray(query, float) / np.sqrt(key_dim)
-    return ad.softmax(logits.reshape(1, -1)).data[0]
+    return softmax(logits.reshape(1, -1)).data[0]
 
 
 def act(
@@ -259,18 +432,18 @@ def act(
     x = np.concatenate([np.asarray(s_i, float), msg_sum]).reshape(1, -1)
     u = _mlp(dict(params.store.params), "out", x)
     if params.task_kind == "unlabeled-goals":
-        return ad.softmax(u).data[0]
+        return softmax(u).data[0]
     if v_max is None:
         raise ValueError("formation actions need v_max")
-    return squash_action(u, v_max).data[0]
+    return chain_squash_action(u, v_max).data[0]
 
 
 def harden_row(row: Array, selection: Iterable[int]) -> Array:
-    """One attention row hardened to a selection set, through transformer.harden_rows."""
+    """One attention row hardened to a selection set by transformer._harden, as forward_round and the surrogate do."""
     row = np.asarray(row, dtype=np.float64)
     mask = np.zeros_like(row)
     mask[list(selection)] = 1.0
-    return harden_rows(row[None], mask[None]).data[0]
+    return _harden(row[None], mask[None])[2][0]
 
 
 def featurize(s_i: Array, o_ij: Array, fmap: FeatureMap) -> Array:
@@ -357,3 +530,25 @@ def mask_from_selections(selections: Sequence[Iterable[int]]) -> Array:
     for i, sel in enumerate(selections):
         mask[i, list(sel)] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests call
+# ---------------------------------------------------------------------------
+
+
+def objective_for_masks(ev: SurrogateEvaluator, masks: Sequence[Array]) -> ObjectiveBreakdown:
+    """The evaluator's score of explicit selection masks; the full-mask case is the sanity ceiling."""
+    imit, deg = ev._score_masks(list(masks))
+    return ObjectiveBreakdown(-imit - ev.degree_weight * deg, imit, deg)
+
+
+def metrics_from_json(text: str) -> list[Metrics]:
+    """The inverse of harness.metrics_to_json."""
+    return [decode(Metrics, doc) for doc in json.loads(text)]
+
+
+def save_config(path: Union[str, Path], cfg: TaskConfig, rewards: RewardParams) -> None:
+    """A flat task config that env.load_config reads back."""
+    doc = {**asdict(cfg), **asdict(rewards)}
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from swarmcomm import autodiff as ad
-from swarmcomm import cli, env
+from swarmcomm import cli
 from swarmcomm.dsl import (
     CommGraph,
     DetRule,
@@ -47,7 +47,7 @@ from swarmcomm.training import TrainConfig, retrain, sample_world_batch, train_o
 from swarmcomm.transformer import forward_policy, init_for_task
 
 from conftest import central_difference, make_rng, relative_error
-from reference import featurize, graph_mask, harden_row
+from reference import featurize, graph_mask, harden_row, save_config
 
 # desk-scale pipeline knobs. The crossing config uses dt=0.4 so the goals are
 # reachable inside the 50-step horizon (with dt=0.1 agents can cover only 2.5
@@ -553,7 +553,7 @@ def test_criterion_9_reproducibility(tmp_path):
     cfg = TaskConfig(
         task_kind="random-grid", n_agents_per_group=1, horizon=4, obs_noise_sigma=0.05
     )
-    env.save_config(root / "task.json", cfg, RewardParams())
+    save_config(root / "task.json", cfg, RewardParams())
     stages = [
         (
             "oracle.json",

@@ -24,7 +24,7 @@ from swarmcomm.policy import CombinedPolicy
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import mask_from_selections, trajectory_return
+from reference import mask_from_selections, save_config, trajectory_return
 
 
 def cross_cfg(**kw):
@@ -93,7 +93,7 @@ class TestTaskConfig:
         cfg = cross_cfg(obs_noise_sigma=0.1, min_groups=2)
         rewards = RewardParams(collision_weight=2.0)
         path = tmp_path / "cfg.json"
-        env.save_config(path, cfg, rewards)
+        save_config(path, cfg, rewards)
         cfg2, rewards2 = env.load_config(path)
         assert cfg2 == cfg
         assert rewards2 == rewards

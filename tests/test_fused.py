@@ -1,11 +1,13 @@
 """The fused ops of a training step against the op chain they replace.
 
-forward_round, output_head, harden_rows, squash_action, env.step_rewards and
-env.advance each record one tape op. Their gradients match central
-differences; their values, and the weight gradients of whole training
-iterations, are bitwise those of the primitive-op chain in tests/reference.py;
-a non-finite intermediate still raises; and a training iteration holds the
-few records the fusion leaves.
+forward_round, output_head, env.step_rewards and env.advance each record one
+tape op. Their gradients match central differences; their values, and the
+weight gradients of whole training iterations, are bitwise those of the
+primitive-op chain in tests/reference.py; a non-finite intermediate still
+raises; and a training iteration holds the few records the fusion leaves.
+Hardening and squashing are kernels of these ops, not ops of their own: the
+masked forward_round (its mask leaves a row empty, so both of hardening's
+branches run) and the formation output_head check them.
 """
 
 import numpy as np
@@ -17,14 +19,7 @@ from swarmcomm.autodiff import NonFiniteValue, Tape
 from swarmcomm.dsl import FeatureMap, Program, RandRule, true_predicate
 from swarmcomm.env import RewardParams, TaskConfig
 from swarmcomm.training import sample_world_batch, unroll_score
-from swarmcomm.transformer import (
-    forward_round,
-    harden_rows,
-    init_for_task,
-    init_transformer,
-    output_head,
-    squash_action,
-)
+from swarmcomm.transformer import forward_round, init_for_task, init_transformer, output_head
 
 import reference
 from conftest import central_difference, make_rng
@@ -145,20 +140,13 @@ class TestCentralDifferences:
         perm_inv = perm_inv_for(kind, 6)
         check_against_central_differences(lambda v: run_head(params, v, perm_inv), head_inputs(params, 7), seed=8)
 
-    def test_harden_rows_and_squash_action(self):
-        rng = make_rng(9)
-        soft = ad.softmax(rng.normal(size=(B, N, N))).data
-        check_against_central_differences(lambda v: harden_rows(v["soft"], fixed_mask(10)), {"soft": soft}, seed=11)
-        u = rng.normal(size=(B, N, 2))
-        check_against_central_differences(lambda v: squash_action(v["u"], 0.7), {"u": u}, seed=12)
-
     @pytest.mark.parametrize("formation", [True, False])
     def test_step_rewards_and_advance(self, formation):
         rng = make_rng(13)
         cfg = TaskConfig(task_kind="random-cross" if formation else "unlabeled-goals", n_agents_per_group=N, dt=0.3)
         goals = rng.normal(size=(B, N, 2))
         pos = rng.normal(size=(B, N, 2))
-        actions = rng.normal(size=(B, N, 2)) if formation else ad.softmax(rng.normal(size=(B, N, N))).data
+        actions = rng.normal(size=(B, N, 2)) if formation else ad.softmax_forward(rng.normal(size=(B, N, N)))
         params = RewardParams(collision_distance=2.5)  # every pair inside the hinge, none at the kink
         if formation:
             rel = pos[:, None] - pos[:, :, None]
@@ -233,20 +221,6 @@ class TestBitwiseTheChain:
         assert fused_out.tobytes() == chain_out.tobytes()
         for name in inputs:
             assert fused_grads[name].tobytes() == chain_grads[name].tobytes(), name
-
-    def test_harden_rows_and_squash_action(self):
-        rng = make_rng(26)
-        cases = [
-            (lambda v: harden_rows(v["soft"], fixed_mask(27)), lambda v: reference.chain_harden_rows(v["soft"], fixed_mask(27)),
-             {"soft": ad.softmax(rng.normal(size=(B, N, N))).data}),
-            (lambda v: squash_action(v["u"], 0.7), lambda v: reference.chain_squash_action(v["u"], 0.7),
-             {"u": rng.normal(size=(B, N, 2))}),
-        ]
-        for fused_op, chain_op, inputs in cases:
-            fused_out, fused_grads = _taped(fused_op, inputs)
-            chain_out, chain_grads = _taped(chain_op, inputs)
-            assert fused_out.tobytes() == chain_out.tobytes()
-            assert all(fused_grads[name].tobytes() == chain_grads[name].tobytes() for name in inputs)
 
 
 def one_iteration(cfg, seed, programs=None):

@@ -20,7 +20,6 @@ from swarmcomm.harness import (
     evaluate,
     evaluate_many,
     file_sha256,
-    metrics_from_json,
     metrics_to_csv,
     metrics_to_json,
     report,
@@ -36,7 +35,7 @@ from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import graph_mask, mask_from_selections, trajectory_return
+from reference import graph_mask, mask_from_selections, metrics_from_json, save_config, trajectory_return
 
 
 class ConstantGraphPolicy:
@@ -284,6 +283,9 @@ class TestEvaluateMany:
                           cfg, 2, 1.0, 0)
         with pytest.raises(HarnessError):
             evaluate_many([ConstantGraphPolicy([set()]), ConstantGraphPolicy([set()])], cfg, 2, 1.0, 0)
+        full = [TfFullPolicy(policies[0].params, v_max=cfg.v_max) for _ in range(2)]
+        with pytest.raises(HarnessError):
+            evaluate_many(full, cfg, 2, 1.0, 0)
 
 
 class TestSweep:
@@ -542,7 +544,7 @@ def cli_workspace(tmp_path_factory):
         obs_noise_sigma=0.05,
         box_offset=4.0,
     )
-    env.save_config(root / "task.json", cfg, RewardParams())
+    save_config(root / "task.json", cfg, RewardParams())
     rc = cli.main(
         [
             "train-oracle",
@@ -693,7 +695,7 @@ class TestCli:
 
     def test_dim_mismatch_categorized(self, cli_workspace, tmp_path, capsys):
         other_cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
-        env.save_config(tmp_path / "other.json", other_cfg, RewardParams())
+        save_config(tmp_path / "other.json", other_cfg, RewardParams())
         rc = cli.main(
             [
                 "evaluate",
@@ -811,7 +813,7 @@ class TestCli:
         # coverage task: synthesize emits one program file per round and the
         # combined policy consumes both
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=3, obs_noise_sigma=0.05)
-        env.save_config(tmp_path / "task.json", cfg, RewardParams())
+        save_config(tmp_path / "task.json", cfg, RewardParams())
         assert cli.main([
             "train-oracle", "--config", str(tmp_path / "task.json"),
             "--out", str(tmp_path / "oracle.json"), "--rollouts", "8", "--batch", "8", "--seed", "0",
@@ -846,7 +848,7 @@ class TestCli:
 
     def test_two_round_sweep_writes_one_program_per_round(self, tmp_path):
         cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=2, horizon=3, obs_noise_sigma=0.05)
-        env.save_config(tmp_path / "task.json", cfg, RewardParams())
+        save_config(tmp_path / "task.json", cfg, RewardParams())
         assert cli.main([
             "train-oracle", "--config", str(tmp_path / "task.json"),
             "--out", str(tmp_path / "oracle.json"), "--rollouts", "8", "--batch", "8", "--seed", "0",
@@ -930,7 +932,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["evaluate", "collect", "attn-dump", "retrain"])
     def test_params_that_overflow_in_a_rollout_are_one_non_finite_line(self, cli_workspace, tmp_path, capsys, command):
         cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=2, horizon=4, obs_noise_sigma=0.05)
-        env.save_config(tmp_path / "task.json", cfg, RewardParams())
+        save_config(tmp_path / "task.json", cfg, RewardParams())
         doc = json.loads((cli_workspace / "oracle.json").read_text())
         for name in ("out.w1", "out.w2"):
             doc["params"][name]["values"] = [1e200] * len(doc["params"][name]["values"])
@@ -1044,7 +1046,7 @@ class TestCli:
         assert not out.exists()
 
     def test_sweep_checks_dims_before_any_chain(self, coverage_dataset, tmp_path, capsys, monkeypatch):
-        env.save_config(tmp_path / "cross.json", TaskConfig(), RewardParams())
+        save_config(tmp_path / "cross.json", TaskConfig(), RewardParams())
         chains = []
         monkeypatch.setattr(harness, "sweep", lambda *a, **kw: chains.append(a))
         out_dir = tmp_path / "sweep"
@@ -1097,6 +1099,9 @@ class TestCli:
             ("train-oracle", "--clip", "nan"),
             ("train-oracle", "--clip", "inf"),
             ("train-oracle", "--clip", "-1"),
+            # a flag the chosen policy (the default, tf-full) does not read; p.txt does not exist
+            ("evaluate", "--k", "3"),
+            ("evaluate", "--program", "p.txt"),
         ],
     )
     def test_bad_counts_are_usage_errors(self, cli_workspace, tmp_path, capsys, command, flag, value):

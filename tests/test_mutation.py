@@ -23,11 +23,12 @@ import re
 
 import pytest
 
-from swarmcomm import cli, env
+from swarmcomm import cli
 from swarmcomm.env import RewardParams, TaskConfig
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
+from reference import save_config
 
 SEED = 1990
 N_DATASET_MUTANTS = 70  # per task kind
@@ -74,7 +75,7 @@ def collected(tmp_path_factory):
     dirs = {}
     for name, cfg in TASKS.items():
         root = tmp_path_factory.mktemp(name)
-        env.save_config(root / "task.json", cfg, RewardParams())
+        save_config(root / "task.json", cfg, RewardParams())
         init_for_task(cfg, make_rng(0), key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4).save(root / "oracle.json")
         assert cli.main([
             "collect", "--params", str(root / "oracle.json"), "--config", str(root / "task.json"),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmcomm import autodiff as ad
 from swarmcomm import dsl
 from swarmcomm.dsl import DetRule, FeatureMap, PredicateAtom, Program, RandRule, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import TaskConfig
@@ -21,9 +22,10 @@ from swarmcomm.synth import (
     write_chain_csv,
     _MOVES,
 )
-from swarmcomm.transformer import _mlp, harden_rows, init_for_task, squash_action
+from swarmcomm.transformer import _harden, _net, _squash, init_for_task
 
 from conftest import make_rng
+from reference import objective_for_masks
 
 
 def tiny_cfg(**kw):
@@ -136,31 +138,33 @@ class TestSurrogateObjective:
         sel[0, 0, 1] = sel[0, 0, 2] = sel[0, 1, 0] = True
         ev = SurrogateEvaluator(dataset, 0.5, rng=make_rng(0))
         # bake the oracle actions to equal the reconstruction under this mask
-        probe = ev.objective_for_masks([sel])
+        probe = objective_for_masks(ev, [sel])
         block.actions = block.actions + 0.0  # keep dtype
         recon_gap = probe.imitation
         # replace actions with the exact reconstruction, then J = -0.5 * 3
         weights = dataset.params.store.params
-        hard = harden_rows(block.attention[0], sel).data
+        hard = _harden(block.attention[0], sel)[2]
         received = block.messages[0]  # receiver-major: [m, i, j] = message j -> i
         msum = np.einsum("mij,mijd->mid", hard, received)
-        u = _mlp(weights, "out", np.concatenate([block.states, msum], axis=-1).reshape(3, -1)).data.reshape(1, 3, 2)
-        block.actions = squash_action(u, dataset.task.v_max).data
-        exact = ev.objective_for_masks([sel])
+        x = np.concatenate([block.states, msum], axis=-1).reshape(3, -1)
+        u = ad.mlp_forward(x, *_net(weights, "out"), None)[1].reshape(1, 3, 2)
+        block.actions = _squash(u, dataset.task.v_max, "squash")[3]
+        exact = objective_for_masks(ev, [sel])
         assert exact.imitation == pytest.approx(0.0, abs=1e-12)
         assert exact.mean_max_degree == pytest.approx(3.0)
         assert exact.objective == pytest.approx(-1.5)
         # shift one action by total L1 0.3 with degree 2: J = -0.3 - 1.0 * 2
         sel2 = np.zeros((1, 3, 3), dtype=bool)
         sel2[0, 0, 1] = sel2[0, 0, 2] = True
-        hard2 = harden_rows(block.attention[0], sel2).data
+        hard2 = _harden(block.attention[0], sel2)[2]
         msum2 = np.einsum("mij,mijd->mid", hard2, received)
-        u2 = _mlp(weights, "out", np.concatenate([block.states, msum2], axis=-1).reshape(3, -1)).data.reshape(1, 3, 2)
-        block.actions = squash_action(u2, dataset.task.v_max).data
+        x2 = np.concatenate([block.states, msum2], axis=-1).reshape(3, -1)
+        u2 = ad.mlp_forward(x2, *_net(weights, "out"), None)[1].reshape(1, 3, 2)
+        block.actions = _squash(u2, dataset.task.v_max, "squash")[3]
         block.actions[0, 1, 0] += 0.2
         block.actions[0, 2, 1] -= 0.1
         ev2 = SurrogateEvaluator(dataset, 1.0, rng=make_rng(0))
-        got = ev2.objective_for_masks([sel2])
+        got = objective_for_masks(ev2, [sel2])
         assert got.imitation == pytest.approx(0.3, abs=1e-9)
         assert got.mean_max_degree == pytest.approx(2.0)
         assert got.objective == pytest.approx(-2.3, abs=1e-9)
@@ -180,7 +184,7 @@ class TestSurrogateObjective:
             dataset = tiny_dataset(n_rollouts=2, cfg=cfg)
             ev = SurrogateEvaluator(dataset, 0.5, round_index=dataset.rounds - 1, rng=make_rng(2))
             masks = [np.ones((b.n_tuples, b.n_agents, b.n_agents), dtype=bool) for b in dataset.blocks]
-            out = ev.objective_for_masks(masks)
+            out = objective_for_masks(ev, masks)
             assert out.imitation == pytest.approx(0.0, abs=1e-9)
 
     def test_full_communication_beats_no_communication_at_imitating(self):
@@ -191,7 +195,7 @@ class TestSurrogateObjective:
             for b in dataset.blocks
         ]
         none_masks = [np.zeros((b.n_tuples, b.n_agents, b.n_agents), dtype=bool) for b in dataset.blocks]
-        assert ev.objective_for_masks(eye_masks).imitation < ev.objective_for_masks(none_masks).imitation
+        assert objective_for_masks(ev, eye_masks).imitation < objective_for_masks(ev, none_masks).imitation
 
     def test_common_random_numbers_make_reevaluation_exact(self):
         dataset = tiny_dataset(n_rollouts=3)

@@ -4,11 +4,12 @@ import pytest
 from swarmcomm import autodiff as ad
 from swarmcomm.transformer import (
     TransformerParams,
+    _harden,
+    _harden_vjp,
+    _squash,
     forward_policy,
     forward_round,
-    harden_rows,
     init_transformer,
-    squash_action,
 )
 
 from conftest import central_difference, make_rng, relative_error
@@ -86,24 +87,29 @@ class TestSoftAttention:
         np.testing.assert_allclose(row, [0.7310585786300049, 0.2689414213699951], atol=1e-12)
 
 
+def squash(u, v_max):
+    """The formation output head's rescaling of u into the open v_max ball."""
+    return _squash(np.asarray(u, dtype=np.float64), v_max, "squash")[3]
+
+
 class TestSquash:
     def test_zero_input_zero_output(self):
-        out = squash_action(np.zeros((1, 2)), 1.0)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
+        out = squash(np.zeros((1, 2)), 1.0)
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_saturates_at_vmax(self):
-        out = squash_action(np.array([[1000.0, 0.0]]), 0.5)
-        assert np.linalg.norm(out.data) == pytest.approx(0.5, abs=1e-9)
+        out = squash(np.array([[1000.0, 0.0]]), 0.5)
+        assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-9)
 
     def test_unit_input(self):
-        out = squash_action(np.array([[1.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(out.data, [[np.tanh(1.0), 0.0]], atol=1e-12)
+        out = squash(np.array([[1.0, 0.0]]), 1.0)
+        np.testing.assert_allclose(out, [[np.tanh(1.0), 0.0]], atol=1e-12)
 
     def test_never_exceeds_vmax(self):
         rng = make_rng(4)
         u = rng.normal(size=(100, 2)) * 10.0
-        out = squash_action(u, 0.5)
-        assert np.all(np.linalg.norm(out.data, axis=-1) <= 0.5 + 1e-12)
+        out = squash(u, 0.5)
+        assert np.all(np.linalg.norm(out, axis=-1) <= 0.5 + 1e-12)
 
 
 class TestAct:
@@ -237,27 +243,25 @@ class TestForward:
 
 class TestHardenRows:
     def test_empty_selection_gives_zero_row(self):
-        soft = ad.softmax(np.zeros((1, 2, 3)))
+        soft = ad.softmax_forward(np.zeros((1, 2, 3)))
         mask = np.zeros((1, 2, 3))
-        hard = harden_rows(soft, mask)
-        np.testing.assert_array_equal(hard.data, np.zeros((1, 2, 3)))
+        hard = _harden(soft, mask)[2]
+        np.testing.assert_array_equal(hard, np.zeros((1, 2, 3)))
 
     def test_kept_mass_is_renormalized_exactly(self):
         # the kept weight is ~5e-9 of the row; dividing by exactly z gives 1.0
-        soft = ad.softmax(np.array([[0.0, 50.0, 1.0]]))
-        hard = harden_rows(soft, np.array([[1.0, 0.0, 0.0]]))
-        assert hard.data[0, 0] == 1.0
-        np.testing.assert_array_equal(hard.data[0, 1:], [0.0, 0.0])
+        soft = ad.softmax_forward(np.array([[0.0, 50.0, 1.0]]))
+        hard = _harden(soft, np.array([[1.0, 0.0, 0.0]]))[2]
+        assert hard[0, 0] == 1.0
+        np.testing.assert_array_equal(hard[0, 1:], [0.0, 0.0])
 
     def test_gradient_flows_through_kept_weights_only(self):
-        tape = ad.Tape()
-        logits = tape.leaf(np.array([[0.3, -0.2, 0.9]]), requires_grad=True)
-        soft = ad.softmax(logits)
+        logits = np.array([[0.3, -0.2, 0.9]])
+        soft = ad.softmax_forward(logits)
         mask = np.array([[1.0, 0.0, 1.0]])
-        hard = harden_rows(soft, mask)
-        out = ad.tensor_sum(ad.mul(hard, np.array([[1.0, 5.0, 2.0]])))
-        grads = ad.backward(tape, out)
-        g = grads[logits.node_id]
+        masked, zz, _ = _harden(soft, mask)
+        # the gradient of sum(hard * [1, 5, 2]) w.r.t. the logits, through the hardening and softmax vjps
+        g = ad.softmax_vjp(_harden_vjp(np.array([[1.0, 5.0, 2.0]]), soft.shape, mask, masked, zz), soft)
 
         def scalar(v):
             s = np.exp(v - v.max())
@@ -265,7 +269,7 @@ class TestHardenRows:
             masked = s * mask[0]
             return float((masked / masked.sum() * np.array([1.0, 5.0, 2.0])).sum())
 
-        numeric = central_difference(scalar, logits.data[0])
+        numeric = central_difference(scalar, logits[0])
         assert relative_error(g[0], numeric) < 1e-5
 
 
