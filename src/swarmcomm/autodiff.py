@@ -236,6 +236,41 @@ def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Opt
     return h, out
 
 
+_ROW_CHUNK = 64
+
+
+def mlp_forward_rows(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
+    """mlp_forward's output, each row bitwise independent of the other rows of x.
+
+    A plain matmul's row can depend on the rows beside it: BLAS takes another
+    path for another row count (one row goes through gemv). Here each layer
+    runs as np.matmul over (chunks, 64, k) stacks of the rows, the last chunk
+    zero-padded, so every chunk is the same gemm and a row comes out the same
+    in whichever batch it is computed. The expression is mlp_forward's. The
+    whole chunks are read in place and written straight into the result, so
+    only the last chunk is copied.
+    """
+    rows, cols = x.shape
+    full = rows - rows % _ROW_CHUNK
+    out = np.empty((rows, w2.shape[1]))
+    _mlp_chunks(x[:full], w1, b1, w2, b2, out[:full])
+    if full < rows:
+        tail = np.zeros((_ROW_CHUNK, cols))
+        tail[: rows - full] = x[full:]
+        out[full:] = _mlp_chunks(tail, w1, b1, w2, b2, np.empty((_ROW_CHUNK, w2.shape[1])))[: rows - full]
+    return out
+
+
+def _mlp_chunks(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, out: Array) -> Array:
+    """mlp_forward over whole 64-row chunks of x, one np.matmul per layer, written into out."""
+    h = np.matmul(x.reshape(x.shape[0] // _ROW_CHUNK, _ROW_CHUNK, x.shape[1]), w1)
+    h += b1
+    np.tanh(h, out=h)
+    np.matmul(h, w2, out=out.reshape(h.shape[0], _ROW_CHUNK, out.shape[1]))
+    out += b2
+    return out
+
+
 def mlp_vjp(
     g: Array, x: Array, w1: Array, w2: Array, h: Array, need: Sequence[bool]
 ) -> tuple[Optional[Array], ...]:

@@ -323,7 +323,8 @@ def cmd_attn_dump(args: argparse.Namespace) -> int:
         for t, step in enumerate(traj.steps)
     ]
     Path(args.out).write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
-    _write_manifest("attn-dump", args, seed, [args.config, args.params], [args.out], _manifest_path(args.out))
+    inputs = [args.config, args.params, *(args.program or [])]
+    _write_manifest("attn-dump", args, seed, inputs, [args.out], _manifest_path(args.out))
     print(f"wrote per-step attention for {len(traj.steps)} steps -> {args.out}")
     return 0
 

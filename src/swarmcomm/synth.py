@@ -349,6 +349,11 @@ class SurrogateEvaluator:
         (8 * K entries, K of the first program scored with that feature map);
       - per digest of the selection masks, the imitation and degree terms
         (256 entries).
+    Round 0 of a two-round task also keeps, per block, the last selection it
+    scored and the round-2 messages derived from it, (M, N, N, dm) sender-major:
+    a sender's round-2 messages depend only on its own round-0 selection row,
+    so a candidate re-derives only the (tuple, sender) rows whose selection
+    changed (see _round2_messages).
     The pair features come from the dataset's blocks, which build them once
     for every evaluator. No cache changes a score: each returns exactly what
     recomputing would.
@@ -378,16 +383,22 @@ class SurrogateEvaluator:
         self._forms: dict[str, list[_CachedForms]] = {}
         self._picks: OrderedDict[tuple, list[Array]] = OrderedDict()
         self._memo: OrderedDict[bytes, tuple[float, float]] = OrderedDict()
+        # per block, (round-0 selection, round-2 messages) last scored; two-round round 0 only
+        self._kept: list[Optional[tuple[Array, Array]]] = [None] * len(dataset.blocks)
         self.scored = 0  # candidate selections scored by _score_masks
         self.memo_hits = 0  # candidate selections whose score came from the memo
+        self.rows_rescored = 0  # (tuple, sender) rows whose round-2 messages were re-derived
 
     def _features(self, fmap: FeatureMap) -> list[Array]:
         return [b.features(fmap) for b in self.dataset.blocks]
 
     def counters(self) -> dict[str, int]:
-        """Deterministic work counts: matvecs (one weight vector over one block), scorings, memo hits."""
+        """Deterministic work counts: matvecs (one weight vector over one block), scorings, memo hits, round-2 rows."""
         matvecs = sum(f.matvecs for forms in self._forms.values() for f in forms)
-        return {"matvec_blocks": matvecs, "scored": self.scored, "memo_hits": self.memo_hits}
+        return {
+            "matvec_blocks": matvecs, "scored": self.scored, "memo_hits": self.memo_hits,
+            "rows_rescored": self.rows_rescored,
+        }
 
     def selections(self, program: Program, sample: int = 0) -> list[Array]:
         """Per block, the OR of the program's per-rule picks (see dsl.eval_program_batch).
@@ -437,18 +448,15 @@ class SurrogateEvaluator:
         r = self.round_index
         total_imit = 0.0
         total_deg = 0.0
-        for block, sel in zip(ds.blocks, masks):
-            m, n = block.n_tuples, block.n_agents
-            hard = _harden(block.attention[r], sel)[2]
-            msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
+        for b, (block, sel) in enumerate(zip(ds.blocks, masks)):
             if ds.rounds == 2 and r == 0:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round
-                agg = np.concatenate([block.states, msg_sum], axis=-1).reshape(m * n, -1)
-                h = ad.mlp_forward(agg, *_net(weights, "internal"), None)[1].reshape(m, n, -1)
-                msg2 = ad.mlp_forward(_pairs(h, block.obs), *_net(weights, "msg2"), None)[1].reshape(m, n, n, -1)
-                received2 = msg2.transpose(0, 2, 1, 3)
-                msg_sum = np.einsum("mij,mijd->mid", block.attention[1], received2)
+                msg2 = self._round2_messages(b, sel)
+                msg_sum = np.einsum("mij,mijd->mid", block.attention[1], msg2.transpose(0, 2, 1, 3))
+            else:
+                hard = _harden(block.attention[r], sel)[2]
+                msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
             recon = output_head(
                 ds.params, weights, block.states, msg_sum, ds.task.v_max, block.goal_perm_inv
             ).data
@@ -456,6 +464,34 @@ class SurrogateEvaluator:
             total_deg += float(dsl.degree_stats(sel)[2].sum())
         n_tuples = ds.n_tuples
         return total_imit / n_tuples, total_deg / n_tuples
+
+    def _round2_messages(self, b: int, sel: Array) -> Array:
+        """Block b's round-2 messages (M, N, N, dm), [m, i, j] = message i -> j, under round-0 selections sel.
+
+        Sender i's round-2 messages depend only on its round-0 selection row
+        sel[m, i], through its hardened row, message sum and internal vector.
+        So only the (tuple, sender) rows whose selection differs from the
+        block's last scored one are re-derived, and written over the kept
+        messages; the first call re-derives every row. The MLPs run through
+        the row-stable kernel, so a row is bitwise what re-deriving all rows
+        gives.
+        """
+        block = self.dataset.blocks[b]
+        weights = self.dataset.params.store.params
+        kept = self._kept[b]
+        rows = np.nonzero(np.ones(sel.shape[:2], dtype=bool) if kept is None else (sel != kept[0]).any(axis=-1))
+        k, n, dm = len(rows[0]), block.n_agents, self.dataset.params.msg_dim
+        hard = _harden(block.attention[0][rows], sel[rows])[2]
+        msg_sum = np.einsum("kj,kjd->kd", hard, block.messages[0][rows])
+        h = ad.mlp_forward_rows(np.concatenate([block.states[rows], msg_sum], axis=-1), *_net(weights, "internal"))
+        pairs = _pairs(h[:, None], block.obs[rows][:, None])  # rows [h_i, o_ij] over the receivers j
+        msg2 = ad.mlp_forward_rows(pairs, *_net(weights, "msg2")).reshape(k, n, dm)
+        if kept is None:  # stored once every row is derived, so a failed first call keeps nothing
+            kept = self._kept[b] = (np.empty(sel.shape, dtype=bool), np.empty((*sel.shape, dm)))
+        kept[0][rows] = sel[rows]
+        kept[1][rows] = msg2
+        self.rows_rescored += k
+        return kept[1]
 
 
 # ---------------------------------------------------------------------------

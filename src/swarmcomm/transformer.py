@@ -184,10 +184,11 @@ class ForwardResult:
 
 
 def _pairs(x: Array, obs: Array) -> Array:
-    """(B*N*N, d+2) rows [x_i, o_ij]: each agent's vector tiled over the senders next to its observations."""
+    """(B*N*M, d+2) rows [x_i, o_ij]: each agent's vector tiled next to each of its M observations, obs (B, N, M, 2)."""
     b, n, d = x.shape
-    tiled = np.broadcast_to(x.reshape(b, n, 1, d), (b, n, n, d))  # the chain's x * ones, exactly
-    return np.concatenate([tiled, obs], axis=-1).reshape(b * n * n, d + 2)
+    m = obs.shape[2]
+    tiled = np.broadcast_to(x.reshape(b, n, 1, d), (b, n, m, d))  # the chain's x * ones, exactly
+    return np.concatenate([tiled, obs], axis=-1).reshape(b * n * m, d + 2)
 
 
 def _untile(g_flat: Array, b: int, n: int, d: int) -> tuple[Array, Array]:

@@ -790,6 +790,26 @@ class TestCli:
         assert str(cfg) in err
         assert out.read_bytes() == original
 
+    def test_rerun_refuses_a_changed_program_of_an_attention_dump(self, cli_workspace, tmp_path, capsys):
+        program = tmp_path / "program.txt"
+        program.write_bytes((cli_workspace / "program.txt").read_bytes())
+        out = tmp_path / "attn.jsonl"
+        assert cli.main([
+            "attn-dump", "--params", str(cli_workspace / "oracle.json"),
+            "--config", str(cli_workspace / "task.json"), "--policy", "combined", "--program", str(program),
+            "--out", str(out), "--seed", "6",
+        ]) == 0
+        original = out.read_bytes()
+        header, first, _ = program.read_text().splitlines(keepends=True)
+        program.write_text(header + first + first)  # still a 2-rule program, its second rule replaced
+        capsys.readouterr()
+        rc = cli.main(["rerun", str(out) + ".manifest.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[changed-input]" in err
+        assert str(program) in err
+        assert out.read_bytes() == original
+
     def test_rerun_replays_recorded_seed_despite_swarm_seed(self, cli_workspace, tmp_path, monkeypatch):
         def collect(out):
             return cli.main([

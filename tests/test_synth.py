@@ -8,6 +8,7 @@ from swarmcomm import dsl
 from swarmcomm.dsl import DetRule, FeatureMap, PredicateAtom, Program, RandRule, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import TaskConfig
 from swarmcomm.synth import (
+    DatasetBlock,
     SurrogateEvaluator,
     SynthConfig,
     SynthDataset,
@@ -40,11 +41,14 @@ def tiny_cfg(**kw):
     return TaskConfig(**defaults)
 
 
-def tiny_dataset(n_rollouts=4, seed=0, cfg=None):
+def tiny_dataset(n_rollouts=4, seed=0, cfg=None, **dims):
     cfg = cfg or tiny_cfg()
     rng = make_rng(seed)
-    params = init_for_task(cfg, rng, key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4)
+    params = init_for_task(cfg, rng, **(dims or dict(key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4)))
     return collect_dataset(params, cfg, n_rollouts, rng)
+
+
+COVERAGE = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=4)
 
 
 def fmap_for(dataset):
@@ -231,6 +235,7 @@ class TestSelectionCache:
             ev._picks.clear()
             ev._forms.clear()
             ev._memo.clear()
+            ev._kept = [None] * len(dataset.blocks)
             visited_random.append(any(isinstance(r, RandRule) for r in program.rules))
             return ev.evaluate(program)
 
@@ -314,6 +319,97 @@ class TestSelectionCache:
                 for program in programs:
                     assert ev.evaluate_detailed(program) == fresh.evaluate_detailed(program)
         assert {key[0] for b in shared.blocks for key in b._derived} == {"features"}
+
+
+class TestRound2Rows:
+    """Round 0 of a two-round task re-derives only the (tuple, sender) rows whose selection changed."""
+
+    def test_row_stable_kernel_rows_do_not_depend_on_the_batch(self):
+        rng = make_rng(40)
+        for d_in, hidden, d_out in ((28, 32, 16), (18, 32, 16), (28, 32, 5), (6, 8, 4)):
+            w1, b1 = rng.normal(size=(d_in, hidden)), rng.normal(size=hidden)
+            w2, b2 = rng.normal(size=(hidden, d_out)), rng.normal(size=d_out)
+            x = rng.normal(size=(300, d_in))
+            full = ad.mlp_forward_rows(x, w1, b1, w2, b2)
+            assert full.shape == (300, d_out)
+            np.testing.assert_allclose(full, ad.mlp_forward(x, w1, b1, w2, b2, None)[1], rtol=1e-12, atol=1e-12)
+            for k in (1, 2, 63, 64, 65, 130):
+                rows = rng.choice(300, size=k, replace=False)
+                assert ad.mlp_forward_rows(x[rows], w1, b1, w2, b2).tobytes() == full[rows].tobytes(), (d_in, k)
+            assert ad.mlp_forward_rows(x[:0], w1, b1, w2, b2).shape == (0, d_out)
+
+    def test_one_changed_row_scores_as_a_fresh_evaluator(self):
+        dataset = tiny_dataset(n_rollouts=20, cfg=COVERAGE, msg_dim=16, hidden_dim=32, internal_dim=16)
+        (block,) = dataset.blocks
+        ev = SurrogateEvaluator(dataset, 0.5, 0, rng=make_rng(41))
+        program = initial_program(SynthConfig(n_rules=2), dataset.state_dim, make_rng(42))
+        (sel,) = ev.selections(program)
+        assert block.n_tuples * block.n_agents > 130  # more than two of the kernel's chunks
+        ev._score_masks([sel])
+        assert ev.counters()["rows_rescored"] == block.n_tuples * block.n_agents
+        rng = make_rng(43)
+        for flip in range(20):
+            m, i, j = (int(rng.integers(0, size)) for size in sel.shape)
+            sel = sel.copy()
+            sel[m, i, j] = not sel[m, i, j]
+            before = ev.rows_rescored
+            delta = ev._score_masks([sel])
+            assert ev.rows_rescored - before == 1
+            assert delta == SurrogateEvaluator(dataset, 0.5, 0, rng=make_rng(41))._score_masks([sel]), flip
+
+    def test_a_two_round_chain_rescores_under_half_the_rows(self):
+        dataset = tiny_dataset(n_rollouts=5, cfg=COVERAGE)
+        cfg = SynthConfig(mcmc_steps=200, n_rules=2)
+        rng = make_rng(44)
+        ev = SurrogateEvaluator(dataset, cfg.degree_weight, 0, cfg.rand_rule_samples, rng)
+        mcmc_synthesize(dataset, cfg, rng, objective_fn=ev.evaluate)
+        rows = sum(b.n_tuples * b.n_agents for b in dataset.blocks)
+        assert 0 < ev.counters()["rows_rescored"] < 0.5 * (cfg.mcmc_steps + 1) * rows
+
+
+class TestSurrogateLaws:
+    """Each candidate's imitation and degree terms are the same whatever the order or blocking of the tuples."""
+
+    @staticmethod
+    def _pieces(dataset, pieces):
+        """The dataset's one block, its tuples taken as the index arrays in pieces, one block each."""
+        (b,) = dataset.blocks
+        blocks = [
+            DatasetBlock(
+                b.states[idx], b.obs[idx], [msg[idx] for msg in b.messages], [att[idx] for att in b.attention],
+                b.actions[idx], None if b.goal_perm_inv is None else b.goal_perm_inv[idx],
+            )
+            for idx in pieces
+        ]
+        return SynthDataset(dataset.task, dataset.params, blocks)
+
+    @pytest.mark.parametrize(
+        "task,round_index",
+        [(tiny_cfg(n_agents_per_group=2), 0), (COVERAGE, 0), (COVERAGE, 1)],
+        ids=["one-round", "two-round-r0", "two-round-r1"],
+    )
+    def test_reordered_and_split_blocks_score_alike(self, task, round_index):
+        dataset = tiny_dataset(n_rollouts=6, cfg=task)
+        m = dataset.n_tuples
+        rng = make_rng(50)
+        # two parts of unequal size, so a term normalized per block shows too
+        variants = {"reordered": [rng.permutation(m)], "split": [np.arange(m // 3), np.arange(m // 3, m)]}
+        ev = SurrogateEvaluator(dataset, 0.5, round_index, 2, make_rng(51))
+        others = {}
+        for name, pieces in variants.items():
+            other = others[name] = SurrogateEvaluator(self._pieces(dataset, pieces), 0.5, round_index, 2, make_rng(51))
+            other._crn = [ev._crn[0][idx] for idx in pieces]  # each tuple keeps its own uniforms
+        program = initial_program(SynthConfig(n_rules=2), dataset.state_dim, rng)
+        visited_random = False
+        for _ in range(40):
+            program = propose(program, rng)
+            visited_random |= any(isinstance(r, RandRule) for r in program.rules)
+            want = ev.evaluate_detailed(program)
+            for name, other in others.items():
+                got = other.evaluate_detailed(program)
+                assert got.imitation == pytest.approx(want.imitation, rel=1e-12, abs=0), name
+                assert got.mean_max_degree == pytest.approx(want.mean_max_degree, rel=1e-12, abs=0), name
+        assert visited_random
 
 
 class TestPropose:

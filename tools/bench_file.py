@@ -12,7 +12,7 @@ A run directory holds the captured stdout of ``bench/run.py``: one file
 ``<workload>.trace.log`` per workload from a ``--trace 1`` run. The last JSON
 line of each file is the run's result. The BENCH file holds, for parent and
 change, the min and median of every end-to-end metric per workload, the
-deterministic counters of the traced run, the ``src/`` line count and the
+deterministic counters and search timings of the traced run, the ``src/`` line count and the
 Tier-1 wall time when given; plus the machine (``nproc``, BLAS, thread
 variables) and, per metric, the change/parent ratio of the medians, the
 parent's interquartile range and how many same-seed pairs the change read
@@ -37,6 +37,7 @@ import sys
 from pathlib import Path
 
 COUNTERS = ("synth.candidates", "dsl.eval_program_batch_calls", "autodiff.records_per_iter")
+LAYERS = ("synth.score_s", "synth.selection_s", "synth.candidate_ms")  # traced timings kept next to the counters
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -87,6 +88,7 @@ def summarize(run_dir: Path) -> dict:
                 "correct": trace["correct"],
                 "failed": trace["failed"],
                 "counters": {c: trace["metrics"].get(c, {}).get("value") for c in COUNTERS},
+                "layers": {c: trace["metrics"].get(c, {}).get("value") for c in LAYERS},
             }
         out[workload] = entry
     return out
@@ -100,6 +102,7 @@ def summarize_chains(logs: list[Path]) -> dict:
     first = runs[0]
     return {
         "runs": len(runs),
+        "fixture": first.get("fixture", "cross"),  # runs from before --fixture existed timed the crossing fixture
         "steps": first["steps"],
         "tuples": first["tuples"],
         "median_ms_by_run": medians,
@@ -213,7 +216,8 @@ def main() -> int:
         "change_vs_parent": comparison,
     }
     if chain is not None:
-        doc["chain_bench"] = dict(chain, command="python3 tools/chain_bench.py --root ROOT --steps N")
+        command = f"python3 tools/chain_bench.py --root ROOT --fixture {chain['change']['fixture']} --steps N"
+        doc["chain_bench"] = dict(chain, command=command)
     if args.parent_stage_rss and args.change_stage_rss:
         doc["stage_rss"] = {
             "command": "python3 tools/stage_rss.py --root ROOT --workload W --seed S",

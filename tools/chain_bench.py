@@ -1,26 +1,33 @@
-"""Time Metropolis-Hastings chain steps on the crossing acceptance fixture's dataset.
+"""Time Metropolis-Hastings chain steps on an acceptance fixture's dataset.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/chain_bench.py --root SOURCE_CHECKOUT \
-        [--steps 300] [--cache DIR]
+        [--fixture cross|coverage] [--steps 300] [--cache DIR]
 
-Imports swarmcomm from ROOT/src and builds the dataset that the acceptance
-suite's crossing fixture searches: seed 1234, a 2,000-rollout oracle, then 40
-collected rollouts (2,000 tuples). It then runs the first STEPS steps of the
-fixture's chain (tradeoff 0.1, 2 rules, the same generator) and times every
-candidate's evaluation.
+Imports swarmcomm from ROOT/src and builds the dataset that one of the
+acceptance suite's fixtures searches: a 2,000-rollout oracle, then 40
+collected rollouts (2,000 tuples). It then runs the first STEPS steps of that
+fixture's chain with the same generator and times every candidate's
+evaluation:
+
+- ``cross`` (the default): the crossing fixture, seed 1234, tradeoff 0.1,
+  2 rules, one round.
+- ``coverage``: the goal-coverage fixture, seed 77, tradeoff 0.5, 2 rules.
+  It times round 0 of its two rounds, whose chain draws from
+  ``rng.spawn(2)[0]`` as ``synthesize_multiround`` does.
 
 With --cache, the trained oracle and the generator state after training are
-kept in DIR and reused by later runs: training takes most of a minute, and it
-is the same under every source tree that trains the same oracle. Collection
-always runs.
+kept in DIR/FIXTURE and reused by later runs: training takes most of a
+minute, and it is the same under every source tree that trains the same
+oracle. Collection always runs.
 
 Prints the minimum and median milliseconds per candidate, the evaluator's
-deterministic counters, and the sha256 of the chain log and the program as
-``synthesize`` would write them; the last line is the same as one JSON object.
-A matvec is one weight vector evaluated over every block of the dataset; a
-source tree whose evaluator has no ``counters()`` evaluates every weight
-vector of every rule it interprets, and its matvecs are counted that way.
-Standard library and numpy only.
+deterministic counters, the (tuple, sender) rows whose round-2 messages were
+re-derived where the evaluator counts them, and the sha256 of the chain log
+and the program as ``synthesize`` would write them; the last line is the same
+as one JSON object. A matvec is one weight vector evaluated over every block
+of the dataset; a source tree whose evaluator has no ``counters()`` evaluates
+every weight vector of every rule it interprets, and its matvecs are counted
+that way. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -34,11 +41,14 @@ import tempfile
 import time
 from pathlib import Path
 
-SEED = 1234
 ORACLE_ROLLOUTS = 2000
 COLLECT_ROLLOUTS = 40
-TRADEOFF = 0.1
 RULES = 2
+# per fixture: task config, seed and tradeoff
+FIXTURES = {
+    "cross": (dict(task_kind="random-cross", n_agents_per_group=5, horizon=50, min_groups=2, dt=0.4), 1234, 0.1),
+    "coverage": (dict(task_kind="unlabeled-goals", n_agents_per_group=5, horizon=50), 77, 0.5),
+}
 
 
 def _import(root: Path):
@@ -54,14 +64,14 @@ def _import(root: Path):
     return dsl, env, synth, training, transformer
 
 
-def _oracle(cache, cfg, rng, rewards, training, transformer):
+def _oracle(cache, cfg, seed, rng, rewards, training, transformer):
     """The fixture's trained oracle; rng ends where the fixture's training leaves it."""
     params_path = cache / "oracle.json" if cache else None
     state_path = cache / "rng_after_training.json" if cache else None
     if cache and params_path.is_file() and state_path.is_file():
         rng.bit_generator.state = json.loads(state_path.read_text())
         return transformer.TransformerParams.load(params_path)
-    train_cfg = training.TrainConfig(n_rollouts=ORACLE_ROLLOUTS, batch_size=16, seed=SEED)
+    train_cfg = training.TrainConfig(n_rollouts=ORACLE_ROLLOUTS, batch_size=16, seed=seed)
     params = training.train_oracle(cfg, train_cfg, rng, rewards).params
     if cache:
         cache.mkdir(parents=True, exist_ok=True)
@@ -82,6 +92,7 @@ def _vectors(rule, dsl) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, required=True, help="source checkout holding src/swarmcomm")
+    parser.add_argument("--fixture", choices=sorted(FIXTURES), default="cross")
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--cache", type=Path, default=None, help="directory for the trained oracle")
     args = parser.parse_args()
@@ -90,15 +101,18 @@ def main() -> int:
     import numpy as np
 
     dsl, env, synth, training, transformer = _import(args.root.resolve())
-    cfg = env.TaskConfig(task_kind="random-cross", n_agents_per_group=5, horizon=50, min_groups=2, dt=0.4)
+    task, seed, tradeoff = FIXTURES[args.fixture]
+    cfg = env.TaskConfig(**task)
     rewards = env.RewardParams()
-    rng = np.random.Generator(np.random.PCG64(SEED))
+    rng = np.random.Generator(np.random.PCG64(seed))
     t0 = time.perf_counter()
-    params = _oracle(args.cache, cfg, rng, rewards, training, transformer)
+    params = _oracle(args.cache and args.cache / args.fixture, cfg, seed, rng, rewards, training, transformer)
     dataset = synth.collect_dataset(params, cfg, COLLECT_ROLLOUTS, rng, rewards)
     setup_s = time.perf_counter() - t0
+    if dataset.rounds > 1:  # synthesize_multiround's round-0 generator
+        rng = rng.spawn(dataset.rounds)[0]
 
-    synth_cfg = synth.SynthConfig(degree_weight=TRADEOFF, mcmc_steps=args.steps, n_rules=RULES)
+    synth_cfg = synth.SynthConfig(degree_weight=tradeoff, mcmc_steps=args.steps, n_rules=RULES)
     # the evaluator mcmc_synthesize would build, drawing its CRN from the same generator
     evaluator = synth.SurrogateEvaluator(dataset, synth_cfg.degree_weight, 0, synth_cfg.rand_rule_samples, rng)
     real_picks = dsl.rule_picks
@@ -131,8 +145,10 @@ def main() -> int:
     counters = evaluator.counters() if hasattr(evaluator, "counters") else {}
     matvec_blocks = counters.get("matvec_blocks", picks["vectors"])
     ms = [1e3 * s for s in seconds[1:]]  # the proposals; the first call scores the initial program
+    rows = counters.get("rows_rescored")
     doc = {
         "root": str(args.root),
+        "fixture": args.fixture,
         "steps": args.steps,
         "tuples": dataset.n_tuples,
         "blocks": blocks,
@@ -150,6 +166,9 @@ def main() -> int:
     print(f"{args.steps} steps on {dataset.n_tuples} tuples in {blocks} blocks (set-up {setup_s:.1f} s)")
     print(f"ms per candidate: min {doc['ms_per_candidate']['min']:.2f}, median {doc['ms_per_candidate']['median']:.2f}")
     print(f"matvecs per candidate: {doc['matvecs_per_candidate']:.3f}; counters: {counters or 'none'}")
+    if rows is not None:
+        share = rows / (evaluations * sum(b.n_tuples * b.n_agents for b in dataset.blocks))
+        print(f"rows rescored: {rows} ({share:.1%} of the (tuple, sender) rows of every evaluation)")
     print(f"chain sha256 {chain_sha}\nprogram sha256 {program_sha}")
     print(json.dumps(doc, sort_keys=True))
     return 0
