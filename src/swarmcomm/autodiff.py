@@ -76,12 +76,35 @@ class TapeRecord:
     vjp: Optional[Vjp]  # None once backward has walked past the record
 
 
+class Scratch:
+    """One reusable array per shape, for the arrays a vjp rebuilds during the backward walk.
+
+    A vjp that rebuilds a forward array rather than holding it writes it into
+    the buffer of its shape, is done with it before it rebuilds the next one,
+    and returns no view of it. So the walk allocates each shape once, not
+    once per record. The buffers start uninitialized.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[int, ...], Array] = {}
+
+    def __call__(self, *shape: int) -> Array:
+        buf = self._buffers.get(shape)
+        if buf is None:
+            buf = self._buffers[shape] = np.empty(shape)
+        return buf
+
+    def clear(self) -> None:
+        self._buffers.clear()
+
+
 class Tape:
     """Append-only record of the ops on a weight's gradient path, topologically ordered by construction."""
 
     def __init__(self) -> None:
         self.records: list[TapeRecord] = []
         self.spent = False  # set by backward, which frees the saved values
+        self.scratch = Scratch()  # the vjps' rebuild buffers, emptied when backward ends
         self._weight_shapes: dict[int, tuple[int, ...]] = {}  # requires_grad leaves, by node id
         self._next_id = 0
 
@@ -231,9 +254,18 @@ def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Opt
     if check is not None:
         check_finite(h, check)
     np.tanh(h, out=h)
-    out = h @ w2
+    return h, mlp_out(h, w2, b2)
+
+
+def mlp_out(h: Array, w2: Array, b2: Array, out: Optional[Array] = None) -> Array:
+    """The second layer, h @ w2 + b2, into out when given.
+
+    mlp_forward computes its output with this, so a vjp that rebuilds an
+    output from the hidden rows it held gets the forward's bits.
+    """
+    out = np.matmul(h, w2, out=out)
     out += b2
-    return h, out
+    return out
 
 
 _ROW_CHUNK = 64
@@ -476,6 +508,7 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Array]:
                 grads[node_id] = grads[node_id] + g_in
             else:
                 grads[node_id] = g_in
+    tape.scratch.clear()
     return {i: grads[i] if i in grads else np.zeros(shape) for i, shape in tape._weight_shapes.items()}
 
 

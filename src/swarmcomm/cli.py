@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -119,10 +119,28 @@ def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
         raise CliError("dim-mismatch", mismatch)
 
 
-def _write_manifest(command: str, args: argparse.Namespace, seed: int, inputs, outputs, path: Path) -> None:
-    manifest = RunManifest.capture(command, {k: v for k, v in vars(args).items() if k != "func"}, seed, inputs)
-    manifest.outputs = [str(o) for o in outputs]
-    manifest.save(path)
+@dataclass
+class _Written:
+    """What a stage wrote: its seed, its output files and where its manifest goes."""
+
+    seed: int
+    outputs: list
+    manifest: Path
+
+
+def _run_stage(command: str, args: argparse.Namespace) -> int:
+    """Run a stage and write its manifest.
+
+    Every input is hashed before the stage runs, so a stage that writes an
+    output over one of its inputs records the input it read, and rerun
+    refuses to replay it once the file has changed.
+    """
+    inputs = [p for p in _INPUTS[command](args) if Path(p).is_file()]
+    manifest = RunManifest.capture(command, vars(args), 0, inputs)  # the seed is the stage's to resolve
+    written = _HANDLERS[command](args)
+    manifest.seed, manifest.outputs = written.seed, [str(o) for o in written.outputs]
+    manifest.save(written.manifest)
+    return 0
 
 
 def _manifest_path(primary_output: str) -> Path:
@@ -134,28 +152,27 @@ def _manifest_path(primary_output: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train_oracle(args: argparse.Namespace) -> int:
+def cmd_train_oracle(args: argparse.Namespace) -> _Written:
     seed = _seed(args)
     train_cfg = _train_config(args, seed)
     cfg, rewards = _read(args.config, env.load_config)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = train_oracle(cfg, train_cfg, rng, rewards)
-    return _save_trained("train-oracle", args, seed, [args.config], result, "trained oracle")
+    return _save_trained(args, seed, result, "trained oracle")
 
 
-def _save_trained(command: str, args: argparse.Namespace, seed: int, inputs, result, label: str) -> int:
-    """Write a training stage's parameters, its curve when asked for, and its manifest."""
+def _save_trained(args: argparse.Namespace, seed: int, result, label: str) -> _Written:
+    """Write a training stage's parameters and its curve when asked for."""
     result.params.save(args.out)
     outputs = [args.out]
     if args.curve:
         write_curve_csv(args.curve, result.curve)
         outputs.append(args.curve)
-    _write_manifest(command, args, seed, inputs, outputs, _manifest_path(args.out))
     print(f"{label} -> {args.out} (best validation {result.best_validation:.4f})")
-    return 0
+    return _Written(seed, outputs, _manifest_path(args.out))
 
 
-def cmd_collect(args: argparse.Namespace) -> int:
+def cmd_collect(args: argparse.Namespace) -> _Written:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
     cfg, rewards = _read(args.config, env.load_config)
     params = _read(args.params, TransformerParams.load)
@@ -164,9 +181,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
     rng = np.random.Generator(np.random.PCG64(seed))
     dataset = collect_dataset(params, cfg, args.rollouts, rng, rewards)
     dataset.save_jsonl(args.out)
-    _write_manifest("collect", args, seed, [args.config, args.params], [args.out], _manifest_path(args.out))
     print(f"collected {dataset.n_tuples} tuples from {args.rollouts} rollouts -> {args.out}")
-    return 0
+    return _Written(seed, [args.out], _manifest_path(args.out))
 
 
 def _round_out_paths(out: str, rounds: int) -> list[Path]:
@@ -174,7 +190,7 @@ def _round_out_paths(out: str, rounds: int) -> list[Path]:
     return [base] + [base.with_name(f"{base.stem}.round{r + 1}{base.suffix}") for r in range(1, rounds)]
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
+def cmd_synthesize(args: argparse.Namespace) -> _Written:
     cfg = _config(SynthConfig, {
         "degree_weight": ("--lambda", args.tradeoff),
         "mcmc_steps": ("--steps", args.steps),
@@ -197,11 +213,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         for result, chain_path in zip(results, _round_out_paths(args.chain_log, dataset.rounds)):
             write_chain_csv(chain_path, result.chain)
             outputs.append(chain_path)
-    _write_manifest("synthesize", args, seed, [args.dataset], outputs, _manifest_path(args.out))
-    return 0
+    return _Written(seed, outputs, _manifest_path(args.out))
 
 
-def cmd_retrain(args: argparse.Namespace) -> int:
+def cmd_retrain(args: argparse.Namespace) -> _Written:
     seed = _seed(args)
     train_cfg = _train_config(args, seed)
     cfg, rewards = _read(args.config, env.load_config)
@@ -210,7 +225,7 @@ def cmd_retrain(args: argparse.Namespace) -> int:
     programs = _load_programs(args.program, params)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = retrain(params, programs, cfg, train_cfg, rng, rewards)
-    return _save_trained("retrain", args, seed, [args.config, args.params, *args.program], result, "retrained")
+    return _save_trained(args, seed, result, "retrained")
 
 
 def _build_policy(args: argparse.Namespace) -> tuple[TaskConfig, env.RewardParams, env.Policy]:
@@ -233,7 +248,7 @@ def _build_policy(args: argparse.Namespace) -> tuple[TaskConfig, env.RewardParam
         raise CliError("usage", str(exc)) from exc
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> _Written:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
     _require(0.0 < args.gamma <= 1.0, f"--gamma must be in (0, 1], got {args.gamma}")
     _require_comm_weight(args)
@@ -247,16 +262,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.report_dir:
         paths = report([metrics], args.report_dir)
         outputs.extend(paths.values())
-    inputs = [args.config, args.params, *(args.program or [])]
-    _write_manifest("evaluate", args, seed, inputs, outputs, _manifest_path(args.out))
     print(
         f"{metrics.policy}: loss {metrics.loss_mean:.4f} +/- {metrics.loss_std:.4f}, "
         f"max degree {metrics.total_deg_mean:.2f} -> {args.out}"
     )
-    return 0
+    return _Written(seed, outputs, _manifest_path(args.out))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> _Written:
     _require(args.val_rollouts >= 1, "--val-rollouts must be >= 1")
     _require_comm_weight(args)
     base = _config(SynthConfig, {"mcmc_steps": ("--steps", args.steps)})
@@ -301,18 +314,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     best_progs = _round_out_paths(str(out_dir / "sweep_best_program.txt"), dataset.rounds)
     for cell_result, path in zip(result.best.results, best_progs):
         path.write_text(print_program(cell_result.program, dataset.state_dim))
-    _write_manifest(
-        "sweep", args, seed, [args.dataset, args.config], [cells_csv, best_json, *best_progs],
-        out_dir / "sweep.manifest.json",
-    )
     print(
         f"sweep best: tradeoff {result.best.degree_weight}, rules {result.best.n_rules}, "
         f"features {result.best.feature_version} -> {best_json}"
     )
-    return 0
+    return _Written(seed, [cells_csv, best_json, *best_progs], out_dir / "sweep.manifest.json")
 
 
-def cmd_attn_dump(args: argparse.Namespace) -> int:
+def cmd_attn_dump(args: argparse.Namespace) -> _Written:
     cfg, rewards, policy = _build_policy(args)
     seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -323,16 +332,13 @@ def cmd_attn_dump(args: argparse.Namespace) -> int:
         for t, step in enumerate(traj.steps)
     ]
     Path(args.out).write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
-    inputs = [args.config, args.params, *(args.program or [])]
-    _write_manifest("attn-dump", args, seed, inputs, [args.out], _manifest_path(args.out))
     print(f"wrote per-step attention for {len(traj.steps)} steps -> {args.out}")
-    return 0
+    return _Written(seed, [args.out], _manifest_path(args.out))
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = _read(args.manifest, RunManifest.load)
-    handler = _HANDLERS.get(manifest.command)
-    if handler is None:
+    if manifest.command not in _HANDLERS:
         raise CliError("bad-config", f"{args.manifest}: unknown command {manifest.command!r}")
     _check_recorded(args.manifest, manifest.command, manifest.args)
     changed = [
@@ -345,13 +351,13 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     replay = argparse.Namespace(**{**manifest.args, "seed": manifest.seed})
     saved = os.environ.pop("SWARM_SEED", None)
     try:
-        return handler(replay)
+        return _run_stage(manifest.command, replay)
     finally:
         if saved is not None:
             os.environ["SWARM_SEED"] = saved
 
 
-_HANDLERS = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], _Written]] = {
     "train-oracle": cmd_train_oracle,
     "collect": cmd_collect,
     "synthesize": cmd_synthesize,
@@ -359,6 +365,17 @@ _HANDLERS = {
     "evaluate": cmd_evaluate,
     "sweep": cmd_sweep,
     "attn-dump": cmd_attn_dump,
+}
+
+# each stage's input files, as its manifest records them for rerun to check
+_INPUTS: dict[str, Callable[[argparse.Namespace], list[str]]] = {
+    "train-oracle": lambda a: [a.config],
+    "collect": lambda a: [a.config, a.params],
+    "synthesize": lambda a: [a.dataset],
+    "retrain": lambda a: [a.config, a.params, *a.program],
+    "evaluate": lambda a: [a.config, a.params, *(a.program or [])],
+    "sweep": lambda a: [a.dataset, a.config],
+    "attn-dump": lambda a: [a.config, a.params, *(a.program or [])],
 }
 
 
@@ -408,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=float, default=10.0)
     p.add_argument("--curve", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_train_oracle)
 
     p = sub.add_parser("collect", help="cache per-step tuples from oracle rollouts")
     p.add_argument("--params", required=True)
@@ -416,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollouts", type=int, default=300)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("synthesize", help="search for a communication program")
     p.add_argument("--dataset", required=True)
@@ -430,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="program.txt")
     p.add_argument("--chain-log", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("retrain", help="fine-tune the networks under hard attention")
     p.add_argument("--params", required=True)
@@ -444,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=float, default=10.0)
     p.add_argument("--curve", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_retrain)
 
     p = sub.add_parser("evaluate", help="measure loss and communication degrees")
     p.add_argument("--params", required=True)
@@ -458,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid search over tradeoff, rule count, features")
     p.add_argument("--dataset", required=True)
@@ -468,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comm-weight", dest="comm_weight", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("attn-dump", help="write per-step attention matrices for one rollout")
     p.add_argument("--params", required=True)
@@ -478,11 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", action="append", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_attn_dump)
 
     p = sub.add_parser("rerun", help="replay a stage from its manifest")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -493,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # every overflow ends in one error[non-finite] line from a finiteness check, not in numpy warnings first
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return cmd_rerun(args) if args.command == "rerun" else _run_stage(args.command, args)
     except CliError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

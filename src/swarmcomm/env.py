@@ -424,12 +424,13 @@ def step_rewards(
     if not ad.on_path(tape, items[:2]):
         return RewardTerms(goal, Tensor(total, tape=tape), hinge)
     rel_data, pos_shape = t_rel.data, t_pos.shape
+    hinge_shape, active = hinge.shape, scaled > 0.0  # the hinge's shape and sign mask are all its vjp reads
 
     def formation_vjp(g: Array, need):
         g_sum = g * np.asarray(-1.0)
         g_rel = g_pos = None
         if need[0]:
-            g_hinge = (np.broadcast_to(g_sum, hinge.shape).copy() * offdiag) * (scaled > 0.0).astype(np.float64)
+            g_hinge = (np.broadcast_to(g_sum, hinge_shape).copy() * offdiag) * active.astype(np.float64)
             g_closeness = -(g_hinge * cw)
             g_rel = ad.l2_norm_vjp(g_closeness / cd, rel_data, pair)
         if need[1]:

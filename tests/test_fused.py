@@ -4,11 +4,14 @@ forward_round, output_head, env.step_rewards and env.advance each record one
 tape op. Their gradients match central differences; their values, and the
 weight gradients of whole training iterations, are bitwise those of the
 primitive-op chain in tests/reference.py; a non-finite intermediate still
-raises; and a training iteration holds the few records the fusion leaves.
+raises; and a training iteration holds the few records the fusion leaves,
+which hold per step only the bytes their vjps cannot rebuild.
 Hardening and squashing are kernels of these ops, not ops of their own: the
 masked forward_round (its mask leaves a row empty, so both of hardening's
 branches run) and the formation output_head check them.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +327,37 @@ class TestRecordsPerIteration:
     def test_grid_sweep(self):
         cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=5, horizon=20, link_failure_prob=0.3)
         assert self._records(cfg, seed=52) == 231
+
+
+class TestTapeBytesPerStep:
+    """A record that holds an array its vjp can rebuild shows here: the bytes a taped unroll leaves held, per step.
+
+    The bound sits a little above what a round's record holds when it keeps
+    only the hidden rows, the observations and the per-pair attention rows;
+    holding the pair rows and the key and message outputs as well came to
+    1.57, 3.48 and 0.95 MB per step.
+    """
+
+    @pytest.mark.parametrize("kind, seed, n_agents, bound_mb", [
+        ("random-cross", 50, 10, 1.15),
+        ("random-grid", 52, 15, 2.55),
+        ("unlabeled-goals", 51, 5, 0.65),
+    ])
+    def test_held_bytes(self, kind, seed, n_agents, bound_mb):
+        cfg = TaskConfig(task_kind=kind, n_agents_per_group=5, min_groups=2, horizon=10,
+                         link_failure_prob=0.3 if kind == "random-grid" else 0.0)
+        rng = make_rng(seed)
+        params = init_for_task(cfg, rng)
+        worlds = sample_world_batch(cfg, 16, rng)
+        assert worlds[0].n_agents == n_agents
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            weights = {name: tape.leaf(value, requires_grad=True) for name, value in params.store.params.items()}
+            before = tracemalloc.get_traced_memory()[0]
+            score = unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, tape=tape, weights=weights)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.records) > 0 and np.isfinite(score.data)
+        assert held / cfg.horizon / 1e6 < bound_mb

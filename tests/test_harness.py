@@ -810,6 +810,25 @@ class TestCli:
         assert str(program) in err
         assert out.read_bytes() == original
 
+    def test_rerun_refuses_a_retrain_that_wrote_over_its_parameters(self, cli_workspace, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_bytes((cli_workspace / "oracle.json").read_bytes())
+        assert cli.main([
+            "retrain", "--params", str(params), "--program", str(cli_workspace / "program.txt"),
+            "--config", str(cli_workspace / "task.json"), "--rollouts", "8", "--batch", "8",
+            "--out", str(params), "--seed", "3",
+        ]) == 0
+        retrained = params.read_bytes()
+        manifest = json.loads((tmp_path / "p.json.manifest.json").read_text())
+        assert manifest["input_hashes"][str(params)] == file_sha256(cli_workspace / "oracle.json")
+        capsys.readouterr()
+        rc = cli.main(["rerun", str(params) + ".manifest.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[changed-input]" in err
+        assert str(params) in err
+        assert params.read_bytes() == retrained
+
     def test_rerun_replays_recorded_seed_despite_swarm_seed(self, cli_workspace, tmp_path, monkeypatch):
         def collect(out):
             return cli.main([

@@ -27,6 +27,7 @@ from swarmcomm.transformer import _harden, _net, _squash, init_for_task
 
 from conftest import make_rng
 from reference import objective_for_masks
+from test_relabeling import assert_no_tie
 
 
 def tiny_cfg(**kw):
@@ -410,6 +411,55 @@ class TestSurrogateLaws:
                 assert got.imitation == pytest.approx(want.imitation, rel=1e-12, abs=0), name
                 assert got.mean_max_degree == pytest.approx(want.mean_max_degree, rel=1e-12, abs=0), name
         assert visited_random
+
+    @staticmethod
+    def _relabeled(dataset, perms):
+        """The dataset's one block with tuple m's agents relabeled: agent a of the copy is agent perms[m, a]."""
+        (b,) = dataset.blocks
+        m = np.arange(b.n_tuples)[:, None]
+
+        def agents(x):
+            return x[m, perms]
+
+        def pairs(x):
+            return x[m[:, :, None], perms[:, :, None], perms[:, None, :]]
+
+        block = DatasetBlock(
+            agents(b.states), pairs(b.obs), [pairs(msg) for msg in b.messages], [pairs(att) for att in b.attention],
+            agents(b.actions), None if b.goal_perm_inv is None else agents(b.goal_perm_inv),
+        )
+        return SynthDataset(dataset.task, dataset.params, [block]), agents
+
+    @pytest.mark.parametrize(
+        "task,round_index",
+        [(tiny_cfg(n_agents_per_group=2), 0), (COVERAGE, 0), (COVERAGE, 1)],
+        ids=["one-round", "two-round-r0", "two-round-r1"],
+    )
+    def test_relabeled_agents_score_alike(self, task, round_index):
+        """Each tuple's agents relabeled, with its CRN columns: the walk's terms stay within 1e-12.
+
+        The walk proposes deterministic rules only: a random rule picks passing
+        sender number floor(u * count) in id order, so relabeling changes
+        which sender a uniform picks (see tests/test_relabeling.py).
+        """
+        dataset = tiny_dataset(n_rollouts=6, cfg=task)
+        (block,) = dataset.blocks
+        rng = make_rng(52)
+        # any permutation per tuple: with three agents a derangement is a rotation, which a rotated index hides from
+        perms = np.array([rng.permutation(block.n_agents) for _ in range(block.n_tuples)])
+        relabeled, agents = self._relabeled(dataset, perms)
+        ev = SurrogateEvaluator(dataset, 0.5, round_index, 2, make_rng(51))
+        other = SurrogateEvaluator(relabeled, 0.5, round_index, 2, make_rng(51))
+        other._crn = [agents(ev._crn[0])]  # each agent keeps its own uniforms
+        program = initial_program(SynthConfig(n_rules=2), dataset.state_dim, rng)
+        for _ in range(40):
+            program = propose(program, rng, allow_random_rules=False)
+            for rule in program.rules:
+                assert_no_tie(rule, block.features(program.feature_map))
+            want = ev.evaluate_detailed(program)
+            got = other.evaluate_detailed(program)
+            assert got.imitation == pytest.approx(want.imitation, rel=1e-12, abs=0)
+            assert got.mean_max_degree == pytest.approx(want.mean_max_degree, rel=1e-12, abs=0)
 
 
 class TestPropose:

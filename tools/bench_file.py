@@ -21,8 +21,13 @@ lower or higher. A chain log is the captured stdout of one
 per-candidate times, counters and output digests, paired in the order given.
 A stage-rss log is the captured stdout of one ``tools/stage_rss.py`` run;
 given them, the file also holds, per side and workload, the peak resident
-memory and minor page faults after each stage and the stage that set the peak.
-Standard library only; the BLAS name is read from numpy in a child process.
+memory and minor page faults after each stage and the stage that set the peak,
+and each stage's ``tracemalloc`` peak from runs with ``--traced``. For both
+sides it also records the bytes a taped training unroll holds per world step
+(``tape_bytes``), measured in a child process per checkout at the batches of
+16 worlds that ``tests/test_fused.py`` counts tape records on.
+Standard library only; the BLAS name and the tape bytes are read in child
+processes, which import numpy and the checkout's swarmcomm.
 """
 
 from __future__ import annotations
@@ -120,17 +125,64 @@ def summarize_chains(logs: list[Path]) -> dict:
 
 
 def summarize_stage_rss(logs: list[Path]) -> dict:
-    """stage_rss runs of one side, by workload: peak, the stage that set it, and every stage's figures."""
-    out = {}
+    """stage_rss runs of one side, by workload and kind of run (plain or traced): peak, the stage that set it,
+    and every stage's figures."""
+    out: dict = {}
     for path in logs:
         r = last_json_line(path)
-        out[r["workload"]] = {
+        traced = "traced_peak_mb" in r
+        entry = {
             "seed": r["seed"],
             "peak_rss_mb": r["peak_rss_mb"],
             "peak_stage": r["peak_stage"],
-            "stages": {s["stage"]: {"maxrss_mb": s["maxrss_mb"], "minflt": s["minflt"]} for s in r["stages"]},
+            "stages": {
+                s["stage"]: {k: s[k] for k in ("maxrss_mb", "minflt", "traced_peak_mb") if k in s} for s in r["stages"]
+            },
         }
+        if traced:
+            entry.update(traced_peak_mb=r["traced_peak_mb"], traced_peak_stage=r["traced_peak_stage"])
+        out.setdefault(r["workload"], {})["traced" if traced else "plain"] = entry
     return out
+
+
+# one taped unroll per task kind, as tests/test_fused.py::TestRecordsPerIteration runs it
+TAPE_BYTES = """
+import json, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from swarmcomm import autodiff as ad
+from swarmcomm.env import RewardParams, TaskConfig
+from swarmcomm.training import sample_world_batch, unroll_score
+from swarmcomm.transformer import init_for_task
+runs = [(dict(task_kind="random-cross", n_agents_per_group=5, min_groups=2, dt=0.4, horizon=50), 50),
+        (dict(task_kind="unlabeled-goals", n_agents_per_group=5, horizon=50), 51),
+        (dict(task_kind="random-grid", n_agents_per_group=5, horizon=20, link_failure_prob=0.3), 52)]
+out = {}
+for fields, seed in runs:
+    cfg = TaskConfig(**fields)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_for_task(cfg, rng)
+    worlds = sample_world_batch(cfg, 16, rng)
+    tracemalloc.start()
+    tape = ad.Tape()
+    weights = {k: tape.leaf(v, requires_grad=True) for k, v in params.store.params.items()}
+    before = tracemalloc.get_traced_memory()[0]
+    unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, tape=tape, weights=weights)
+    held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    out[cfg.task_kind] = {"n_agents": worlds[0].n_agents, "batch": 16, "horizon": cfg.horizon,
+                          "records": len(tape.records), "mb_per_step": held / cfg.horizon / 1e6}
+print(json.dumps(out))
+"""
+
+
+def tape_bytes(root: Path) -> dict:
+    """Per task kind, the MB a taped unroll of the checkout at root holds per world step, and its records."""
+    proc = subprocess.run([sys.executable, "-c", TAPE_BYTES, str(root / "src")], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"})
+    if proc.returncode != 0:
+        raise SystemExit(f"error: measuring the tape of {root} failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def blas_name() -> str:
@@ -165,6 +217,7 @@ def main() -> int:
         sides[side] = {
             "src_lines": src_lines(root),
             "tier1_s": getattr(args, f"tier1_{side}_s"),
+            "tape_bytes": tape_bytes(root),
             "workloads": summarize(runs),
         }
     # every end-to-end metric of the benchmark is lower-is-better; a pair is one seed run on both sides
@@ -220,7 +273,7 @@ def main() -> int:
         doc["chain_bench"] = dict(chain, command=command)
     if args.parent_stage_rss and args.change_stage_rss:
         doc["stage_rss"] = {
-            "command": "python3 tools/stage_rss.py --root ROOT --workload W --seed S",
+            "command": "python3 tools/stage_rss.py --root ROOT --workload W --seed S [--traced]",
             **{side: summarize_stage_rss(getattr(args, f"{side}_stage_rss")) for side in ("parent", "change")},
         }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

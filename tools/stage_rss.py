@@ -1,7 +1,7 @@
 """Peak resident memory and minor page faults after each stage of one workload round.
 
     python3 tools/stage_rss.py --root SOURCE_CHECKOUT --workload cross \
-        [--seed 200] [--size full] [--dir DIR]
+        [--seed 200] [--size full] [--dir DIR] [--traced]
 
 Runs one round of a benchmark workload (the stages, arguments and repeated
 calls of ``bench/workloads.py`` under ROOT) in this process, the way
@@ -11,6 +11,12 @@ resident set size so far (``ru_maxrss``) and its minor page faults, so the
 stage that sets the round's peak is the first one whose line reaches it. The
 last line is the same as one JSON object. Run it once per process: the peak
 of an earlier round would hide the next one's.
+
+With --traced it also prints each stage's own ``tracemalloc`` peak: the most
+bytes the program's allocations held at once during that stage. That figure
+moves only when what the program allocates moves, while ``ru_maxrss`` also
+moves with heap layout and fragmentation; tracing costs time and some memory
+of its own, so the two kinds of run are not compared with each other.
 
 Without --dir the round runs in a temporary directory that is removed after.
 No bytecode is written, so ROOT's ``bench/`` stays as checked out. Standard
@@ -33,6 +39,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -57,14 +64,28 @@ def _usage() -> tuple[float, int]:
     return usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
+def _traced_peak() -> dict:
+    """The tracemalloc peak since the last call, in MB, as a row field; empty when not tracing."""
+    if not tracemalloc.is_tracing():
+        return {}
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.reset_peak()
+    return {"traced_peak_mb": peak}
+
+
+def _line(label: str, row: dict) -> str:
+    traced = f"  traced {row['traced_peak_mb']:7.1f} MB" if "traced_peak_mb" in row else ""
+    return f"{label:<22} maxrss {row['maxrss_mb']:7.1f} MB  minflt {row['minflt']:8d}{traced}"
+
+
 def run_round(cli, workloads, name: str, seed: int, size: str, directory: Path) -> dict:
     workload = workloads.WORKLOADS[name]
     os.chdir(directory)
     workloads.write_inputs(workload, size, seed, Path("."))
     seeds = json.loads(Path("seeds.json").read_text())
     rss, faults = _usage()
-    rows = [{"stage": "setup", "rcs": [], "seconds": 0.0, "maxrss_mb": rss, "minflt": faults}]
-    print(f"{'setup':<22} maxrss {rss:7.1f} MB  minflt {faults:8d}", flush=True)
+    rows = [{"stage": "setup", "rcs": [], "seconds": 0.0, "maxrss_mb": rss, "minflt": faults, **_traced_peak()}]
+    print(_line("setup", rows[0]), flush=True)
     with open("stages.log", "w") as log:
         for stage in workloads.plan(workload, size, seeds):
             label = stage.command + (f":{stage.policy}" if stage.policy else "")
@@ -74,13 +95,18 @@ def run_round(cli, workloads, name: str, seed: int, size: str, directory: Path) 
                     rcs.append(cli.main(stage.argv(Path("."))))
             seconds = time.perf_counter() - start
             rss, faults = _usage()
-            rows.append({"stage": label, "rcs": rcs, "seconds": seconds, "maxrss_mb": rss, "minflt": faults})
-            print(f"{label:<22} maxrss {rss:7.1f} MB  minflt {faults:8d}  {seconds:6.2f} s  rc {rcs}", flush=True)
+            rows.append({"stage": label, "rcs": rcs, "seconds": seconds, "maxrss_mb": rss, "minflt": faults,
+                         **_traced_peak()})
+            print(f"{_line(label, rows[-1])}  {seconds:6.2f} s  rc {rcs}", flush=True)
     # ru_maxrss never falls: the last row holds the peak, and the first row that reaches it set it
     peak = rows[-1]["maxrss_mb"]
     first = next(r for r in rows if r["maxrss_mb"] == peak)
-    return {"workload": name, "seed": seed, "size": size, "stages": rows,
-            "peak_rss_mb": peak, "peak_stage": first["stage"]}
+    result = {"workload": name, "seed": seed, "size": size, "stages": rows,
+              "peak_rss_mb": peak, "peak_stage": first["stage"]}
+    if tracemalloc.is_tracing():
+        top = max(rows, key=lambda r: r["traced_peak_mb"])
+        result.update(traced_peak_mb=top["traced_peak_mb"], traced_peak_stage=top["stage"])
+    return result
 
 
 def main() -> int:
@@ -90,9 +116,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=200)
     parser.add_argument("--size", default="full")
     parser.add_argument("--dir", type=Path)
+    parser.add_argument("--traced", action="store_true", help="also print each stage's tracemalloc peak")
     args = parser.parse_args()
 
     home = Path.cwd()
+    if args.traced:
+        tracemalloc.start()  # before the program is imported, so its set-up is counted too
     cli, workloads = _import(args.root.resolve())
     if args.workload not in workloads.WORKLOADS:
         raise SystemExit(f"error: unknown workload {args.workload!r}; choose from {', '.join(workloads.WORKLOADS)}")
