@@ -77,21 +77,24 @@ class TapeRecord:
 
 
 class Scratch:
-    """One reusable array per shape, for the arrays a vjp rebuilds during the backward walk.
+    """One reusable array per role and shape, for the arrays a vjp rebuilds during the backward walk.
 
     A vjp that rebuilds a forward array rather than holding it writes it into
-    the buffer of its shape, is done with it before it rebuilds the next one,
-    and returns no view of it. So the walk allocates each shape once, not
-    once per record. The buffers start uninitialized.
+    the buffer of its role ("pairs", "hidden", ...) and shape, is done with it
+    before it rebuilds the next array of that role, and returns no view of it.
+    So the walk allocates each buffer once, not once per record. The role
+    keeps apart two arrays a vjp uses at once that happen to share a shape
+    (a round's pair rows and the hidden rows computed from them, when the
+    input width equals the hidden width). The buffers start uninitialized.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple[int, ...], Array] = {}
+        self._buffers: dict[tuple[str, tuple[int, ...]], Array] = {}
 
-    def __call__(self, *shape: int) -> Array:
-        buf = self._buffers.get(shape)
+    def __call__(self, role: str, *shape: int) -> Array:
+        buf = self._buffers.get((role, shape))
         if buf is None:
-            buf = self._buffers[shape] = np.empty(shape)
+            buf = self._buffers[role, shape] = np.empty(shape)
         return buf
 
     def clear(self) -> None:
@@ -245,23 +248,31 @@ def l2_norm_vjp(g: Array, x: Array, out: Array) -> Array:
 
 
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Optional[str]) -> tuple[Array, Array]:
-    """(tanh(x @ w1 + b1), that @ w2 + b2); the pre-activation is checked when check names an op.
+    """(tanh(x @ w1 + b1), that @ w2 + b2); the pre-activation is checked when check names an op."""
+    h = mlp_hidden(x, w1, b1, check)
+    return h, mlp_out(h, w2, b2)
 
-    The tanh is applied in place, so the first array is what the vjp needs.
+
+def mlp_hidden(x: Array, w1: Array, b1: Array, check: Optional[str] = None, out: Optional[Array] = None) -> Array:
+    """The first layer, tanh(x @ w1 + b1), into out when given; the pre-activation is checked when check names an op.
+
+    The tanh is applied in place, so the result is what mlp_vjp needs.
+    mlp_forward computes its hidden rows with this, so a vjp that rebuilds
+    them from the input rows gets the forward's bits.
     """
-    h = x @ w1
+    h = np.matmul(x, w1, out=out)
     h += b1
     if check is not None:
         check_finite(h, check)
     np.tanh(h, out=h)
-    return h, mlp_out(h, w2, b2)
+    return h
 
 
 def mlp_out(h: Array, w2: Array, b2: Array, out: Optional[Array] = None) -> Array:
     """The second layer, h @ w2 + b2, into out when given.
 
     mlp_forward computes its output with this, so a vjp that rebuilds an
-    output from the hidden rows it held gets the forward's bits.
+    output from the hidden rows gets the forward's bits.
     """
     out = np.matmul(h, w2, out=out)
     out += b2

@@ -373,9 +373,16 @@ def report(metrics: Sequence[Metrics], out_dir: Union[str, Path]) -> dict[str, P
 # ---------------------------------------------------------------------------
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def file_sha256(path: Union[str, Path]) -> str:
+    """The file's sha256, read in 1 MiB chunks into one buffer, so a large dataset is never held whole."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    buf = memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb") as f:
+        while size := f.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 

@@ -350,10 +350,11 @@ class SurrogateEvaluator:
       - per digest of the selection masks, the imitation and degree terms
         (256 entries).
     Round 0 of a two-round task also keeps, per block, the last selection it
-    scored and the round-2 messages derived from it, (M, N, N, dm) sender-major:
-    a sender's round-2 messages depend only on its own round-0 selection row,
-    so a candidate re-derives only the (tuple, sender) rows whose selection
-    changed (see _round2_messages).
+    scored and the round-2 messages derived from it, (M, N, N, dm)
+    receiver-major, as the message sum contracts them: a sender's round-2
+    messages depend only on its own round-0 selection row, so a candidate
+    re-derives only the (tuple, sender) rows whose selection changed and
+    scatters them into the kept array's sender axis (see _round2_messages).
     The pair features come from the dataset's blocks, which build them once
     for every evaluator. No cache changes a score: each returns exactly what
     recomputing would.
@@ -453,7 +454,7 @@ class SurrogateEvaluator:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round
                 msg2 = self._round2_messages(b, sel)
-                msg_sum = np.einsum("mij,mijd->mid", block.attention[1], msg2.transpose(0, 2, 1, 3))
+                msg_sum = np.einsum("mij,mijd->mid", block.attention[1], msg2)
             else:
                 hard = _harden(block.attention[r], sel)[2]
                 msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
@@ -466,15 +467,15 @@ class SurrogateEvaluator:
         return total_imit / n_tuples, total_deg / n_tuples
 
     def _round2_messages(self, b: int, sel: Array) -> Array:
-        """Block b's round-2 messages (M, N, N, dm), [m, i, j] = message i -> j, under round-0 selections sel.
+        """Block b's round-2 messages (M, N, N, dm), [m, i, j] = message j -> i, under round-0 selections sel.
 
         Sender i's round-2 messages depend only on its round-0 selection row
         sel[m, i], through its hardened row, message sum and internal vector.
         So only the (tuple, sender) rows whose selection differs from the
         block's last scored one are re-derived, and written over the kept
-        messages; the first call re-derives every row. The MLPs run through
-        the row-stable kernel, so a row is bitwise what re-deriving all rows
-        gives.
+        messages along the sender axis; the first call re-derives every row.
+        The MLPs run through the row-stable kernel, so a row is bitwise what
+        re-deriving all rows gives.
         """
         block = self.dataset.blocks[b]
         weights = self.dataset.params.store.params
@@ -489,7 +490,7 @@ class SurrogateEvaluator:
         if kept is None:  # stored once every row is derived, so a failed first call keeps nothing
             kept = self._kept[b] = (np.empty(sel.shape, dtype=bool), np.empty((*sel.shape, dm)))
         kept[0][rows] = sel[rows]
-        kept[1][rows] = msg2
+        kept[1][rows[0], :, rows[1]] = msg2  # sender i's messages to every receiver j land at [m, j, i]
         self.rows_rescored += k
         return kept[1]
 

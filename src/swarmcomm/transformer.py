@@ -332,19 +332,21 @@ def forward_round(
     gradients in the chain's order and every weight gradient is bitwise the
     chain's.
 
-    The record holds what its vjp cannot rebuild exactly: the hidden rows of
-    the key and message networks (two B*N*N x hidden arrays, most of the
-    bytes), the observations, the states or internal vectors, the per-pair
-    soft and applied attention rows, and the query and internal networks'
-    per-agent arrays. The vjp rebuilds the pair rows with ``_pairs`` and the
-    key and message outputs with ``ad.mlp_out`` over the held hidden rows,
-    the expressions the forward ran, into the tape's scratch buffers (one
-    per shape, so the backward walk allocates each shape once), and the
-    gradients stay bitwise the same.
-    A training step's tape then holds 1.08, 2.38 and 0.61 MB per world step
+    The record holds the observations, the states or internal vectors, the
+    soft and applied attention (one scalar per pair, with the hardening's
+    masked rows and normalizers), and the query and internal networks'
+    per-agent arrays: no array of B*N*N rows by a network's width. Its vjp
+    handles one pair network at a time, the message network first, then the
+    key network: it rebuilds the network's input rows with ``_pairs``, its
+    hidden rows with ``ad.mlp_hidden`` and its outputs with ``ad.mlp_out``,
+    the expressions the forward ran, into the tape's scratch buffers (one per
+    role and shape, so the backward walk allocates each once), then runs
+    that network's ``mlp_vjp``. The gradients stay bitwise the chain's.
+    A training step's tape then holds 0.25, 0.53 and 0.19 MB per world step
     on the crossing (N = 10), grid (N = 15) and coverage (N = 5) batches of
-    16 worlds, against 1.57, 3.48 and 0.95 MB when the record held those
-    arrays too.
+    16 worlds, against 1.07, 2.38 and 0.60 MB when the record held the two
+    pair networks' hidden rows, and 1.57, 3.48 and 0.95 MB when it held
+    their input rows and outputs as well.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
@@ -373,10 +375,9 @@ def forward_round(
     wk, wm, wq, *wi = [[t.data for t in t_w[4 * k:4 * k + 4]] for k in range(len(nets))]
 
     flat = _pairs(s, o)
-    kh, keys_flat = ad.mlp_forward(flat, *wk, check)
-    keys = keys_flat.reshape(b, n, n, dk)
+    keys = ad.mlp_forward(flat, *wk, check)[1].reshape(b, n, n, dk)
     msg_in = flat if round_index == 0 else _pairs(t_h.data, o)
-    mh, msg_flat = ad.mlp_forward(msg_in, *wm, check)
+    msg_flat = ad.mlp_forward(msg_in, *wm, check)[1]
     messages = msg_flat.reshape(b, n, n, dm)
     s_flat = s.reshape(b * n, ds)
     qh, q_flat = ad.mlp_forward(s_flat, *wq, check)
@@ -418,11 +419,13 @@ def forward_round(
     w_need = [t.node_id is not None for t in t_w]
     n_uses = len(uses)
     h_in = None if round_index == 0 else t_h.data
+    di = params.internal_dim
+    q = int(to_internal)  # where the query's use of the states is listed; the message rows' uses follow it
     scratch = tape.scratch
 
     def vjp(g: Array, need):
-        # The pair rows and the key and message outputs are not held: each is rebuilt, bitwise the forward's,
-        # into the tape's buffer of its shape, and used up before the next one is rebuilt.
+        # Neither pair network's rows are held. Each network in turn, message first, rebuilds its input rows, hidden
+        # rows and outputs, bitwise the forward's, into the tape's buffers, and is used up before the next.
         grads: list[Optional[Array]] = [None] * n_uses
         if to_internal:
             g_agg, *g_wi = ad.mlp_vjp(g.reshape(b * n, -1), agg, *wi[0][::2], ih, [True, *w_need[12:]])
@@ -430,39 +433,45 @@ def forward_round(
             grads[0] = g_s_agg
         else:
             g_sum, g_wi = g, []
+
+        def rebuild(x: Array, w: list[Array]) -> tuple[Array, Array]:
+            h = ad.mlp_hidden(x, w[0], w[1], out=scratch("hidden", x.shape[0], w[0].shape[1]))
+            return h, ad.mlp_out(h, w[2], w[3], scratch("output", x.shape[0], w[2].shape[1]))
+
+        if round_index == 0:
+            msg_in = _pairs(s, o, scratch("pairs", b * n * n, ds + 2))
+        else:
+            msg_in = _pairs(h_in, o, scratch("internal pairs", b * n * n, di + 2))
+        mh, msg_flat = rebuild(msg_in, wm)
+        received = msg_flat.reshape(b, n, n, dm).transpose(0, 2, 1, 3)
         g_weighted = np.broadcast_to(np.expand_dims(g_sum, 2), (b, n, n, dm))
-        received = ad.mlp_out(mh, *wm[2:], scratch(b * n * n, dm)).reshape(b, n, n, dm).transpose(0, 2, 1, 3)
         g_att = ad.unbroadcast(g_weighted * received, att4.shape).reshape(b, n, n)
         g_messages = np.transpose(ad.unbroadcast(g_weighted * att4, (b, n, n, dm)), (0, 2, 1, 3))
+        msg_need = use_need[q + 1] or use_need[q + 2]
+        g_msg_in, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), msg_in, *wm[::2], mh, [msg_need, *w_need[4:8]])
+        del g_messages
+        if round_index > 0 and msg_need:
+            grads[2], grads[1] = _untile(g_msg_in, b, n, di)
+
         g_soft = _harden_vjp(g_att, soft.shape, mask, masked, zz) if mask is not None else g_att
         g_logits = ad.unbroadcast(ad.softmax_vjp(g_soft, soft) / root_dk, (b, n, n))
         g_prod = np.broadcast_to(np.expand_dims(g_logits, -1), (b, n, n, dk))
-        keys = ad.mlp_out(kh, *wk[2:], scratch(b * n * n, dk)).reshape(b, n, n, dk)
+        flat = msg_in if round_index == 0 else _pairs(s, o, scratch("pairs", b * n * n, ds + 2))
+        kh, keys_flat = rebuild(flat, wk)
+        keys = keys_flat.reshape(b, n, n, dk)
         g_queries = ad.unbroadcast(g_prod * keys, q_exp.shape).reshape(b * n, dk)
         g_keys = ad.unbroadcast(g_prod * q_exp, (b, n, n, dk)).reshape(b * n * n, dk)
-        q = int(to_internal)  # where the query's use of the states is listed
         g_sq, *g_wq = ad.mlp_vjp(g_queries, s_flat, *wq[::2], qh, [use_need[q], *w_need[8:12]])
         if g_sq is not None:
             grads[q] = g_sq.reshape(b, n, ds)
+        key_need = use_need[-2] or use_need[-1]
+        g_key_flat, *g_wk = ad.mlp_vjp(g_keys, flat, *wk[::2], kh, [key_need, *w_need[0:4]])
         if round_index == 0:
-            pair_need = use_need[q + 1] or use_need[q + 2]
-            flat = _pairs(s, o, scratch(b * n * n, ds + 2))
-            g_flat, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), flat, *wm[::2], mh, [pair_need, *w_need[4:8]])
-            g_key_flat, *g_wk = ad.mlp_vjp(g_keys, flat, *wk[::2], kh, [pair_need, *w_need[0:4]])
-            if pair_need:
-                g_flat += g_key_flat  # the chain's sum of the two uses, in place in the array this vjp made
-                grads[q + 1], grads[q + 2] = _untile(g_flat, b, n, ds)
-        else:
-            msg_need = use_need[1] or use_need[2]
-            msg_in = _pairs(h_in, o, scratch(b * n * n, params.internal_dim + 2))
-            g_msg_in, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), msg_in, *wm[::2], mh, [msg_need, *w_need[4:8]])
-            if msg_need:
-                grads[2], grads[1] = _untile(g_msg_in, b, n, params.internal_dim)
-            key_need = use_need[3] or use_need[4]
-            flat = _pairs(s, o, scratch(b * n * n, ds + 2))
-            g_key_flat, *g_wk = ad.mlp_vjp(g_keys, flat, *wk[::2], kh, [key_need, *w_need[0:4]])
             if key_need:
-                grads[4], grads[3] = _untile(g_key_flat, b, n, ds)
+                g_msg_in += g_key_flat  # the chain's sum of the two uses, in place in the array this vjp made
+                grads[q + 1], grads[q + 2] = _untile(g_msg_in, b, n, ds)
+        elif key_need:
+            grads[4], grads[3] = _untile(g_key_flat, b, n, ds)
         return (*(gr if nd else None for gr, nd in zip(grads, need)), *g_wk, *g_wm, *g_wq, *g_wi)
 
     return state(tape.emit("forward_round", inputs, out, vjp))

@@ -332,16 +332,20 @@ class TestRecordsPerIteration:
 class TestTapeBytesPerStep:
     """A record that holds an array its vjp can rebuild shows here: the bytes a taped unroll leaves held, per step.
 
-    The bound sits a little above what a round's record holds when it keeps
-    only the hidden rows, the observations and the per-pair attention rows;
-    holding the pair rows and the key and message outputs as well came to
-    1.57, 3.48 and 0.95 MB per step.
+    A forward_round record may hold the observations, the states or internal
+    vectors, the attention (one scalar per pair) and the query and internal
+    networks' per-agent arrays, and nothing with B*N*N rows and a network's
+    width: the pair rows, the key and message networks' hidden rows and
+    their outputs are rebuilt by the vjp. The bound sits a little above what
+    that comes to (0.25, 0.53 and 0.19 MB per step). Holding the two hidden
+    arrays again came to 1.07, 2.38 and 0.60 MB; holding the pair rows and
+    outputs as well, 1.57, 3.48 and 0.95 MB.
     """
 
     @pytest.mark.parametrize("kind, seed, n_agents, bound_mb", [
-        ("random-cross", 50, 10, 1.15),
-        ("random-grid", 52, 15, 2.55),
-        ("unlabeled-goals", 51, 5, 0.65),
+        ("random-cross", 50, 10, 0.30),
+        ("random-grid", 52, 15, 0.62),
+        ("unlabeled-goals", 51, 5, 0.23),
     ])
     def test_held_bytes(self, kind, seed, n_agents, bound_mb):
         cfg = TaskConfig(task_kind=kind, n_agents_per_group=5, min_groups=2, horizon=10,

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -417,6 +419,26 @@ class TestManifest:
         assert loaded.args == {"rollouts": 3}
         assert loaded.seed == 5
         assert loaded.input_hashes[str(src)] == file_sha256(src)
+
+    @pytest.mark.parametrize("size", [0, harness._HASH_CHUNK, harness._HASH_CHUNK + 1])
+    def test_file_hash_equals_the_whole_file_hash(self, tmp_path, size):
+        data = make_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_file_hash_does_not_hold_the_file(self, tmp_path):
+        path = tmp_path / "data.bin"
+        with open(path, "wb") as f:
+            for _ in range(16):
+                f.write(bytes(1 << 20))
+        tracemalloc.start()
+        try:
+            file_sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize(
         "fields, message",
