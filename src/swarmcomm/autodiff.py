@@ -306,11 +306,8 @@ def mlp_forward_rows(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Ar
 
 def _mlp_chunks(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, out: Array) -> Array:
     """mlp_forward over whole 64-row chunks of x, one np.matmul per layer, written into out."""
-    h = np.matmul(x.reshape(x.shape[0] // _ROW_CHUNK, _ROW_CHUNK, x.shape[1]), w1)
-    h += b1
-    np.tanh(h, out=h)
-    np.matmul(h, w2, out=out.reshape(h.shape[0], _ROW_CHUNK, out.shape[1]))
-    out += b2
+    h = mlp_hidden(x.reshape(x.shape[0] // _ROW_CHUNK, _ROW_CHUNK, x.shape[1]), w1, b1)
+    mlp_out(h, w2, b2, out=out.reshape(h.shape[0], _ROW_CHUNK, out.shape[1]))
     return out
 
 

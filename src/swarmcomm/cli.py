@@ -135,12 +135,35 @@ def _run_stage(command: str, args: argparse.Namespace) -> int:
     output over one of its inputs records the input it read, and rerun
     refuses to replay it once the file has changed.
     """
+    _check_outputs(args)
     inputs = [p for p in _INPUTS[command](args) if Path(p).is_file()]
     manifest = RunManifest.capture(command, vars(args), 0, inputs)  # the seed is the stage's to resolve
     written = _HANDLERS[command](args)
     manifest.seed, manifest.outputs = written.seed, [str(o) for o in written.outputs]
     manifest.save(written.manifest)
     return 0
+
+
+_OUTPUT_FILES, _OUTPUT_DIRS = ("out", "curve", "chain_log"), ("report_dir", "out_dir")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Usage errors, before any work, for output flags the stage could not write to.
+
+    An output file must not be a directory and its directory must exist; an
+    output directory (created when missing) must not be a file, nor lie under one.
+    """
+    for dest in _OUTPUT_FILES + _OUTPUT_DIRS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        flag, path = "--" + dest.replace("_", "-"), Path(value)
+        if dest in _OUTPUT_FILES:
+            _require(not path.is_dir(), f"{flag} names a directory: {value}")
+            _require(path.parent.is_dir(), f"{flag}: no directory {path.parent} to write {value} into")
+        else:
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            _require(existing.is_dir(), f"{flag}: {existing} is a file, not a directory")
 
 
 def _manifest_path(primary_output: str) -> Path:

@@ -548,6 +548,8 @@ def parse_program(text: str, state_dim: Optional[int] = None) -> Program:
             raise ParseError(f"header field {key}={meta[key]!r} is not an integer", header_line, 1) from None
 
     declared = header_int("state_dim")
+    if declared is not None and (declared < 1 or declared % 2 != 0):
+        raise ParseError(f"header field state_dim={declared} is not a positive even integer", header_line, 1)
     if state_dim is None:
         if declared is None:
             raise ParseError("header is missing state_dim", header_line, 1)

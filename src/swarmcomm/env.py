@@ -7,8 +7,9 @@ interchangeable goal points by emitting weight vectors over the goals.
 
 Dynamics are single-integrator (x' = x + a*dt). Observations are noisy relative
 positions with the diagonal pinned to zero. One step function, ``world_step``,
-advances B stacked worlds that share the agent count; training runs it on the
-autodiff tape, rollouts and evaluation without one. Rollouts are
+advances B stacked worlds that share the agent count, and ``simulate`` runs
+it for the horizon: training on the autodiff tape, rollouts, collection and
+evaluation without one. Rollouts are
 bit-reproducible given a seeded generator; concurrent rollouts should each own
 a generator spawned from one master SeedSequence.
 """
@@ -197,23 +198,22 @@ def sample_cross_pattern(cfg: TaskConfig, rng: np.random.Generator) -> Array:
 
 
 def sample_cross_state(cfg: TaskConfig, present: Array, rng: np.random.Generator) -> GlobalState:
-    ell = cfg.box_offset
+    centers = [(g, cfg.box_offset * np.asarray(_CROSS_CENTERS[g])) for g, on in enumerate(present) if on]
+    return _sample_boxes("random-cross", cfg, [(g, c, -c) for g, c in centers], rng)
+
+
+def _sample_boxes(
+    task_kind: str, cfg: TaskConfig, groups: Sequence[tuple[int, Array, Array]], rng: np.random.Generator
+) -> GlobalState:
+    """Per (group id, start centre, goal centre), in order: the group's starts
+    uniform in the box around the start centre, then its goals around the goal centre."""
     positions, goals, group_ids = [], [], []
-    for g, is_present in enumerate(present):
-        if not is_present:
-            continue
-        center = ell * np.asarray(_CROSS_CENTERS[g])
-        start = center + rng.uniform(-cfg.box_half_width, cfg.box_half_width, (cfg.n_agents_per_group, 2))
-        goal = -center + rng.uniform(-cfg.box_half_width, cfg.box_half_width, (cfg.n_agents_per_group, 2))
-        positions.append(start)
-        goals.append(goal)
-        group_ids.extend([g] * cfg.n_agents_per_group)
-    return GlobalState(
-        "random-cross",
-        np.concatenate(positions),
-        np.concatenate(goals),
-        np.asarray(group_ids),
-    )
+    n, half = cfg.n_agents_per_group, cfg.box_half_width
+    for g, start, goal in groups:
+        positions.append(start + rng.uniform(-half, half, (n, 2)))
+        goals.append(goal + rng.uniform(-half, half, (n, 2)))
+        group_ids.extend([g] * n)
+    return GlobalState(task_kind, np.concatenate(positions), np.concatenate(goals), np.asarray(group_ids))
 
 
 def grid_adjacent_cells(start: tuple[int, int]) -> list[tuple[int, int]]:
@@ -242,19 +242,11 @@ def sample_grid_state(
     cfg: TaskConfig, goal_cells: Sequence[tuple[int, int]], rng: np.random.Generator
 ) -> GlobalState:
     ell = cfg.box_offset
-    positions, goals, group_ids = [], [], []
-    for g, (start, cell) in enumerate(zip(_GRID_STARTS, goal_cells)):
-        start_center = ell * np.asarray(start, dtype=np.float64)
-        goal_center = ell * np.asarray(cell, dtype=np.float64)
-        positions.append(start_center + rng.uniform(-cfg.box_half_width, cfg.box_half_width, (cfg.n_agents_per_group, 2)))
-        goals.append(goal_center + rng.uniform(-cfg.box_half_width, cfg.box_half_width, (cfg.n_agents_per_group, 2)))
-        group_ids.extend([g] * cfg.n_agents_per_group)
-    return GlobalState(
-        "random-grid",
-        np.concatenate(positions),
-        np.concatenate(goals),
-        np.asarray(group_ids),
-    )
+    groups = [
+        (g, ell * np.asarray(start, dtype=np.float64), ell * np.asarray(cell, dtype=np.float64))
+        for g, (start, cell) in enumerate(zip(_GRID_STARTS, goal_cells))
+    ]
+    return _sample_boxes("random-grid", cfg, groups, rng)
 
 
 def _sample_unlabeled(cfg: TaskConfig, rng: np.random.Generator) -> GlobalState:
@@ -542,16 +534,20 @@ def simulate(
     worlds: Sequence[GlobalState],
     rngs: Sequence[np.random.Generator],
     reward_params: Optional[RewardParams] = None,
+    tape: Optional[ad.Tape] = None,
+    weights: Optional[dict] = None,
 ) -> Iterator[tuple[WorldStep, Array]]:
     """Step B worlds that share the agent count in lockstep for cfg.horizon steps.
 
     Yields every step with its (B,) rewards; world b draws only from rngs[b].
+    Given a tape, the positions start as a constant on it and every step is
+    recorded there, with weights as the policy's parameters (training).
     """
     params = reward_params or RewardParams()
     batch = WorldBatch.stack(worlds)
-    pos = Tensor(batch.positions)
+    pos = tape.constant(batch.positions) if tape is not None else Tensor(batch.positions)
     for _ in range(cfg.horizon):
-        out = world_step(policy, cfg, params, batch, pos, rngs)
+        out = world_step(policy, cfg, params, batch, pos, rngs, weights)
         check_actions(out.policy.actions.data, cfg)
         rewards = out.rewards.per_world()
         if not np.all(np.isfinite(rewards)):
@@ -593,14 +589,13 @@ def rollout(
     cfg: TaskConfig,
     rng: np.random.Generator,
     reward_params: Optional[RewardParams] = None,
-    initial_state: Optional[GlobalState] = None,
 ) -> Trajectory:
     """Run one world for cfg.horizon steps and record everything.
 
     Bit-identical under a fixed generator state: the world draws its initial
-    state (unless one is given), then every step's draws (see world_step).
+    state, then every step's draws (see world_step).
     """
-    state = initial_state if initial_state is not None else sample_initial(cfg, rng)
+    state = sample_initial(cfg, rng)
     steps: list[TrajectoryStep] = []
     final = state.positions
     for out, rewards in simulate(policy, cfg, [state], [rng], reward_params):

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -614,7 +614,7 @@ def _apply_move(
             else tuple(rng.normal(0.0, 1.0, dim))
         )
         new_pred = _replace_at(pred, path, PredicateAtom(new_w))
-        return DetRule(rule.score, new_pred) if isinstance(rule, DetRule) else RandRule(new_pred)
+        return replace(rule, pred=new_pred)
     if move == "swap-kind":
         if isinstance(rule, DetRule):
             if not allow_random:
@@ -630,7 +630,7 @@ def _apply_move(
         assert isinstance(node, BoolOp)
         flipped = BoolOp("or" if node.op == "and" else "and", node.left, node.right)
         new_pred = _replace_at(pred, path, flipped)
-        return DetRule(rule.score, new_pred) if isinstance(rule, DetRule) else RandRule(new_pred)
+        return replace(rule, pred=new_pred)
     if move == "grow-shrink":
         grow_paths = [
             (path, atom)
@@ -653,7 +653,7 @@ def _apply_move(
             new_pred = _replace_at(pred, path, child)
         if new_pred.depth() > dsl.MAX_PREDICATE_DEPTH:
             return None
-        return DetRule(rule.score, new_pred) if isinstance(rule, DetRule) else RandRule(new_pred)
+        return replace(rule, pred=new_pred)
     if move == "fresh-rule":
         return _random_rule(dim, allow_random, rng)
     raise SynthError(f"unknown move {move!r}")

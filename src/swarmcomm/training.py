@@ -116,7 +116,7 @@ def unroll_score(
 ) -> Tensor:
     """Mean discounted cumulative reward of the unrolled policy over the batch.
 
-    The worlds advance through ``env.world_step``, all drawing from the one
+    The worlds advance through ``env.simulate``, all drawing from the one
     generator. With programs given, each round's attention is hardened to the
     program's selections, recomputed per step from the current observations.
     With a tape and weights recorded on it, the returned scalar is
@@ -127,17 +127,11 @@ def unroll_score(
         policy = TfFullPolicy(params, v_max=cfg.v_max)
     else:
         policy = CombinedPolicy(params, programs, v_max=cfg.v_max)
-    batch = env.WorldBatch.stack(worlds)
-    pos = tape.constant(batch.positions) if tape is not None else Tensor(batch.positions)
-    rngs = [rng] * b
-
     total: Optional[Tensor] = None
-    gamma_t = 1.0
-    for _ in range(cfg.horizon):
-        out = env.world_step(policy, cfg, reward_params, batch, pos, rngs, weights)
+    gamma_t = 1.0  # a running product: discount**t rounds differently
+    for out, _ in env.simulate(policy, cfg, worlds, [rng] * b, reward_params, tape, weights):
         contrib = ad.mul(out.rewards.total, gamma_t / b)
         total = contrib if total is None else ad.add(total, contrib)
-        pos = out.next_positions
         gamma_t *= discount
     assert total is not None
     return total

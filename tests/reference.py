@@ -10,7 +10,8 @@ relu, sqrt, softmax, l2_norm, take_along_last and the two-layer mlp), whose
 arithmetic the program keeps only inside the fused ops' kernels; the chain of primitive ops
 that each fused op of a training step (forward_round, output_head,
 step_rewards, advance) replaces, with use_op_chain to run a whole step on it;
-and the small readers, writers and scorers that only tests call.
+and the small readers, writers and scorers that only tests call, among them
+a recount of an evaluation's degrees from replayed rollouts.
 """
 
 import json
@@ -389,6 +390,20 @@ def trajectory_return(traj, gamma: float = 1.0) -> float:
     return float(sum((gamma ** t) * s.reward for t, s in enumerate(traj.steps)))
 
 
+def simulated_return(
+    policy: env.Policy,
+    cfg: TaskConfig,
+    world: env.GlobalState,
+    rng: np.random.Generator,
+    reward_params: Optional[RewardParams] = None,
+    gamma: float = 1.0,
+) -> float:
+    """trajectory_return of one given world stepped by env.simulate, which draws
+    from rng what a rollout draws after its initial state."""
+    steps = env.simulate(policy, cfg, [world], [rng], reward_params)
+    return float(sum((gamma ** t) * float(rewards[0]) for t, (_, rewards) in enumerate(steps)))
+
+
 def message(
     params: TransformerParams,
     s_i: Array,
@@ -541,6 +556,35 @@ def objective_for_masks(ev: SurrogateEvaluator, masks: Sequence[Array]) -> Objec
     """The evaluator's score of explicit selection masks; the full-mask case is the sanity ceiling."""
     imit, deg = ev._score_masks(list(masks))
     return ObjectiveBreakdown(-imit - ev.degree_weight * deg, imit, deg)
+
+
+def recount_degrees(
+    policy: env.Policy, cfg: TaskConfig, n_rollouts: int, seed: int, reward_params: Optional[RewardParams] = None
+) -> dict[str, float]:
+    """harness.evaluate's six degree fields, recounted from replayed rollouts.
+
+    Rollout k is replayed alone with env.rollout on the k-th generator of
+    spawn_rollout_rngs(seed, n_rollouts). Each step's in- and out-degrees are
+    counted from the edge list of its delivered graph; the step's max in, out
+    and total degree are averaged over the rollout's steps, then their mean
+    and std taken over the rollouts.
+    """
+    per_rollout = []
+    for rng in env.spawn_rollout_rngs(seed, n_rollouts):
+        maxima = []
+        for step in env.rollout(policy, cfg, rng, reward_params).steps:
+            indeg, outdeg = [0] * step.graph.n_agents, [0] * step.graph.n_agents
+            for j, i in step.graph.edges:  # j -> i
+                outdeg[j] += 1
+                indeg[i] += 1
+            maxima.append((max(indeg), max(outdeg), max(a + b for a, b in zip(indeg, outdeg))))
+        per_rollout.append(np.mean(maxima, axis=0))
+    columns = np.asarray(per_rollout).T
+    return {
+        f"{kind}_deg_{stat}": float(getattr(np, stat)(column))
+        for kind, column in zip(("in", "out", "total"), columns)
+        for stat in ("mean", "std")
+    }
 
 
 def metrics_from_json(text: str) -> list[Metrics]:

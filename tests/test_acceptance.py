@@ -47,7 +47,7 @@ from swarmcomm.training import TrainConfig, retrain, sample_world_batch, train_o
 from swarmcomm.transformer import forward_policy, init_for_task
 
 from conftest import central_difference, make_rng, relative_error
-from reference import featurize, graph_mask, harden_row, save_config
+from reference import featurize, graph_mask, harden_row, recount_degrees, save_config
 
 # desk-scale pipeline knobs. The crossing config uses dt=0.4 so the goals are
 # reachable inside the 50-step horizon (with dt=0.1 agents can cover only 2.5
@@ -370,7 +370,9 @@ def test_criterion_4_degree_metric(cross_pipeline):
     policy = CombinedPolicy(pipe.retrained_params, pipe.programs, v_max=pipe.cfg.v_max)
     k = pipe.programs[0].n_rules
     for seed in EVAL_SEEDS[:3]:
-        metrics = evaluate(policy, pipe.cfg, 5, 1.0, seed, pipe.rewards, verify_degrees=True)
+        metrics = evaluate(policy, pipe.cfg, 5, 1.0, seed, pipe.rewards)
+        recount = recount_degrees(policy, pipe.cfg, 5, seed, pipe.rewards)
+        assert {name: getattr(metrics, name) for name in recount} == pytest.approx(recount, rel=0, abs=1e-12)
         assert metrics.in_deg_mean <= k + 1e-12
     traj = rollout(policy, pipe.cfg, make_rng(401), pipe.rewards)
     for step_record in traj.steps:

@@ -423,6 +423,14 @@ class TestSurfaceSyntax:
         with pytest.raises(ParseError):
             parse_program(text, 4)
 
+    @pytest.mark.parametrize("dim", [-2, 0, 5])
+    def test_state_dim_not_positive_and_even_is_a_parse_error_on_the_header(self, dim):
+        header, body = "#dsl v1 features=V1 rules=1 state_dim={}", "\nrandom(filter(d >= 0, l))\n"
+        with pytest.raises(ParseError, match=f"state_dim={dim}") as err:
+            parse_program("\n" + header.format(dim) + body)
+        assert err.value.line == 2
+        assert parse_program("\n" + header.format(4) + body).n_rules == 1
+
     @pytest.mark.parametrize("number", ["1.2.3", "1e", "2.5e+"])
     def test_malformed_number_is_a_parse_error_at_its_column(self, number):
         text = f"#dsl v1 features=V1 rules=1 state_dim=4\nrandom(filter(d >= {number}, l))\n"

@@ -37,7 +37,7 @@ from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import graph_mask, mask_from_selections, metrics_from_json, save_config, trajectory_return
+from reference import graph_mask, mask_from_selections, metrics_from_json, recount_degrees, save_config, trajectory_return
 
 
 class ConstantGraphPolicy:
@@ -112,7 +112,9 @@ class TestEvaluate:
         # node0 in2 out1 -> 3, node1 in1 out1 -> 2, node2 in0 out1 -> 1, node3 0
         cfg = small_cfg()
         policy = ConstantGraphPolicy([{1, 2}, {0}, set(), set()])
-        metrics = evaluate(policy, cfg, 4, 1.0, 3, verify_degrees=True)
+        metrics = evaluate(policy, cfg, 4, 1.0, 3)
+        recount = recount_degrees(policy, cfg, 4, 3)
+        assert {name: getattr(metrics, name) for name in recount} == pytest.approx(recount, rel=0, abs=1e-12)
         assert metrics.in_deg_mean == pytest.approx(2.0)
         assert metrics.out_deg_mean == pytest.approx(1.0)
         assert metrics.total_deg_mean == pytest.approx(3.0)
@@ -336,7 +338,7 @@ class TestSweep:
             SweepCell(0.5, 2, "v1", None, metrics_fixture("b", 1.02, 3.0)),
             SweepCell(0.7, 2, "v1", None, metrics_fixture("c", 2.00, 1.0)),
         ]
-        best = select_best_cell(cells, near_tie=0.05)
+        best = select_best_cell(cells)
         assert best.degree_weight == 0.5
 
     def test_clear_winner_ignores_degree(self):
@@ -545,6 +547,32 @@ BAD_DATASETS = {
 }
 
 
+# each writing command's output flags
+WRITING_FLAGS = {
+    "train-oracle": ("--out", "--curve"),
+    "collect": ("--out",),
+    "synthesize": ("--out", "--chain-log"),
+    "retrain": ("--out", "--curve"),
+    "evaluate": ("--out", "--report-dir"),
+    "sweep": ("--out-dir",),
+    "attn-dump": ("--out",),
+}
+
+
+def writing_inputs(ws: Path) -> dict[str, list]:
+    """Each writing command's input flags for a small run in the CLI workspace."""
+    params, config = ["--params", ws / "oracle.json"], ["--config", ws / "task.json"]
+    return {
+        "train-oracle": [*config, "--rollouts", 8, "--batch", 8],
+        "collect": [*params, *config, "--rollouts", 1],
+        "synthesize": ["--dataset", ws / "data.jsonl", "--steps", 2],
+        "retrain": [*params, "--program", ws / "program.txt", *config, "--rollouts", 8, "--batch", 8],
+        "evaluate": [*params, *config, "--rollouts", 1],
+        "sweep": ["--dataset", ws / "data.jsonl", *config, "--steps", 2, "--val-rollouts", 1],
+        "attn-dump": [*params, *config],
+    }
+
+
 @pytest.fixture(scope="module")
 def coverage_dataset(tmp_path_factory):
     """A two-round unlabeled-goals dataset with N = 3, collected under an untrained oracle."""
@@ -700,6 +728,26 @@ class TestCli:
         )
         assert rc == 1
         assert "error[missing-input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, bad", [
+        (command, flag, bad)
+        for command, flags in WRITING_FLAGS.items()
+        for flag in flags
+        for bad in (("file", "under-file") if flag in ("--report-dir", "--out-dir") else ("directory", "no-parent"))
+    ])
+    def test_unwritable_output_is_one_usage_line_before_any_work(self, cli_workspace, tmp_path, capsys, command, flag, bad):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        paths = {"directory": "dir", "no-parent": "missing/x", "file": "file", "under-file": "file/x"}
+        outputs = {f: tmp_path / f.strip("-") for f in WRITING_FLAGS[command]}
+        outputs[flag] = tmp_path / paths[bad]
+        argv = [command, *map(str, writing_inputs(cli_workspace)[command])]
+        argv += [str(x) for pair in outputs.items() for x in pair]
+        line = self._one_error_line(argv, capsys)
+        assert line.startswith("error[usage]: ") and flag in line
+        # no output and no manifest written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == [] and (tmp_path / "file").read_text() == ""
 
     def test_malformed_config_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

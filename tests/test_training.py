@@ -4,7 +4,7 @@ import pytest
 from swarmcomm import autodiff as ad
 from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import DetRule, FeatureMap, Program, RandRule, ScoreExpr, feature_names, true_predicate
-from swarmcomm.env import GlobalState, RewardParams, TaskConfig, WorldBatch, rollout, sample_initial
+from swarmcomm.env import GlobalState, RewardParams, TaskConfig, WorldBatch, sample_initial
 from swarmcomm.policy import CombinedPolicy, TfFullPolicy
 from swarmcomm.training import (
     CurveRow,
@@ -19,7 +19,7 @@ from swarmcomm.training import (
 from swarmcomm.transformer import init_for_task
 
 from conftest import make_rng
-from reference import every_input_backward, trajectory_return
+from reference import every_input_backward, simulated_return
 
 
 def single_agent_sampler(distance: float):
@@ -59,8 +59,7 @@ def eval_mean_loss(params, cfg, sampler, n_eval, seed, discounted=False, gamma=0
     policy = TfFullPolicy(params, v_max=cfg.v_max)
     totals = []
     for world in worlds:
-        traj = rollout(policy, cfg, rng, initial_state=world)
-        totals.append(trajectory_return(traj, gamma if discounted else 1.0))
+        totals.append(simulated_return(policy, cfg, world, rng, gamma=gamma if discounted else 1.0))
     return -float(np.mean(totals))
 
 
@@ -94,7 +93,7 @@ class TestUnrollRolloutConsistency:
         score = float(unroll_score(params, worlds, cfg, rewards, gamma, make_rng(1)).data)
         policy = TfFullPolicy(params, v_max=cfg.v_max)
         per_world = [
-            trajectory_return(rollout(policy, cfg, make_rng(2), rewards, initial_state=w), gamma)
+            simulated_return(policy, cfg, w, make_rng(2), rewards, gamma)
             for w in worlds
         ]
         assert score == pytest.approx(float(np.mean(per_world)), abs=1e-9)
@@ -108,7 +107,7 @@ class TestUnrollRolloutConsistency:
         score = float(unroll_score(params, worlds, cfg, RewardParams(), gamma, make_rng(4)).data)
         policy = TfFullPolicy(params, v_max=cfg.v_max)
         per_world = [
-            trajectory_return(rollout(policy, cfg, make_rng(5), initial_state=w), gamma)
+            simulated_return(policy, cfg, w, make_rng(5), gamma=gamma)
             for w in worlds
         ]
         assert score == pytest.approx(float(np.mean(per_world)), abs=1e-9)

@@ -21,8 +21,10 @@ minute, and it is the same under every source tree that trains the same
 oracle. Collection always runs.
 
 Prints the minimum and median milliseconds per candidate, the evaluator's
-deterministic counters, the (tuple, sender) rows whose round-2 messages were
-re-derived where the evaluator counts them, and the sha256 of the chain log
+deterministic counters, the share of evaluations the score memo answered
+(``memo_hits / evaluations``, the traffic that keeps the memo) and the
+(tuple, sender) rows whose round-2 messages were re-derived where the
+evaluator counts them, and the sha256 of the chain log
 and the program as ``synthesize`` would write them; the last line is the same
 as one JSON object. A matvec is one weight vector evaluated over every block
 of the dataset; a source tree whose evaluator has no ``counters()`` evaluates
@@ -146,6 +148,7 @@ def main() -> int:
     matvec_blocks = counters.get("matvec_blocks", picks["vectors"])
     ms = [1e3 * s for s in seconds[1:]]  # the proposals; the first call scores the initial program
     rows = counters.get("rows_rescored")
+    hits = counters.get("memo_hits")
     doc = {
         "root": str(args.root),
         "fixture": args.fixture,
@@ -159,6 +162,7 @@ def main() -> int:
         "counters": counters,
         "rule_evaluations": picks["calls"] // blocks,
         "matvecs_per_candidate": matvec_blocks / blocks / evaluations,
+        "memo_share": None if hits is None else hits / evaluations,
         "objective": result.objective,
         "chain_sha256": chain_sha,
         "program_sha256": program_sha,
@@ -166,6 +170,8 @@ def main() -> int:
     print(f"{args.steps} steps on {dataset.n_tuples} tuples in {blocks} blocks (set-up {setup_s:.1f} s)")
     print(f"ms per candidate: min {doc['ms_per_candidate']['min']:.2f}, median {doc['ms_per_candidate']['median']:.2f}")
     print(f"matvecs per candidate: {doc['matvecs_per_candidate']:.3f}; counters: {counters or 'none'}")
+    if hits is not None:
+        print(f"score memo answered {hits} of {evaluations} evaluations ({doc['memo_share']:.1%})")
     if rows is not None:
         share = rows / (evaluations * sum(b.n_tuples * b.n_agents for b in dataset.blocks))
         print(f"rows rescored: {rows} ({share:.1%} of the (tuple, sender) rows of every evaluation)")
