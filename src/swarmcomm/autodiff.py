@@ -21,8 +21,9 @@ spent and a second ``backward`` on it raises, as in PyTorch without
 A fused op records a chain of primitive ops as one: the attention round,
 output head, reward and dynamics of a training step in ``transformer`` and
 ``env``. It computes with the chain's own numpy expressions (the kernels
-below, which the tests' op chain shares), checks for non-finite values each
-array whose overflow a later op of the chain could hide, and lists an input
+below, which the tests' op chain shares; weighted_sum is bitwise its sums
+over the senders), checks for non-finite values each array whose overflow a
+later op of the chain could hide, and lists an input
 the chain used several times once per use, in the order the chain's reverse
 walk reached those uses. ``backward`` then adds that input's gradients in the
 chain's order, so every weight gradient is bitwise the chain's. The primitives
@@ -245,6 +246,17 @@ def l2_norm_vjp(g: Array, x: Array, out: Array) -> Array:
     zero = np.expand_dims(out == 0.0, -1)
     scale = np.where(zero, 0.0, np.expand_dims(g, -1) / np.expand_dims(safe, -1))
     return x * scale
+
+
+def weighted_sum(rows: Array, pairs: Array) -> Array:
+    """Σ_j rows[..., i, j] * pairs[..., i, j, :], the one sender-axis weighted sum of training, dynamics and search.
+
+    pairs may be a strided view or broadcast a size-1 axis. It is exact: np.einsum
+    adds the senders in order, one multiply and one add per term, so the result is
+    bitwise the broadcast sum (rows[..., None] * pairs).sum(axis=-2). Do not swap in
+    a BLAS matmul, which blocks the sum and came out 2-4e-16 off.
+    """
+    return np.einsum("...ij,...ijd->...id", rows, pairs)
 
 
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Optional[str]) -> tuple[Array, Array]:

@@ -121,11 +121,10 @@ def _check_dims(params: TransformerParams, cfg: TaskConfig) -> None:
 
 @dataclass
 class _Written:
-    """What a stage wrote: its seed, its output files and where its manifest goes."""
+    """What a stage wrote: its seed and its output files."""
 
     seed: int
     outputs: list
-    manifest: Path
 
 
 def _run_stage(command: str, args: argparse.Namespace) -> int:
@@ -136,11 +135,13 @@ def _run_stage(command: str, args: argparse.Namespace) -> int:
     refuses to replay it once the file has changed.
     """
     _check_outputs(args)
+    manifest_path = _manifest_path(command, args)
+    _check_derived("--out-dir" if command == "sweep" else "--out", [manifest_path])
     inputs = [p for p in _INPUTS[command](args) if Path(p).is_file()]
     manifest = RunManifest.capture(command, vars(args), 0, inputs)  # the seed is the stage's to resolve
     written = _HANDLERS[command](args)
     manifest.seed, manifest.outputs = written.seed, [str(o) for o in written.outputs]
-    manifest.save(written.manifest)
+    manifest.save(manifest_path)
     return 0
 
 
@@ -166,8 +167,17 @@ def _check_outputs(args: argparse.Namespace) -> None:
             _require(existing.is_dir(), f"{flag}: {existing} is a file, not a directory")
 
 
-def _manifest_path(primary_output: str) -> Path:
-    return Path(str(primary_output) + ".manifest.json")
+def _check_derived(flag: str, paths: Sequence[Path]) -> None:
+    """Usage errors, before the stage writes anything, for files it names after flag: none may be a directory."""
+    for path in paths:
+        _require(not path.is_dir(), f"{flag}: {path}, which the stage writes, names a directory")
+
+
+def _manifest_path(command: str, args: argparse.Namespace) -> Path:
+    """Where a stage's manifest goes: into the sweep's --out-dir, else next to --out."""
+    if command == "sweep":
+        return Path(args.out_dir) / "sweep.manifest.json"
+    return Path(str(args.out) + ".manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def _save_trained(args: argparse.Namespace, seed: int, result, label: str) -> _W
         write_curve_csv(args.curve, result.curve)
         outputs.append(args.curve)
     print(f"{label} -> {args.out} (best validation {result.best_validation:.4f})")
-    return _Written(seed, outputs, _manifest_path(args.out))
+    return _Written(seed, outputs)
 
 
 def cmd_collect(args: argparse.Namespace) -> _Written:
@@ -205,7 +215,7 @@ def cmd_collect(args: argparse.Namespace) -> _Written:
     dataset = collect_dataset(params, cfg, args.rollouts, rng, rewards)
     dataset.save_jsonl(args.out)
     print(f"collected {dataset.n_tuples} tuples from {args.rollouts} rollouts -> {args.out}")
-    return _Written(seed, [args.out], _manifest_path(args.out))
+    return _Written(seed, [args.out])
 
 
 def _round_out_paths(out: str, rounds: int) -> list[Path]:
@@ -224,19 +234,21 @@ def cmd_synthesize(args: argparse.Namespace) -> _Written:
         "rand_rule_samples": ("--samples", args.samples),
     })
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
+    out_paths = _round_out_paths(args.out, dataset.rounds)
+    chain_paths = _round_out_paths(args.chain_log, dataset.rounds) if args.chain_log else []
+    _check_derived("--out", out_paths)
+    _check_derived("--chain-log", chain_paths)
     seed = _seed(args)
     results = synthesize_multiround(dataset, cfg, np.random.Generator(np.random.PCG64(seed)))
     outputs = []
-    out_paths = _round_out_paths(args.out, dataset.rounds)
     for r, (result, out_path) in enumerate(zip(results, out_paths)):
         out_path.write_text(print_program(result.program, dataset.state_dim))
         outputs.append(out_path)
         print(f"round {r + 1}: objective {result.objective:.4f} -> {out_path}")
-    if args.chain_log:
-        for result, chain_path in zip(results, _round_out_paths(args.chain_log, dataset.rounds)):
-            write_chain_csv(chain_path, result.chain)
-            outputs.append(chain_path)
-    return _Written(seed, outputs, _manifest_path(args.out))
+    for result, chain_path in zip(results, chain_paths):
+        write_chain_csv(chain_path, result.chain)
+        outputs.append(chain_path)
+    return _Written(seed, outputs)
 
 
 def cmd_retrain(args: argparse.Namespace) -> _Written:
@@ -275,6 +287,8 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
     _require(args.rollouts >= 1, "--rollouts must be >= 1")
     _require(0.0 < args.gamma <= 1.0, f"--gamma must be in (0, 1], got {args.gamma}")
     _require_comm_weight(args)
+    if args.report_dir:
+        _check_derived("--report-dir", list(harness.report_paths(args.report_dir).values()))
     cfg, rewards, policy = _build_policy(args)
     seed = _seed(args)
     metrics = evaluate(
@@ -289,7 +303,7 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
         f"{metrics.policy}: loss {metrics.loss_mean:.4f} +/- {metrics.loss_std:.4f}, "
         f"max degree {metrics.total_deg_mean:.2f} -> {args.out}"
     )
-    return _Written(seed, outputs, _manifest_path(args.out))
+    return _Written(seed, outputs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> _Written:
@@ -299,15 +313,14 @@ def cmd_sweep(args: argparse.Namespace) -> _Written:
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
     cfg, rewards = _read(args.config, env.load_config)
     _check_dims(dataset.params, cfg)
+    out_dir = Path(args.out_dir)
+    cells_csv, best_json = out_dir / "sweep_cells.csv", out_dir / "sweep_best.json"
+    best_progs = _round_out_paths(str(out_dir / "sweep_best_program.txt"), dataset.rounds)
+    _check_derived("--out-dir", [cells_csv, best_json, *best_progs])
     seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def policy_factory(programs):
-        return make_policy("combined", dataset.params, v_max=cfg.v_max, programs=programs)
-
     result = harness.sweep(
         dataset,
-        policy_factory,
         base,
         cfg,
         rng,
@@ -315,9 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> _Written:
         comm_weight=args.comm_weight,
         reward_params=rewards,
     )
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells_csv = out_dir / "sweep_cells.csv"
     with open(cells_csv, "w") as fh:
         fh.write("degree_weight,n_rules,feature_version,loss_mean,total_deg_mean\n")
         for cell in result.cells:
@@ -332,16 +343,14 @@ def cmd_sweep(args: argparse.Namespace) -> _Written:
         "loss_mean": result.best.metrics.loss_mean,
         "total_deg_mean": result.best.metrics.total_deg_mean,
     }
-    best_json = out_dir / "sweep_best.json"
     best_json.write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
-    best_progs = _round_out_paths(str(out_dir / "sweep_best_program.txt"), dataset.rounds)
     for cell_result, path in zip(result.best.results, best_progs):
         path.write_text(print_program(cell_result.program, dataset.state_dim))
     print(
         f"sweep best: tradeoff {result.best.degree_weight}, rules {result.best.n_rules}, "
         f"features {result.best.feature_version} -> {best_json}"
     )
-    return _Written(seed, [cells_csv, best_json, *best_progs], out_dir / "sweep.manifest.json")
+    return _Written(seed, [cells_csv, best_json, *best_progs])
 
 
 def cmd_attn_dump(args: argparse.Namespace) -> _Written:
@@ -356,7 +365,7 @@ def cmd_attn_dump(args: argparse.Namespace) -> _Written:
     ]
     Path(args.out).write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
     print(f"wrote per-step attention for {len(traj.steps)} steps -> {args.out}")
-    return _Written(seed, [args.out], _manifest_path(args.out))
+    return _Written(seed, [args.out])
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:

@@ -446,9 +446,8 @@ def advance(pos: ad.TensorLike, goals: ad.TensorLike, actions: ad.TensorLike, cf
         inputs = [t_pos, t_act]
     else:
         b, n = t_act.shape[0], t_act.shape[1]
-        act4 = t_act.data.reshape(b, n, n, 1)
         goals4 = np.asarray(goals.data if isinstance(goals, Tensor) else goals, dtype=np.float64).reshape(b, 1, n, 2)
-        velocity = (act4 * goals4).sum(axis=2) - t_pos.data
+        velocity = ad.weighted_sum(t_act.data, goals4) - t_pos.data
         out = t_pos.data + velocity * dt
         inputs = [t_pos, t_pos, t_act]
     if tape is not None:
@@ -464,7 +463,7 @@ def advance(pos: ad.TensorLike, goals: ad.TensorLike, actions: ad.TensorLike, cf
             return g_pos, ad.unbroadcast(g_velocity, act_shape) if need[1] else None
         g_pos_2 = ad.unbroadcast(-g_velocity, pos_shape) if need[1] else None
         g_weighted = np.broadcast_to(np.expand_dims(g_velocity, 2), (b, n, n, 2)).copy()
-        g_act = ad.unbroadcast(g_weighted * goals4, act4.shape).reshape(act_shape) if need[2] else None
+        g_act = ad.unbroadcast(g_weighted * goals4, (b, n, n, 1)).reshape(act_shape) if need[2] else None
         return g_pos, g_pos_2, g_act
 
     return tape.emit("advance", inputs, out, vjp)

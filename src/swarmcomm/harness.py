@@ -25,7 +25,7 @@ import numpy as np
 from .dsl import degree_stats
 from .env import Policy, RewardParams, TaskConfig, sample_initial, simulate, spawn_rollout_rngs
 from .jsondoc import decode
-from .policy import StackedPolicy
+from .policy import CombinedPolicy, StackedPolicy
 from .synth import SynthConfig, SynthDataset, SynthResult, synthesize_multiround
 
 Array = np.ndarray
@@ -235,7 +235,6 @@ def select_best_cell(cells: Sequence[SweepCell]) -> SweepCell:
 
 def sweep(
     dataset: SynthDataset,
-    make_policy,
     base_cfg: SynthConfig,
     task_cfg: TaskConfig,
     rng: np.random.Generator,
@@ -249,9 +248,9 @@ def sweep(
     Every cell's chains run first, in grid order, all drawing from rng; then
     one evaluate_many call validates every cell on the same rollouts (it never
     draws from rng). Lowest validation loss wins; cells within 5% of the
-    best loss are re-ranked by lowest mean max degree.
-    `make_policy(programs)` builds the evaluated policy from one cell's
-    synthesized programs; the cells' policies must stack (see evaluate_many).
+    best loss are re-ranked by lowest mean max degree. Each cell is
+    validated as the combined policy of the dataset's parameters and the
+    cell's programs.
     """
     grid = grid or DEFAULT_GRID
     combos = list(itertools.product(grid["degree_weight"], grid["n_rules"], grid["feature_version"]))
@@ -262,7 +261,7 @@ def sweep(
         synthesize_multiround(dataset, replace(base_cfg, degree_weight=lam, n_rules=k, feature_version=fv), rng)
         for lam, k, fv in combos
     ]
-    policies = [make_policy([r.program for r in cell_results]) for cell_results in results]
+    policies = [CombinedPolicy(dataset.params, [r.program for r in rs], task_cfg.v_max) for rs in results]
     metrics = evaluate_many(policies, task_cfg, n_val_rollouts, comm_weight, val_seed, reward_params)
     cells = [SweepCell(*combo, res, m) for combo, res, m in zip(combos, results, metrics)]
     return SweepResult(select_best_cell(cells), cells)
@@ -329,18 +328,19 @@ def _svg_bar_chart(
     return "\n".join(parts) + "\n"
 
 
+def report_paths(out_dir: Union[str, Path]) -> dict[str, Path]:
+    """The files report writes into out_dir, by kind."""
+    out = Path(out_dir)
+    return {"json": out / "metrics.json", "csv": out / "metrics.csv",
+            "loss_svg": out / "loss.svg", "degree_svg": out / "degree.svg"}
+
+
 def report(metrics: Sequence[Metrics], out_dir: Union[str, Path]) -> dict[str, Path]:
     """Write metrics JSON + CSV and the loss / degree bar-chart SVGs."""
     if not metrics:
         raise HarnessError("report needs at least one policy's metrics")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": out / "metrics.json",
-        "csv": out / "metrics.csv",
-        "loss_svg": out / "loss.svg",
-        "degree_svg": out / "degree.svg",
-    }
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = report_paths(out_dir)
     paths["json"].write_text(metrics_to_json(metrics))
     paths["csv"].write_text(metrics_to_csv(metrics))
     paths["loss_svg"].write_text(_svg_bar_chart(

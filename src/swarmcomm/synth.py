@@ -351,7 +351,8 @@ class SurrogateEvaluator:
         (256 entries).
     Round 0 of a two-round task also keeps, per block, the last selection it
     scored and the round-2 messages derived from it, (M, N, N, dm)
-    receiver-major, as the message sum contracts them: a sender's round-2
+    receiver-major, as the message sum (ad.weighted_sum, forward_round's
+    kernel) contracts them: a sender's round-2
     messages depend only on its own round-0 selection row, so a candidate
     re-derives only the (tuple, sender) rows whose selection changed and
     scatters them into the kept array's sender axis (see _round2_messages).
@@ -454,10 +455,10 @@ class SurrogateEvaluator:
                 # re-derive round 2 from the perturbed internal state, but keep
                 # the cached soft attention for the untouched round
                 msg2 = self._round2_messages(b, sel)
-                msg_sum = np.einsum("mij,mijd->mid", block.attention[1], msg2)
+                msg_sum = ad.weighted_sum(block.attention[1], msg2)
             else:
                 hard = _harden(block.attention[r], sel)[2]
-                msg_sum = np.einsum("mij,mijd->mid", hard, block.messages[r])
+                msg_sum = ad.weighted_sum(hard, block.messages[r])
             recon = output_head(
                 ds.params, weights, block.states, msg_sum, ds.task.v_max, block.goal_perm_inv
             ).data
@@ -483,7 +484,7 @@ class SurrogateEvaluator:
         rows = np.nonzero(np.ones(sel.shape[:2], dtype=bool) if kept is None else (sel != kept[0]).any(axis=-1))
         k, n, dm = len(rows[0]), block.n_agents, self.dataset.params.msg_dim
         hard = _harden(block.attention[0][rows], sel[rows])[2]
-        msg_sum = np.einsum("kj,kjd->kd", hard, block.messages[0][rows])
+        msg_sum = ad.weighted_sum(hard, block.messages[0][rows])
         h = ad.mlp_forward_rows(np.concatenate([block.states[rows], msg_sum], axis=-1), *_net(weights, "internal"))
         pairs = _pairs(h[:, None], block.obs[rows][:, None])  # rows [h_i, o_ij] over the receivers j
         msg2 = ad.mlp_forward_rows(pairs, *_net(weights, "msg2")).reshape(k, n, dm)

@@ -321,7 +321,8 @@ def forward_round(
     """One communication round: keys, queries, messages, attention, message sum.
 
     select_fn(round_index, soft_rows) may return a (B, N, N) mask from the soft
-    attention; the rows are then hardened to it in-graph.
+    attention; the rows are then hardened to it in-graph. The message sum and
+    the queries' gradient are ad.weighted_sum, the surrogate's kernel.
 
     On a tape the round is one record whose output is the round's only input
     to the rest of the network: the internal vectors in the first of two
@@ -395,9 +396,7 @@ def forward_round(
         masked, zz, attention = _harden(soft, mask)
     else:
         attention = soft
-    received = messages.transpose(0, 2, 1, 3)
-    att4 = attention.reshape(b, n, n, 1)
-    msg_sum = (att4 * received).sum(axis=2)
+    msg_sum = ad.weighted_sum(attention, messages.transpose(0, 2, 1, 3))  # the received messages, a view
     out = msg_sum
     if to_internal:
         agg = np.concatenate([s, msg_sum], axis=-1).reshape(b * n, ds + dm)
@@ -445,8 +444,8 @@ def forward_round(
         mh, msg_flat = rebuild(msg_in, wm)
         received = msg_flat.reshape(b, n, n, dm).transpose(0, 2, 1, 3)
         g_weighted = np.broadcast_to(np.expand_dims(g_sum, 2), (b, n, n, dm))
-        g_att = ad.unbroadcast(g_weighted * received, att4.shape).reshape(b, n, n)
-        g_messages = np.transpose(ad.unbroadcast(g_weighted * att4, (b, n, n, dm)), (0, 2, 1, 3))
+        g_att = ad.unbroadcast(g_weighted * received, (b, n, n, 1)).reshape(b, n, n)
+        g_messages = np.transpose(g_weighted * np.expand_dims(attention, -1), (0, 2, 1, 3))
         msg_need = use_need[q + 1] or use_need[q + 2]
         g_msg_in, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), msg_in, *wm[::2], mh, [msg_need, *w_need[4:8]])
         del g_messages
@@ -455,12 +454,11 @@ def forward_round(
 
         g_soft = _harden_vjp(g_att, soft.shape, mask, masked, zz) if mask is not None else g_att
         g_logits = ad.unbroadcast(ad.softmax_vjp(g_soft, soft) / root_dk, (b, n, n))
-        g_prod = np.broadcast_to(np.expand_dims(g_logits, -1), (b, n, n, dk))
         flat = msg_in if round_index == 0 else _pairs(s, o, scratch("pairs", b * n * n, ds + 2))
         kh, keys_flat = rebuild(flat, wk)
         keys = keys_flat.reshape(b, n, n, dk)
-        g_queries = ad.unbroadcast(g_prod * keys, q_exp.shape).reshape(b * n, dk)
-        g_keys = ad.unbroadcast(g_prod * q_exp, (b, n, n, dk)).reshape(b * n * n, dk)
+        g_queries = ad.weighted_sum(g_logits, keys).reshape(b * n, dk)
+        g_keys = (np.expand_dims(g_logits, -1) * q_exp).reshape(b * n * n, dk)
         g_sq, *g_wq = ad.mlp_vjp(g_queries, s_flat, *wq[::2], qh, [use_need[q], *w_need[8:12]])
         if g_sq is not None:
             grads[q] = g_sq.reshape(b, n, ds)

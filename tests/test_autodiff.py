@@ -297,6 +297,59 @@ class TestFusedMlp:
             reference.mlp(rng.normal(size=3), w1, b1, w2, b2)
 
 
+class TestWeightedSum:
+    """The sender-axis kernel at the pipeline's shapes, bitwise the sum that adds the senders in order.
+
+    Training, rollouts and the search's surrogate all sum messages with it, so
+    a numpy that reorders or fuses this sum fails here instead of moving the
+    pipeline's outputs.
+    """
+
+    @staticmethod
+    def _assert_in_order(rows, pairs):
+        terms = np.expand_dims(rows, -1) * pairs
+        in_order = terms[..., 0, :]
+        for j in range(1, terms.shape[-2]):
+            in_order = in_order + terms[..., j, :]
+        out = ad.weighted_sum(rows, pairs)
+        assert np.array_equal(out, in_order)
+        assert np.array_equal(out, terms.sum(axis=-2))  # the broadcast sum the message sums were spelled as
+
+    @staticmethod
+    def _rows(rng, shape):
+        rows = rng.random(shape)
+        return rows / rows.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("n", [5, 10, 15, 20])
+    def test_received_messages_a_transposed_view(self, n):
+        rng = make_rng(60 + n)
+        messages = rng.normal(size=(16, n, n, 16))  # [b, i, j] = message i -> j
+        received = messages.transpose(0, 2, 1, 3)
+        assert not received.flags.c_contiguous
+        self._assert_in_order(self._rows(rng, (16, n, n)), received)
+
+    def test_contiguous_surrogate_block(self):
+        rng = make_rng(65)
+        self._assert_in_order(self._rows(rng, (400, 5, 5)), rng.normal(size=(400, 5, 5, 16)))
+
+    def test_one_row_per_tuple_and_sender(self):
+        rng = make_rng(66)
+        self._assert_in_order(self._rows(rng, (700, 15)), rng.normal(size=(700, 15, 16)))
+
+    def test_goals_broadcast_over_the_receivers(self):
+        rng = make_rng(67)
+        self._assert_in_order(self._rows(rng, (16, 5, 5)), rng.normal(size=(16, 1, 5, 2)))
+
+    def test_hardened_rows_with_exact_zeros(self):
+        rng = make_rng(68)
+        rows = self._rows(rng, (16, 10, 10))
+        rows[rng.random(rows.shape) < 0.7] = 0.0
+        rows[:, 0] = 0.0  # a receiver that selected no sender
+        z = rows.sum(axis=-1, keepdims=True)
+        hard = rows / np.where(z == 0.0, 1.0, z)
+        self._assert_in_order(hard, rng.normal(size=(16, 10, 10, 16)).transpose(0, 2, 1, 3))
+
+
 class TestTapeMechanics:
     def test_mixed_tape_rejected(self):
         t1, t2 = Tape(), Tape()

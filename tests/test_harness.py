@@ -32,7 +32,7 @@ from swarmcomm.harness import (
 from swarmcomm.dsl import CommGraph, degree_stats, parse_program
 from swarmcomm.env import rollout
 from swarmcomm.jsondoc import DecodeError
-from swarmcomm.policy import CombinedPolicy, StackedPolicy, TfFullPolicy, make_policy
+from swarmcomm.policy import CombinedPolicy, StackedPolicy, TfFullPolicy
 from swarmcomm.synth import SynthConfig, collect_dataset
 from swarmcomm.transformer import init_for_task
 
@@ -301,7 +301,6 @@ class TestSweep:
         grid = {"degree_weight": (0.5,), "n_rules": (1,), "feature_version": ("v1",)}
         result = sweep(
             dataset,
-            lambda programs: make_policy("combined", params, v_max=cfg.v_max, programs=programs),
             SynthConfig(mcmc_steps=20),
             cfg,
             make_rng(5),
@@ -320,7 +319,6 @@ class TestSweep:
         grid = {"degree_weight": (0.5,), "n_rules": (1,), "feature_version": ("v1",)}
         result = sweep(
             dataset,
-            lambda programs: make_policy("combined", params, v_max=cfg.v_max, programs=programs),
             SynthConfig(mcmc_steps=10),
             cfg,
             make_rng(7),
@@ -366,7 +364,6 @@ class TestSweep:
         dataset = collect_dataset(params, cfg, 3, rng)
         result = sweep(
             dataset,
-            lambda programs: make_policy("combined", params, v_max=cfg.v_max, programs=programs),
             SynthConfig(mcmc_steps=10),
             cfg,
             make_rng(41),
@@ -748,6 +745,35 @@ class TestCli:
         # no output and no manifest written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert list((tmp_path / "dir").iterdir()) == [] and (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("command, flag, derived", [
+        *[(command, "--out", "out.manifest.json") for command in WRITING_FLAGS if command != "sweep"],
+        ("synthesize", "--out", "out.round2"),
+        ("synthesize", "--chain-log", "chain-log.round2"),
+        ("evaluate", "--report-dir", "report-dir/metrics.csv"),
+        *[("sweep", "--out-dir", f"out-dir/{name}") for name in (
+            "sweep_cells.csv", "sweep_best.json", "sweep_best_program.txt", "sweep_best_program.round2.txt",
+            "sweep.manifest.json",
+        )],
+    ])
+    def test_a_derived_output_naming_a_directory_is_one_usage_line_before_any_write(
+        self, cli_workspace, coverage_dataset, tmp_path, capsys, command, flag, derived
+    ):
+        # a file the stage names after an output flag, already there as a directory
+        inputs = writing_inputs(cli_workspace)[command]
+        if "round2" in derived:  # only a two-round dataset gives the stage a round-2 file
+            config = tmp_path / "coverage.json"
+            save_config(config, TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=2), RewardParams())
+            inputs = [coverage_dataset if x == cli_workspace / "data.jsonl" else config if x == cli_workspace / "task.json"
+                      else x for x in inputs]
+        out = tmp_path / "outputs"
+        (out / derived).mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        argv = [command, *map(str, inputs)]
+        argv += [str(x) for f in WRITING_FLAGS[command] for x in (f, out / f.strip("-"))]
+        line = self._one_error_line(argv, capsys)
+        assert line.startswith("error[usage]: ") and flag in line and str(out / derived) in line
+        assert sorted(out.rglob("*")) == before  # no output and no manifest written
 
     def test_malformed_config_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

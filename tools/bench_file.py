@@ -26,6 +26,11 @@ and each stage's ``tracemalloc`` peak from runs with ``--traced``. For both
 sides it also records the bytes a taped training unroll holds per world step
 (``tape_bytes``), measured in a child process per checkout at the batches of
 16 worlds that ``tests/test_fused.py`` counts tape records on.
+Each side also records its checkout's resolved root: ``peak_rss_mb`` moves
+with the length of that path (the same files read 123.9 MB from one
+directory and 117.1 MB from another), so ``roots_equal_length`` says whether
+the two sides' memory figures compare, and a warning goes to stderr when
+they do not.
 Standard library only; the BLAS name and the tape bytes are read in child
 processes, which import numpy and the checkout's swarmcomm.
 """
@@ -215,11 +220,16 @@ def main() -> int:
     for side in ("parent", "change"):
         root, runs = getattr(args, f"{side}_root"), getattr(args, f"{side}_runs")
         sides[side] = {
+            "root": str(root.resolve()),
             "src_lines": src_lines(root),
             "tier1_s": getattr(args, f"tier1_{side}_s"),
             "tape_bytes": tape_bytes(root),
             "workloads": summarize(runs),
         }
+    roots_equal_length = len(sides["parent"]["root"]) == len(sides["change"]["root"])
+    if not roots_equal_length:
+        print(f"warning: the checkout roots differ in length ({sides['parent']['root']} vs {sides['change']['root']}),"
+              " so peak_rss_mb does not compare between the sides", file=sys.stderr)
     # every end-to-end metric of the benchmark is lower-is-better; a pair is one seed run on both sides
     comparison = {}
     for workload, entry in sides["change"]["workloads"].items():
@@ -266,6 +276,7 @@ def main() -> int:
         },
         "parent": sides["parent"],
         "change": sides["change"],
+        "roots_equal_length": roots_equal_length,
         "change_vs_parent": comparison,
     }
     if chain is not None:
