@@ -410,9 +410,6 @@ class _RuleParser:
         self.toks.expect(",")
         self.toks.expect("l")
         self.toks.expect(")")
-        if pred.depth() > MAX_PREDICATE_DEPTH:
-            tok = self.toks.peek()
-            raise ParseError("predicate exceeds the depth bound", self.line, tok[2])
         return pred
 
     def _pred_or(self) -> Predicate:

@@ -110,6 +110,12 @@ def _numbers(value: Any) -> Any:
     return arr if arr.dtype.kind in "fiu" else value
 
 
+def _swap_senders(value: Any) -> Any:
+    """An (N, N, ...) array with its first two axes swapped, as a view; anything else unchanged, for _stack to reject."""
+    arr = _numbers(value)
+    return np.swapaxes(arr, 0, 1) if isinstance(arr, np.ndarray) and arr.ndim >= 2 else arr
+
+
 def _parse_row(line: str) -> dict:
     """One dataset line, its number lists turned into arrays as it is read.
 
@@ -164,11 +170,8 @@ class DatasetBlock:
         return cls(  # one stack per round keeps every round's block contiguous
             states=_stack(col["s"], "s", (n, params.state_dim)),
             obs=_stack(col["o"], "o", (n, n, 2)),
-            messages=[  # rows hold them sender-major, the search reads them receiver-major
-                np.ascontiguousarray(
-                    _stack([m[k] for m in col["msg"]], "msg", (n, n, params.msg_dim)).transpose(0, 2, 1, 3)
-                )
-                for k in range(r)
+            messages=[  # rows hold them sender-major, the search reads them receiver-major: one copy of the swapped views
+                _stack([_swap_senders(m[k]) for m in col["msg"]], "msg", (n, n, params.msg_dim)) for k in range(r)
             ],
             attention=[_stack([a[k] for a in col["alpha"]], "alpha", (n, n)) for k in range(r)],
             actions=_stack(col["a"], "a", (n, da)),
@@ -529,16 +532,11 @@ def _random_rule(dim: int, allow_random: bool, rng: np.random.Generator) -> Rule
     return DetRule(ScoreExpr(tuple(rng.normal(0.0, 1.0, dim))), pred)
 
 
-def _atoms_of(pred: Predicate, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], PredicateAtom]]:
+def _nodes(pred: Predicate, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], Predicate]]:
+    """(path, node) for every node of a predicate in preorder; a path steps 0 to the left, 1 to the right."""
     if isinstance(pred, PredicateAtom):
         return [(path, pred)]
-    return _atoms_of(pred.left, path + (0,)) + _atoms_of(pred.right, path + (1,))
-
-
-def _connectives_of(pred: Predicate, path: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    if isinstance(pred, PredicateAtom):
-        return []
-    return [path] + _connectives_of(pred.left, path + (0,)) + _connectives_of(pred.right, path + (1,))
+    return [(path, pred)] + _nodes(pred.left, path + (0,)) + _nodes(pred.right, path + (1,))
 
 
 def _replace_at(pred: Predicate, path: tuple[int, ...], new: Predicate) -> Predicate:
@@ -550,25 +548,13 @@ def _replace_at(pred: Predicate, path: tuple[int, ...], new: Predicate) -> Predi
     return BoolOp(pred.op, pred.left, _replace_at(pred.right, path[1:], new))
 
 
-def _subtree_at(pred: Predicate, path: tuple[int, ...]) -> Predicate:
-    for branch in path:
-        assert isinstance(pred, BoolOp)
-        pred = pred.left if branch == 0 else pred.right
-    return pred
-
-
-def _perturb_vector(weights: tuple[float, ...], rng: np.random.Generator) -> tuple[float, ...]:
-    arr = np.asarray(weights) + rng.normal(0.0, 0.3, len(weights))
-    return tuple(arr)
-
-
 def propose_with_move(
     program: Program,
     rng: np.random.Generator,
     allow_random_rules: bool = True,
 ) -> tuple[Program, str]:
     """One local move on one rule; returns (candidate, move name)."""
-    dim = len(_first_weights(program))
+    dim = len(_nodes(program.rules[0].pred)[-1][1].weights)  # a preorder walk ends at an atom
     for _ in range(64):
         move = _MOVES[rng.integers(0, len(_MOVES))]
         idx = int(rng.integers(0, program.n_rules))
@@ -582,40 +568,24 @@ def propose_with_move(
     raise SynthError("no applicable proposal move found")
 
 
-def _first_weights(program: Program) -> tuple[float, ...]:
-    rule = program.rules[0]
-    if isinstance(rule, DetRule):
-        return rule.score.weights
-    return _atoms_of(rule.pred)[0][1].weights
-
-
 def _apply_move(
     move: str, rule: Rule, dim: int, allow_random: bool, rng: np.random.Generator
 ) -> Optional[Rule]:
+    """rule after one move, or None where the move does not apply; BoolOp bounds the depth."""
     pred = rule.pred
+    nodes = _nodes(pred)
+    atoms = [(path, node) for path, node in nodes if isinstance(node, PredicateAtom)]
+    ops = [(path, node) for path, node in nodes if isinstance(node, BoolOp)]
     if move == "perturb" or move == "resample":
-        slots: list[str] = []
-        if isinstance(rule, DetRule):
-            slots.append("score")
-        atom_paths = _atoms_of(pred)
-        slots.extend(f"atom{k}" for k in range(len(atom_paths)))
-        slot = slots[rng.integers(0, len(slots))]
-        if slot == "score":
-            assert isinstance(rule, DetRule)
-            new_w = (
-                _perturb_vector(rule.score.weights, rng)
-                if move == "perturb"
-                else tuple(rng.normal(0.0, 1.0, dim))
-            )
+        slots = ([(None, rule.score)] if isinstance(rule, DetRule) else []) + atoms  # path None: the score
+        path, old = slots[rng.integers(0, len(slots))]
+        if move == "perturb":
+            new_w = tuple(np.asarray(old.weights) + rng.normal(0.0, 0.3, len(old.weights)))
+        else:
+            new_w = tuple(rng.normal(0.0, 1.0, dim))
+        if path is None:
             return DetRule(ScoreExpr(new_w), pred)
-        path, atom = atom_paths[int(slot[4:])]
-        new_w = (
-            _perturb_vector(atom.weights, rng)
-            if move == "perturb"
-            else tuple(rng.normal(0.0, 1.0, dim))
-        )
-        new_pred = _replace_at(pred, path, PredicateAtom(new_w))
-        return replace(rule, pred=new_pred)
+        return replace(rule, pred=_replace_at(pred, path, PredicateAtom(new_w)))
     if move == "swap-kind":
         if isinstance(rule, DetRule):
             if not allow_random:
@@ -623,38 +593,20 @@ def _apply_move(
             return RandRule(pred)
         return DetRule(ScoreExpr(tuple(rng.normal(0.0, 1.0, dim))), pred)
     if move == "toggle-connective":
-        paths = _connectives_of(pred)
-        if not paths:
+        if not ops:
             return None
-        path = paths[rng.integers(0, len(paths))]
-        node = _subtree_at(pred, path)
-        assert isinstance(node, BoolOp)
-        flipped = BoolOp("or" if node.op == "and" else "and", node.left, node.right)
-        new_pred = _replace_at(pred, path, flipped)
-        return replace(rule, pred=new_pred)
+        path, node = ops[rng.integers(0, len(ops))]
+        return replace(rule, pred=_replace_at(pred, path, replace(node, op="or" if node.op == "and" else "and")))
     if move == "grow-shrink":
-        grow_paths = [
-            (path, atom)
-            for path, atom in _atoms_of(pred)
-            if len(path) < dsl.MAX_PREDICATE_DEPTH
-        ]
-        shrink_paths = _connectives_of(pred)
-        options = [("grow", p) for p, _ in grow_paths] + [("shrink", p) for p in shrink_paths]
+        options = [("grow", path, node) for path, node in atoms if len(path) < dsl.MAX_PREDICATE_DEPTH]
+        options += [("shrink", path, node) for path, node in ops]
         if not options:
             return None
-        kind, path = options[rng.integers(0, len(options))]
+        kind, path, node = options[rng.integers(0, len(options))]
         if kind == "grow":
-            atom = _subtree_at(pred, path)
             op = "and" if rng.random() < 0.5 else "or"
-            new_pred = _replace_at(pred, path, BoolOp(op, atom, _random_atom(dim, rng)))
-        else:
-            node = _subtree_at(pred, path)
-            assert isinstance(node, BoolOp)
-            child = node.left if rng.random() < 0.5 else node.right
-            new_pred = _replace_at(pred, path, child)
-        if new_pred.depth() > dsl.MAX_PREDICATE_DEPTH:
-            return None
-        return replace(rule, pred=new_pred)
+            return replace(rule, pred=_replace_at(pred, path, BoolOp(op, node, _random_atom(dim, rng))))
+        return replace(rule, pred=_replace_at(pred, path, node.left if rng.random() < 0.5 else node.right))
     if move == "fresh-rule":
         return _random_rule(dim, allow_random, rng)
     raise SynthError(f"unknown move {move!r}")

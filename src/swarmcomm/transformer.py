@@ -290,8 +290,7 @@ def output_head(
         out = np.take_along_axis(soft, idx, axis=-1)
     else:
         norm, th, factor, out = _squash(u, v_max, "output_head")
-    if tape is not None:
-        ad.check_finite(out, "output_head")
+    ad.check_finite(out, "output_head")  # on every call: a coverage softmax of an overflowed u is NaN, not an error
     if not ad.on_path(tape, items):
         return Tensor(out, tape=tape)
     w_need = [t.node_id is not None for t in items[2:]]

@@ -1064,13 +1064,25 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error[")
         return lines[0]
 
-    @pytest.mark.parametrize("command", ["evaluate", "collect", "attn-dump", "retrain"])
-    def test_params_that_overflow_in_a_rollout_are_one_non_finite_line(self, cli_workspace, tmp_path, capsys, command):
-        cfg = TaskConfig(task_kind="random-grid", n_agents_per_group=2, horizon=4, obs_noise_sigma=0.05)
+    # the output network's hidden layer is a tanh, so its u is at most hidden_dim * w2: a formation task's
+    # squash overflows on u * u, the coverage softmax only once u itself does
+    @pytest.mark.parametrize(
+        "command, task_kind, w2",
+        [pytest.param(c, "random-grid", 1e200, id=c) for c in ("evaluate", "collect", "attn-dump", "retrain")]
+        + [pytest.param(c, "unlabeled-goals", 1e308, id=f"{c}-unlabeled-goals") for c in ("evaluate", "collect", "attn-dump")],
+    )
+    def test_params_that_overflow_in_a_rollout_are_one_non_finite_line(
+        self, cli_workspace, tmp_path, capsys, command, task_kind, w2
+    ):
+        cfg = TaskConfig(task_kind=task_kind, n_agents_per_group=2, horizon=4, obs_noise_sigma=0.05)
         save_config(tmp_path / "task.json", cfg, RewardParams())
-        doc = json.loads((cli_workspace / "oracle.json").read_text())
-        for name in ("out.w1", "out.w2"):
-            doc["params"][name]["values"] = [1e200] * len(doc["params"][name]["values"])
+        oracle = cli_workspace / "oracle.json"
+        if task_kind == "unlabeled-goals":  # an untrained coverage oracle: the overflow is in its output network
+            oracle = tmp_path / "oracle.json"
+            init_for_task(cfg, make_rng(0), key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4).save(oracle)
+        doc = json.loads(oracle.read_text())
+        for name, value in (("out.w1", 1e200), ("out.w2", w2)):
+            doc["params"][name]["values"] = [value] * len(doc["params"][name]["values"])
         params = tmp_path / "huge.json"
         params.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -1081,6 +1093,26 @@ class TestCli:
             argv += ["--program", str(cli_workspace / "program.txt"), "--rollouts", "2", "--batch", "2"]
         assert self._one_error_line(argv, capsys).startswith("error[non-finite]: non-finite result in ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    def test_a_dataset_whose_oracle_overflows_is_one_non_finite_line(self, coverage_dataset, tmp_path, capsys, command):
+        def overflow(header, rows):
+            for name, value in (("out.w1", 1e200), ("out.w2", 1e308)):
+                weights = header["oracle"]["params"][name]
+                weights["values"] = [value] * len(weights["values"])
+
+        data = tmp_path / "data.jsonl"
+        data.write_text(_bad_dataset("coverage", overflow)({"coverage": coverage_dataset}))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(data), "--steps", "2"]
+        if command == "synthesize":
+            argv += ["--out", str(out), "--chain-log", str(tmp_path / "chain.csv")]
+        else:
+            cfg = TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=2)
+            save_config(tmp_path / "task.json", cfg, RewardParams())
+            argv += ["--config", str(tmp_path / "task.json"), "--val-rollouts", "1", "--out-dir", str(out)]
+        assert self._one_error_line(argv, capsys) == "error[non-finite]: non-finite result in output_head"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"] + (["task.json"] if command == "sweep" else [])
 
     def test_an_overflow_prints_no_numpy_warning_ahead_of_its_error_line(self, cli_workspace, tmp_path):
         # in a fresh interpreter: pytest would capture numpy's RuntimeWarnings apart from stderr

@@ -506,6 +506,50 @@ class TestPropose:
             for rule in program.rules:
                 assert rule.pred.depth() <= 2
 
+    def test_each_move_changes_only_what_it_names(self):
+        def atoms(pred):
+            return [pred.weights] if isinstance(pred, PredicateAtom) else atoms(pred.left) + atoms(pred.right)
+
+        def ops(pred):
+            return [] if isinstance(pred, PredicateAtom) else [pred.op] + ops(pred.left) + ops(pred.right)
+
+        def shape(pred):
+            return "atom" if isinstance(pred, PredicateAtom) else (shape(pred.left), shape(pred.right))
+
+        def vectors(rule):
+            return ([rule.score.weights] if isinstance(rule, DetRule) else []) + atoms(rule.pred)
+
+        def changed(a, b):
+            return sum(x != y for x, y in zip(a, b))
+
+        dataset = tiny_dataset(n_rollouts=1)
+        program = self._program(dataset)
+        rng = make_rng(11)
+        seen = dict.fromkeys(_MOVES, 0)
+        for _ in range(4000):
+            candidate, move = propose_with_move(program, rng)
+            ((old, new),) = [(a, b) for a, b in zip(program.rules, candidate.rules) if a != b]
+            seen[move] += 1
+            if move in ("perturb", "resample"):
+                assert type(new) is type(old)
+                assert shape(new.pred) == shape(old.pred) and ops(new.pred) == ops(old.pred)
+                assert changed(vectors(old), vectors(new)) == 1
+            elif move == "swap-kind":
+                assert type(new) is not type(old) and new.pred == old.pred
+            elif move == "toggle-connective":
+                assert type(new) is type(old) and vectors(new) == vectors(old)
+                assert shape(new.pred) == shape(old.pred) and changed(ops(old.pred), ops(new.pred)) == 1
+            elif move == "grow-shrink":  # grow adds one atom; shrink drops one child of a connective, its atoms a run
+                assert type(new) is type(old)
+                a, b = atoms(old.pred), atoms(new.pred)
+                if len(b) > len(a):
+                    assert any(b[:k] + b[k + 1:] == a for k in range(1, len(b)))
+                else:
+                    cut = len(a) - len(b)
+                    assert cut >= 1 and any(a[:k] + a[k + cut:] == b for k in range(len(b) + 1))
+            program = candidate
+        assert min(seen.values()) >= 100, seen
+
 
 class TestChain:
     def test_mh_accept_laws(self):

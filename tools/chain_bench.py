@@ -23,13 +23,10 @@ oracle. Collection always runs.
 Prints the minimum and median milliseconds per candidate, the evaluator's
 deterministic counters, the share of evaluations the score memo answered
 (``memo_hits / evaluations``, the traffic that keeps the memo) and the
-(tuple, sender) rows whose round-2 messages were re-derived where the
-evaluator counts them, and the sha256 of the chain log
-and the program as ``synthesize`` would write them; the last line is the same
-as one JSON object. A matvec is one weight vector evaluated over every block
-of the dataset; a source tree whose evaluator has no ``counters()`` evaluates
-every weight vector of every rule it interprets, and its matvecs are counted
-that way. Standard library and numpy only.
+(tuple, sender) rows whose round-2 messages were re-derived, and the sha256
+of the chain log and the program as ``synthesize`` would write them; the last
+line is the same as one JSON object. A matvec is one weight vector evaluated over every block
+of the dataset. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -82,15 +79,6 @@ def _oracle(cache, cfg, seed, rng, rewards, training, transformer):
     return params
 
 
-def _vectors(rule, dsl) -> int:
-    """Weight vectors of one rule: its predicate's atoms, plus the score of a deterministic rule."""
-
-    def atoms(pred) -> int:
-        return 1 if isinstance(pred, dsl.PredicateAtom) else atoms(pred.left) + atoms(pred.right)
-
-    return atoms(rule.pred) + isinstance(rule, dsl.DetRule)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, required=True, help="source checkout holding src/swarmcomm")
@@ -118,11 +106,11 @@ def main() -> int:
     # the evaluator mcmc_synthesize would build, drawing its CRN from the same generator
     evaluator = synth.SurrogateEvaluator(dataset, synth_cfg.degree_weight, 0, synth_cfg.rand_rule_samples, rng)
     real_picks = dsl.rule_picks
-    picks = {"calls": 0, "vectors": 0}
+    picks = 0
 
     def counted_picks(rule, *rest):
-        picks["calls"] += 1
-        picks["vectors"] += _vectors(rule, dsl)
+        nonlocal picks
+        picks += 1
         return real_picks(rule, *rest)
 
     dsl.rule_picks = counted_picks
@@ -144,11 +132,8 @@ def main() -> int:
     program_sha = hashlib.sha256(dsl.print_program(result.program, dataset.state_dim).encode()).hexdigest()
     blocks = len(dataset.blocks)
     evaluations = len(seconds)
-    counters = evaluator.counters() if hasattr(evaluator, "counters") else {}
-    matvec_blocks = counters.get("matvec_blocks", picks["vectors"])
+    counters = evaluator.counters()
     ms = [1e3 * s for s in seconds[1:]]  # the proposals; the first call scores the initial program
-    rows = counters.get("rows_rescored")
-    hits = counters.get("memo_hits")
     doc = {
         "root": str(args.root),
         "fixture": args.fixture,
@@ -160,21 +145,20 @@ def main() -> int:
         "ms_per_candidate": {"min": min(ms), "median": statistics.median(ms)},
         "evaluations": evaluations,
         "counters": counters,
-        "rule_evaluations": picks["calls"] // blocks,
-        "matvecs_per_candidate": matvec_blocks / blocks / evaluations,
-        "memo_share": None if hits is None else hits / evaluations,
+        "rule_evaluations": picks // blocks,
+        "matvecs_per_candidate": counters["matvec_blocks"] / blocks / evaluations,
+        "memo_share": counters["memo_hits"] / evaluations,
         "objective": result.objective,
         "chain_sha256": chain_sha,
         "program_sha256": program_sha,
     }
     print(f"{args.steps} steps on {dataset.n_tuples} tuples in {blocks} blocks (set-up {setup_s:.1f} s)")
     print(f"ms per candidate: min {doc['ms_per_candidate']['min']:.2f}, median {doc['ms_per_candidate']['median']:.2f}")
-    print(f"matvecs per candidate: {doc['matvecs_per_candidate']:.3f}; counters: {counters or 'none'}")
-    if hits is not None:
-        print(f"score memo answered {hits} of {evaluations} evaluations ({doc['memo_share']:.1%})")
-    if rows is not None:
-        share = rows / (evaluations * sum(b.n_tuples * b.n_agents for b in dataset.blocks))
-        print(f"rows rescored: {rows} ({share:.1%} of the (tuple, sender) rows of every evaluation)")
+    print(f"matvecs per candidate: {doc['matvecs_per_candidate']:.3f}; counters: {counters}")
+    print(f"score memo answered {counters['memo_hits']} of {evaluations} evaluations ({doc['memo_share']:.1%})")
+    rows = counters["rows_rescored"]
+    share = rows / (evaluations * sum(b.n_tuples * b.n_agents for b in dataset.blocks))
+    print(f"rows rescored: {rows} ({share:.1%} of the (tuple, sender) rows of every evaluation)")
     print(f"chain sha256 {chain_sha}\nprogram sha256 {program_sha}")
     print(json.dumps(doc, sort_keys=True))
     return 0
