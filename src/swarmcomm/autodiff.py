@@ -77,38 +77,12 @@ class TapeRecord:
     vjp: Optional[Vjp]  # None once backward has walked past the record
 
 
-class Scratch:
-    """One reusable array per role and shape, for the arrays a vjp rebuilds during the backward walk.
-
-    A vjp that rebuilds a forward array rather than holding it writes it into
-    the buffer of its role ("pairs", "hidden", ...) and shape, is done with it
-    before it rebuilds the next array of that role, and returns no view of it.
-    So the walk allocates each buffer once, not once per record. The role
-    keeps apart two arrays a vjp uses at once that happen to share a shape
-    (a round's pair rows and the hidden rows computed from them, when the
-    input width equals the hidden width). The buffers start uninitialized.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple[str, tuple[int, ...]], Array] = {}
-
-    def __call__(self, role: str, *shape: int) -> Array:
-        buf = self._buffers.get((role, shape))
-        if buf is None:
-            buf = self._buffers[role, shape] = np.empty(shape)
-        return buf
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-
 class Tape:
     """Append-only record of the ops on a weight's gradient path, topologically ordered by construction."""
 
     def __init__(self) -> None:
         self.records: list[TapeRecord] = []
         self.spent = False  # set by backward, which frees the saved values
-        self.scratch = Scratch()  # the vjps' rebuild buffers, emptied when backward ends
         self._weight_shapes: dict[int, tuple[int, ...]] = {}  # requires_grad leaves, by node id
         self._next_id = 0
 
@@ -265,14 +239,12 @@ def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array, check: Opt
     return h, mlp_out(h, w2, b2)
 
 
-def mlp_hidden(x: Array, w1: Array, b1: Array, check: Optional[str] = None, out: Optional[Array] = None) -> Array:
-    """The first layer, tanh(x @ w1 + b1), into out when given; the pre-activation is checked when check names an op.
+def mlp_hidden(x: Array, w1: Array, b1: Array, check: Optional[str] = None) -> Array:
+    """The first layer, tanh(x @ w1 + b1); the pre-activation is checked when check names an op.
 
     The tanh is applied in place, so the result is what mlp_vjp needs.
-    mlp_forward computes its hidden rows with this, so a vjp that rebuilds
-    them from the input rows gets the forward's bits.
     """
-    h = np.matmul(x, w1, out=out)
+    h = np.matmul(x, w1)
     h += b1
     if check is not None:
         check_finite(h, check)
@@ -281,11 +253,7 @@ def mlp_hidden(x: Array, w1: Array, b1: Array, check: Optional[str] = None, out:
 
 
 def mlp_out(h: Array, w2: Array, b2: Array, out: Optional[Array] = None) -> Array:
-    """The second layer, h @ w2 + b2, into out when given.
-
-    mlp_forward computes its output with this, so a vjp that rebuilds an
-    output from the hidden rows gets the forward's bits.
-    """
+    """The second layer, h @ w2 + b2, into out when given (_mlp_chunks writes whole chunks straight into its result)."""
     out = np.matmul(h, w2, out=out)
     out += b2
     return out
@@ -528,7 +496,6 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Array]:
                 grads[node_id] = grads[node_id] + g_in
             else:
                 grads[node_id] = g_in
-    tape.scratch.clear()
     return {i: grads[i] if i in grads else np.zeros(shape) for i, shape in tape._weight_shapes.items()}
 
 

@@ -135,8 +135,8 @@ def _run_stage(command: str, args: argparse.Namespace) -> int:
     refuses to replay it once the file has changed.
     """
     _check_outputs(args)
+    _check_writes(command, args)
     manifest_path = _manifest_path(command, args)
-    _check_derived("--out-dir" if command == "sweep" else "--out", [manifest_path])
     inputs = [p for p in _INPUTS[command](args) if Path(p).is_file()]
     manifest = RunManifest.capture(command, vars(args), 0, inputs)  # the seed is the stage's to resolve
     written = _HANDLERS[command](args)
@@ -167,10 +167,22 @@ def _check_outputs(args: argparse.Namespace) -> None:
             _require(existing.is_dir(), f"{flag}: {existing} is a file, not a directory")
 
 
-def _check_derived(flag: str, paths: Sequence[Path]) -> None:
-    """Usage errors, before the stage writes anything, for files it names after flag: none may be a directory."""
-    for path in paths:
+def _check_writes(command: str, args: argparse.Namespace, derived: Sequence[tuple[str, Path]] = ()) -> None:
+    """Usage errors, before the stage writes anything, for the files it writes.
+
+    These are its output files, its manifest and the files given in derived
+    (round-2 programs and chain logs, report and sweep files), each with the
+    flag it is named after. None may be a directory, and no two may resolve to
+    the same file: the later write would destroy the earlier.
+    """
+    named = [("--" + d.replace("_", "-"), Path(getattr(args, d))) for d in _OUTPUT_FILES if getattr(args, d, None)]
+    manifest = ("--out-dir" if command == "sweep" else "--out", _manifest_path(command, args))
+    seen: dict[Path, str] = {}
+    for flag, path in [*named, manifest, *derived]:
         _require(not path.is_dir(), f"{flag}: {path}, which the stage writes, names a directory")
+        key = path.resolve()
+        _require(key not in seen, f"{seen.get(key)} and {flag} both write {path}; one would destroy the other")
+        seen[key] = flag
 
 
 def _manifest_path(command: str, args: argparse.Namespace) -> Path:
@@ -236,8 +248,8 @@ def cmd_synthesize(args: argparse.Namespace) -> _Written:
     dataset = _read(args.dataset, SynthDataset.load_jsonl)
     out_paths = _round_out_paths(args.out, dataset.rounds)
     chain_paths = _round_out_paths(args.chain_log, dataset.rounds) if args.chain_log else []
-    _check_derived("--out", out_paths)
-    _check_derived("--chain-log", chain_paths)
+    derived = [("--out", p) for p in out_paths[1:]] + [("--chain-log", p) for p in chain_paths[1:]]
+    _check_writes("synthesize", args, derived)
     seed = _seed(args)
     results = synthesize_multiround(dataset, cfg, np.random.Generator(np.random.PCG64(seed)))
     outputs = []
@@ -288,7 +300,7 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
     _require(0.0 < args.gamma <= 1.0, f"--gamma must be in (0, 1], got {args.gamma}")
     _require_comm_weight(args)
     if args.report_dir:
-        _check_derived("--report-dir", list(harness.report_paths(args.report_dir).values()))
+        _check_writes("evaluate", args, [("--report-dir", p) for p in harness.report_paths(args.report_dir).values()])
     cfg, rewards, policy = _build_policy(args)
     seed = _seed(args)
     metrics = evaluate(
@@ -316,7 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> _Written:
     out_dir = Path(args.out_dir)
     cells_csv, best_json = out_dir / "sweep_cells.csv", out_dir / "sweep_best.json"
     best_progs = _round_out_paths(str(out_dir / "sweep_best_program.txt"), dataset.rounds)
-    _check_derived("--out-dir", [cells_csv, best_json, *best_progs])
+    _check_writes("sweep", args, [("--out-dir", p) for p in (cells_csv, best_json, *best_progs)])
     seed = _seed(args)
     rng = np.random.Generator(np.random.PCG64(seed))
     result = harness.sweep(

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("discount must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if 0 < self.n_rollouts < self.batch_size:
+            raise ValueError(f"n_rollouts must be 0 or at least the batch size {self.batch_size}, got {self.n_rollouts}")
         if self.val_interval < 1:
             raise ValueError(f"val_interval must be >= 1, got {self.val_interval}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

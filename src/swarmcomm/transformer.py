@@ -183,18 +183,12 @@ class ForwardResult:
     rounds: list[RoundState]
 
 
-def _pairs(x: Array, obs: Array, out: Optional[Array] = None) -> Array:
-    """(B*N*M, d+2) rows [x_i, o_ij]: each agent's vector tiled next to each of its M observations, obs (B, N, M, 2).
-
-    Written into out, a C-ordered array of the rows' shape, when given.
-    """
+def _pairs(x: Array, obs: Array) -> Array:
+    """(B*N*M, d+2) rows [x_i, o_ij]: each agent's vector tiled next to each of its M observations, obs (B, N, M, 2)."""
     b, n, d = x.shape
     m = obs.shape[2]
     tiled = np.broadcast_to(x.reshape(b, n, 1, d), (b, n, m, d))  # the chain's x * ones, exactly
-    if out is None:
-        return np.concatenate([tiled, obs], axis=-1).reshape(b * n * m, d + 2)
-    np.concatenate([tiled, obs], axis=-1, out=out.reshape(b, n, m, d + 2))
-    return out
+    return np.concatenate([tiled, obs], axis=-1).reshape(b * n * m, d + 2)
 
 
 def _untile(g_flat: Array, b: int, n: int, d: int) -> tuple[Array, Array]:
@@ -337,11 +331,10 @@ def forward_round(
     masked rows and normalizers), and the query and internal networks'
     per-agent arrays: no array of B*N*N rows by a network's width. Its vjp
     handles one pair network at a time, the message network first, then the
-    key network: it rebuilds the network's input rows with ``_pairs``, its
-    hidden rows with ``ad.mlp_hidden`` and its outputs with ``ad.mlp_out``,
-    the expressions the forward ran, into the tape's scratch buffers (one per
-    role and shape, so the backward walk allocates each once), then runs
-    that network's ``mlp_vjp``. The gradients stay bitwise the chain's.
+    key network: it rebuilds the network's input rows with ``_pairs`` and
+    its hidden rows and outputs with ``ad.mlp_forward``, the calls the
+    forward made, then runs that network's ``mlp_vjp``. The gradients stay
+    bitwise the chain's.
     A training step's tape then holds 0.25, 0.53 and 0.19 MB per world step
     on the crossing (N = 10), grid (N = 15) and coverage (N = 5) batches of
     16 worlds, against 1.07, 2.38 and 0.60 MB when the record held the two
@@ -419,11 +412,10 @@ def forward_round(
     h_in = None if round_index == 0 else t_h.data
     di = params.internal_dim
     q = int(to_internal)  # where the query's use of the states is listed; the message rows' uses follow it
-    scratch = tape.scratch
 
     def vjp(g: Array, need):
         # Neither pair network's rows are held. Each network in turn, message first, rebuilds its input rows, hidden
-        # rows and outputs, bitwise the forward's, into the tape's buffers, and is used up before the next.
+        # rows and outputs, bitwise the forward's, and is used up before the next.
         grads: list[Optional[Array]] = [None] * n_uses
         if to_internal:
             g_agg, *g_wi = ad.mlp_vjp(g.reshape(b * n, -1), agg, *wi[0][::2], ih, [True, *w_need[12:]])
@@ -431,30 +423,22 @@ def forward_round(
             grads[0] = g_s_agg
         else:
             g_sum, g_wi = g, []
-
-        def rebuild(x: Array, w: list[Array]) -> tuple[Array, Array]:
-            h = ad.mlp_hidden(x, w[0], w[1], out=scratch("hidden", x.shape[0], w[0].shape[1]))
-            return h, ad.mlp_out(h, w[2], w[3], scratch("output", x.shape[0], w[2].shape[1]))
-
-        if round_index == 0:
-            msg_in = _pairs(s, o, scratch("pairs", b * n * n, ds + 2))
-        else:
-            msg_in = _pairs(h_in, o, scratch("internal pairs", b * n * n, di + 2))
-        mh, msg_flat = rebuild(msg_in, wm)
+        msg_in = _pairs(s if round_index == 0 else h_in, o)
+        mh, msg_flat = ad.mlp_forward(msg_in, *wm, None)
         received = msg_flat.reshape(b, n, n, dm).transpose(0, 2, 1, 3)
         g_weighted = np.broadcast_to(np.expand_dims(g_sum, 2), (b, n, n, dm))
         g_att = ad.unbroadcast(g_weighted * received, (b, n, n, 1)).reshape(b, n, n)
         g_messages = np.transpose(g_weighted * np.expand_dims(attention, -1), (0, 2, 1, 3))
         msg_need = use_need[q + 1] or use_need[q + 2]
         g_msg_in, *g_wm = ad.mlp_vjp(g_messages.reshape(b * n * n, dm), msg_in, *wm[::2], mh, [msg_need, *w_need[4:8]])
-        del g_messages
+        del g_messages, received, msg_flat, mh  # freed before the key network's rebuild
         if round_index > 0 and msg_need:
             grads[2], grads[1] = _untile(g_msg_in, b, n, di)
 
         g_soft = _harden_vjp(g_att, soft.shape, mask, masked, zz) if mask is not None else g_att
         g_logits = ad.unbroadcast(ad.softmax_vjp(g_soft, soft) / root_dk, (b, n, n))
-        flat = msg_in if round_index == 0 else _pairs(s, o, scratch("pairs", b * n * n, ds + 2))
-        kh, keys_flat = rebuild(flat, wk)
+        flat = msg_in if round_index == 0 else _pairs(s, o)
+        kh, keys_flat = ad.mlp_forward(flat, *wk, None)
         keys = keys_flat.reshape(b, n, n, dk)
         g_queries = ad.weighted_sum(g_logits, keys).reshape(b * n, dk)
         g_keys = (np.expand_dims(g_logits, -1) * q_exp).reshape(b * n * n, dk)

@@ -775,6 +775,35 @@ class TestCli:
         assert line.startswith("error[usage]: ") and flag in line and str(out / derived) in line
         assert sorted(out.rglob("*")) == before  # no output and no manifest written
 
+    @pytest.mark.parametrize("command, flag, target, other", [
+        ("train-oracle", "--curve", "out", "--out"),
+        ("retrain", "--curve", "out", "--out"),
+        ("synthesize", "--chain-log", "out", "--out"),
+        ("synthesize", "--chain-log", "out.round2", "--out"),  # the round-2 program of a two-round dataset
+        ("evaluate", "--out", "report-dir/metrics.csv", "--report-dir"),
+        ("train-oracle", "--curve", "out.manifest.json", "--out"),
+        ("retrain", "--curve", "out.manifest.json", "--out"),
+    ])
+    def test_two_outputs_naming_one_file_are_one_usage_line_before_any_write(
+        self, cli_workspace, coverage_dataset, tmp_path, capsys, command, flag, target, other
+    ):
+        # flag names a file the stage also writes for other, so one write would destroy the other
+        inputs = writing_inputs(cli_workspace)[command]
+        if "round2" in target:
+            config = tmp_path / "coverage.json"
+            save_config(config, TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=2), RewardParams())
+            inputs = [coverage_dataset if x == cli_workspace / "data.jsonl" else config if x == cli_workspace / "task.json"
+                      else x for x in inputs]
+        out = tmp_path / "outputs"
+        (out / "report-dir").mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        outputs = {f: out / f.strip("-") for f in WRITING_FLAGS[command]}
+        outputs[flag] = out / target
+        argv = [command, *map(str, inputs)] + [str(x) for pair in outputs.items() for x in pair]
+        line = self._one_error_line(argv, capsys)
+        assert line.startswith("error[usage]: ") and flag in line and other in line and str(out / target) in line
+        assert sorted(out.rglob("*")) == before  # no output and no manifest written
+
     def test_malformed_config_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -831,7 +860,7 @@ class TestCli:
         (tmp_path / "task.json").write_text(json.dumps(doc))
         rc = cli.main([
             "train-oracle", "--config", str(tmp_path / "task.json"),
-            "--out", str(tmp_path / "oracle.json"), "--rollouts", "1",
+            "--out", str(tmp_path / "oracle.json"), "--rollouts", "0",
         ])
         assert rc == 1
         err = capsys.readouterr().err
@@ -1242,6 +1271,7 @@ class TestCli:
         [
             ("train-oracle", "--batch", "0"),
             ("train-oracle", "--discount", "1.5"),
+            ("train-oracle", "--rollouts", "10"),  # fewer than one batch of 16 would train nothing
             ("evaluate", "--rollouts", "0"),
             ("sweep", "--val-rollouts", "0"),
             ("collect", "--rollouts", "-1"),

@@ -201,6 +201,14 @@ class TestTrainOracle:
         with pytest.raises(ValueError, match="val_interval"):
             TrainConfig(val_interval=val_interval)
 
+    @pytest.mark.parametrize("n_rollouts", [1, 15])
+    def test_fewer_rollouts_than_one_batch_rejected(self, n_rollouts):
+        # fewer than one batch runs no iteration, so the "trained" params would be the initial ones
+        with pytest.raises(ValueError, match=f"^n_rollouts must be 0 or at least the batch size 16, got {n_rollouts}$"):
+            TrainConfig(n_rollouts=n_rollouts, batch_size=16)
+        assert TrainConfig(n_rollouts=0, batch_size=16).n_iterations == 0
+        assert TrainConfig(n_rollouts=16, batch_size=16).n_iterations == 1
+
     def test_grad_norm_recorded_and_finite(self):
         cfg = single_agent_cfg(horizon=5)
         result = train_oracle(cfg, TrainConfig(n_rollouts=32, batch_size=8), make_rng(13))

@@ -17,8 +17,9 @@ Tier-1 wall time when given; plus the machine (``nproc``, BLAS, thread
 variables) and, per metric, the change/parent ratio of the medians, the
 parent's interquartile range and how many same-seed pairs the change read
 lower or higher. A chain log is the captured stdout of one
-``tools/chain_bench.py`` run; given them, the file also holds each side's
-per-candidate times, counters and output digests, paired in the order given.
+``tools/chain_bench.py`` run; given them, the file also holds, per fixture
+the log names, each side's per-candidate times, counters and output digests,
+its runs paired in the order given.
 A stage-rss log is the captured stdout of one ``tools/stage_rss.py`` run;
 given them, the file also holds, per side and workload, the peak resident
 memory and minor page faults after each stage and the stage that set the peak,
@@ -105,14 +106,20 @@ def summarize(run_dir: Path) -> dict:
 
 
 def summarize_chains(logs: list[Path]) -> dict:
-    """chain_bench runs of one side: per-run median and min ms per candidate, counters, digests."""
-    runs = [last_json_line(path) for path in logs]
+    """chain_bench runs of one side, by fixture: per-run median and min ms per candidate, counters, digests."""
+    by_fixture: dict[str, list[dict]] = {}
+    for path in logs:
+        run = last_json_line(path)
+        by_fixture.setdefault(run["fixture"], []).append(run)
+    return {fixture: _summarize_fixture(runs) for fixture, runs in sorted(by_fixture.items())}
+
+
+def _summarize_fixture(runs: list[dict]) -> dict:
     medians = [r["ms_per_candidate"]["median"] for r in runs]
     q1, _, q3 = statistics.quantiles(medians, n=4) if len(medians) > 1 else (medians[0],) * 3
     first = runs[0]
     return {
         "runs": len(runs),
-        "fixture": first.get("fixture", "cross"),  # runs from before --fixture existed timed the crossing fixture
         "steps": first["steps"],
         "tuples": first["tuples"],
         "median_ms_by_run": medians,
@@ -147,6 +154,27 @@ def summarize_stage_rss(logs: list[Path]) -> dict:
         if traced:
             entry.update(traced_peak_mb=r["traced_peak_mb"], traced_peak_stage=r["traced_peak_stage"])
         out.setdefault(r["workload"], {})["traced" if traced else "plain"] = entry
+    return out
+
+
+def compare_chains(parent_logs: list[Path], change_logs: list[Path]) -> dict:
+    """Per fixture, each side's chain_bench summary and, when both sides ran it, the change against the parent."""
+    sides = {"parent": summarize_chains(parent_logs), "change": summarize_chains(change_logs)}
+    out = {}
+    for fixture in sorted(sides["parent"].keys() | sides["change"].keys()):
+        entry = out[fixture] = {side: runs[fixture] for side, runs in sides.items() if fixture in runs}
+        if len(entry) < 2:
+            continue
+        before, after = entry["parent"], entry["change"]
+        pairs = list(zip(before["median_ms_by_run"], after["median_ms_by_run"]))
+        entry["change_vs_parent"] = {
+            "median_ratio": after["median_ms"] / before["median_ms"],
+            "parent_iqr_ms": before["q3_ms"] - before["q1_ms"],
+            "pairs": len(pairs),
+            "change_lower": sum(a < b for b, a in pairs),
+            "same_outputs": (before["chain_sha256"], before["program_sha256"])
+            == (after["chain_sha256"], after["program_sha256"]),
+        }
     return out
 
 
@@ -250,19 +278,6 @@ def main() -> int:
                 "change_higher": sum(m["by_seed"][s] > b["by_seed"][s] for s in pairs),
             }
         comparison[workload] = rows
-    chain = None
-    if args.parent_chain and args.change_chain:
-        chain = {side: summarize_chains(getattr(args, f"{side}_chain")) for side in ("parent", "change")}
-        before, after = chain["parent"], chain["change"]
-        pairs = list(zip(before["median_ms_by_run"], after["median_ms_by_run"]))
-        chain["change_vs_parent"] = {
-            "median_ratio": after["median_ms"] / before["median_ms"],
-            "parent_iqr_ms": before["q3_ms"] - before["q1_ms"],
-            "pairs": len(pairs),
-            "change_lower": sum(a < b for b, a in pairs),
-            "same_outputs": (before["chain_sha256"], before["program_sha256"])
-            == (after["chain_sha256"], after["program_sha256"]),
-        }
     doc = {
         "pr": args.pr,
         "command": "python3 bench/run.py --workload W --seed S --seconds 35 --trace 0|1",
@@ -279,9 +294,11 @@ def main() -> int:
         "roots_equal_length": roots_equal_length,
         "change_vs_parent": comparison,
     }
-    if chain is not None:
-        command = f"python3 tools/chain_bench.py --root ROOT --fixture {chain['change']['fixture']} --steps N"
-        doc["chain_bench"] = dict(chain, command=command)
+    if args.parent_chain and args.change_chain:
+        doc["chain_bench"] = {
+            "command": "python3 tools/chain_bench.py --root ROOT --fixture F --steps N",
+            "fixtures": compare_chains(args.parent_chain, args.change_chain),
+        }
     if args.parent_stage_rss and args.change_stage_rss:
         doc["stage_rss"] = {
             "command": "python3 tools/stage_rss.py --root ROOT --workload W --seed S [--traced]",
