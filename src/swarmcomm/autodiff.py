@@ -508,11 +508,7 @@ class ParamStore:
     """Named parameter tensors with per-parameter Adam moments."""
 
     def __init__(self, params: dict[str, Array]):
-        self.params: dict[str, Array] = {}
-        for name, value in params.items():
-            if name in self.params:
-                raise AutodiffError(f"duplicate parameter name {name!r}")
-            self.params[name] = _as_array(value)
+        self.params: dict[str, Array] = {name: _as_array(value) for name, value in params.items()}
         self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.step_count = 0

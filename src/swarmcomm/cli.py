@@ -134,53 +134,47 @@ def _run_stage(command: str, args: argparse.Namespace) -> int:
     output over one of its inputs records the input it read, and rerun
     refuses to replay it once the file has changed.
     """
-    _check_outputs(args)
     _check_writes(command, args)
     manifest_path = _manifest_path(command, args)
-    inputs = [p for p in _INPUTS[command](args) if Path(p).is_file()]
+    handler, input_files = _STAGES[command]
+    inputs = [p for p in input_files(args) if Path(p).is_file()]
     manifest = RunManifest.capture(command, vars(args), 0, inputs)  # the seed is the stage's to resolve
-    written = _HANDLERS[command](args)
+    written = handler(args)
     manifest.seed, manifest.outputs = written.seed, [str(o) for o in written.outputs]
     manifest.save(manifest_path)
     return 0
 
 
-_OUTPUT_FILES, _OUTPUT_DIRS = ("out", "curve", "chain_log"), ("report_dir", "out_dir")
-
-
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Usage errors, before any work, for output flags the stage could not write to.
-
-    An output file must not be a directory and its directory must exist; an
-    output directory (created when missing) must not be a file, nor lie under one.
-    """
-    for dest in _OUTPUT_FILES + _OUTPUT_DIRS:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        flag, path = "--" + dest.replace("_", "-"), Path(value)
-        if dest in _OUTPUT_FILES:
-            _require(not path.is_dir(), f"{flag} names a directory: {value}")
-            _require(path.parent.is_dir(), f"{flag}: no directory {path.parent} to write {value} into")
-        else:
-            existing = next(p for p in (path, *path.parents) if p.exists())
-            _require(existing.is_dir(), f"{flag}: {existing} is a file, not a directory")
+def _outputs(args: argparse.Namespace, dests: Sequence[str]) -> list[tuple[str, Path]]:
+    """(flag, path) of each of dests the stage has and was given."""
+    given = [d for d in dests if getattr(args, d, None) is not None]
+    return [("--" + d.replace("_", "-"), Path(getattr(args, d))) for d in given]
 
 
 def _check_writes(command: str, args: argparse.Namespace, derived: Sequence[tuple[str, Path]] = ()) -> None:
-    """Usage errors, before the stage writes anything, for the files it writes.
+    """Usage errors, before the stage writes anything, for what it writes.
 
-    These are its output files, its manifest and the files given in derived
-    (round-2 programs and chain logs, report and sweep files), each with the
-    flag it is named after. None may be a directory, and no two may resolve to
-    the same file: the later write would destroy the earlier.
+    An output directory must not be a file, nor lie under one; the stage
+    creates it before it writes any file. The files are the output files, the
+    manifest and those given in derived (round-2 programs and chain logs,
+    report and sweep files), each with the flag it is named after. None may be
+    a directory or where an output directory goes; each needs a directory to
+    go into, there or created; and no two may resolve to the same file: the
+    later write would destroy the earlier. A stage that names derived files
+    once it has read its inputs checks again.
     """
-    named = [("--" + d.replace("_", "-"), Path(getattr(args, d))) for d in _OUTPUT_FILES if getattr(args, d, None)]
+    made: dict[Path, str] = {}  # the output directories and the directories above them, resolved
+    for flag, path in _outputs(args, ("report_dir", "out_dir")):
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        _require(existing.is_dir(), f"{flag}: {existing} is a file, not a directory")
+        made.update({p.resolve(): flag for p in (path, *path.parents)})
     manifest = ("--out-dir" if command == "sweep" else "--out", _manifest_path(command, args))
     seen: dict[Path, str] = {}
-    for flag, path in [*named, manifest, *derived]:
-        _require(not path.is_dir(), f"{flag}: {path}, which the stage writes, names a directory")
+    for flag, path in [*_outputs(args, ("out", "curve", "chain_log")), manifest, *derived]:
         key = path.resolve()
+        _require(not path.is_dir(), f"{flag}: {path}, which the stage writes, names a directory")
+        _require(key not in made, f"{flag} writes {path}, where {made.get(key)} makes a directory")
+        _require(path.parent.is_dir() or key.parent in made, f"{flag}: no directory {path.parent} to write {path} into")
         _require(key not in seen, f"{seen.get(key)} and {flag} both write {path}; one would destroy the other")
         seen[key] = flag
 
@@ -306,16 +300,13 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
     metrics = evaluate(
         policy, cfg, args.rollouts, args.comm_weight, seed, rewards, gamma=args.gamma
     )
+    paths = report([metrics], args.report_dir) if args.report_dir else {}  # makes the directory --out may go into
     Path(args.out).write_text(json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n")
-    outputs = [args.out]
-    if args.report_dir:
-        paths = report([metrics], args.report_dir)
-        outputs.extend(paths.values())
     print(
         f"{metrics.policy}: loss {metrics.loss_mean:.4f} +/- {metrics.loss_std:.4f}, "
         f"max degree {metrics.total_deg_mean:.2f} -> {args.out}"
     )
-    return _Written(seed, outputs)
+    return _Written(seed, [args.out, *paths.values()])
 
 
 def cmd_sweep(args: argparse.Namespace) -> _Written:
@@ -382,7 +373,7 @@ def cmd_attn_dump(args: argparse.Namespace) -> _Written:
 
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = _read(args.manifest, RunManifest.load)
-    if manifest.command not in _HANDLERS:
+    if manifest.command not in _STAGES:
         raise CliError("bad-config", f"{args.manifest}: unknown command {manifest.command!r}")
     _check_recorded(args.manifest, manifest.command, manifest.args)
     changed = [
@@ -401,25 +392,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             os.environ["SWARM_SEED"] = saved
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], _Written]] = {
-    "train-oracle": cmd_train_oracle,
-    "collect": cmd_collect,
-    "synthesize": cmd_synthesize,
-    "retrain": cmd_retrain,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "attn-dump": cmd_attn_dump,
-}
-
-# each stage's input files, as its manifest records them for rerun to check
-_INPUTS: dict[str, Callable[[argparse.Namespace], list[str]]] = {
-    "train-oracle": lambda a: [a.config],
-    "collect": lambda a: [a.config, a.params],
-    "synthesize": lambda a: [a.dataset],
-    "retrain": lambda a: [a.config, a.params, *a.program],
-    "evaluate": lambda a: [a.config, a.params, *(a.program or [])],
-    "sweep": lambda a: [a.dataset, a.config],
-    "attn-dump": lambda a: [a.config, a.params, *(a.program or [])],
+# each stage's handler and its input files, as its manifest records them for rerun to check
+_STAGES: dict[str, tuple[Callable[[argparse.Namespace], _Written], Callable[[argparse.Namespace], list[str]]]] = {
+    "train-oracle": (cmd_train_oracle, lambda a: [a.config]),
+    "collect": (cmd_collect, lambda a: [a.config, a.params]),
+    "synthesize": (cmd_synthesize, lambda a: [a.dataset]),
+    "retrain": (cmd_retrain, lambda a: [a.config, a.params, *a.program]),
+    "evaluate": (cmd_evaluate, lambda a: [a.config, a.params, *(a.program or [])]),
+    "sweep": (cmd_sweep, lambda a: [a.dataset, a.config]),
+    "attn-dump": (cmd_attn_dump, lambda a: [a.config, a.params, *(a.program or [])]),
 }
 
 
@@ -452,6 +433,28 @@ def _check_recorded(manifest: str, command: str, recorded: dict) -> None:
             raise CliError("bad-config", f"{manifest}: {exc}") from exc
 
 
+def _training_options(p: argparse.ArgumentParser, rollouts: int) -> None:
+    """The options train-oracle and retrain share; rollouts is the stage's default --rollouts."""
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--rollouts", type=int, default=rollouts)
+    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--discount", type=float, default=0.99)
+    p.add_argument("--clip", type=float, default=10.0)
+    p.add_argument("--curve", default=None)
+
+
+def _policy_options(p: argparse.ArgumentParser) -> None:
+    """The options evaluate and attn-dump share: the policy to run, its inputs and the output file."""
+    p.add_argument("--params", required=True)
+    p.add_argument("--config", required=True)
+    p.add_argument("--policy", choices=POLICY_NAMES, default="tf-full")
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--program", action="append", default=None)
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmcomm",
@@ -459,23 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-oracle", help="train the full-communication policy")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rollouts", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--discount", type=float, default=0.99)
-    p.add_argument("--clip", type=float, default=10.0)
-    p.add_argument("--curve", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _training_options(sub.add_parser("train-oracle", help="train the full-communication policy"), rollouts=2000)
 
     p = sub.add_parser("collect", help="cache per-step tuples from oracle rollouts")
     p.add_argument("--params", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--rollouts", type=int, default=300)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synthesize", help="search for a communication program")
     p.add_argument("--dataset", required=True)
@@ -488,33 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--out", default="program.txt")
     p.add_argument("--chain-log", default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("retrain", help="fine-tune the networks under hard attention")
     p.add_argument("--params", required=True)
     p.add_argument("--program", action="append", required=True, help="one per communication round")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rollouts", type=int, default=500)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--discount", type=float, default=0.99)
-    p.add_argument("--clip", type=float, default=10.0)
-    p.add_argument("--curve", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _training_options(p, rollouts=500)
 
     p = sub.add_parser("evaluate", help="measure loss and communication degrees")
-    p.add_argument("--params", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="tf-full")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--program", action="append", default=None)
+    _policy_options(p)
     p.add_argument("--rollouts", type=int, default=100)
     p.add_argument("--comm-weight", dest="comm_weight", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--out", required=True)
     p.add_argument("--report-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("sweep", help="grid search over tradeoff, rule count, features")
     p.add_argument("--dataset", required=True)
@@ -523,20 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-rollouts", dest="val_rollouts", type=int, default=20)
     p.add_argument("--comm-weight", dest="comm_weight", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("attn-dump", help="write per-step attention matrices for one rollout")
-    p.add_argument("--params", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="tf-full")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--program", action="append", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    _policy_options(sub.add_parser("attn-dump", help="write per-step attention matrices for one rollout"))
 
-    p = sub.add_parser("rerun", help="replay a stage from its manifest")
-    p.add_argument("manifest")
-
+    for stage in sub.choices.values():  # every stage; rerun replays the seed its manifest recorded
+        stage.add_argument("--seed", type=int, default=None)
+    sub.add_parser("rerun", help="replay a stage from its manifest").add_argument("manifest")
     return parser
 
 

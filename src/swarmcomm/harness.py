@@ -160,9 +160,8 @@ def _aggregate(
         return float(xs.mean()), float(xs.std())
 
     loss_mean, loss_std = stats(-rewards.sum(axis=1) / cfg.horizon)
-    full = bool(getattr(policy, "full_comm", False))
     discounted = rewards @ gamma ** np.arange(cfg.horizon)
-    if full:
+    if policy.full_comm:
         # all-pairs communication: degrees are reported as zeros behind the flag
         # and the combined objective carries no degree term
         in_mean = in_std = out_mean = out_std = tot_mean = tot_std = 0.0
@@ -176,7 +175,7 @@ def _aggregate(
         peak_mean = float(degrees[:, :, 2].max(axis=1).mean())
         combined_j = float((discounted - comm_weight * degrees[:, :, 2].sum(axis=1)).mean())
     return Metrics(
-        policy=getattr(policy, "name", type(policy).__name__),
+        policy=policy.name,
         task=cfg.task_kind,
         seed=int(seed),
         n_rollouts=rewards.shape[0],
@@ -190,7 +189,7 @@ def _aggregate(
         total_deg_std=tot_std,
         combined_J=combined_j,
         comm_weight=comm_weight,
-        full_comm=full,
+        full_comm=policy.full_comm,
         rollout_max_deg_mean=peak_mean,
     )
 

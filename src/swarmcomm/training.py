@@ -187,10 +187,6 @@ def _optimize(
             best_score = score
             best = params.copy()
 
-    if n_iters == 0:
-        result.best_validation = -np.inf
-        return result
-
     for it in range(n_iters):
         worlds = world_sampler(cfg, train_cfg.batch_size, rng)
         tape = ad.Tape()

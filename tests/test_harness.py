@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -803,6 +804,72 @@ class TestCli:
         line = self._one_error_line(argv, capsys)
         assert line.startswith("error[usage]: ") and flag in line and other in line and str(out / target) in line
         assert sorted(out.rglob("*")) == before  # no output and no manifest written
+
+    @pytest.mark.parametrize("report_dir", ["out", "out/sub"])
+    def test_an_output_file_where_the_report_directory_goes_is_one_usage_line_before_any_work(
+        self, cli_workspace, tmp_path, capsys, report_dir
+    ):
+        argv = ["evaluate", *map(str, writing_inputs(cli_workspace)["evaluate"])]
+        argv += ["--out", str(tmp_path / "out"), "--report-dir", str(tmp_path / report_dir)]
+        line = self._one_error_line(argv, capsys)
+        assert line.startswith("error[usage]: ") and "--out" in line and "--report-dir" in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_output_file_may_go_into_the_report_directory_the_stage_makes(self, cli_workspace, tmp_path):
+        out = tmp_path / "new" / "report" / "out.json"
+        argv = ["evaluate", *map(str, writing_inputs(cli_workspace)["evaluate"])]
+        assert cli.main(argv + ["--out", str(out), "--report-dir", str(out.parent)]) == 0
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["outputs"][0] == str(out)
+
+    # how many files each writing command writes besides its manifest, given every output flag
+    WRITTEN = {"train-oracle": 2, "collect": 1, "synthesize": 4, "retrain": 2, "evaluate": 5, "sweep": 4, "attn-dump": 1}
+
+    @pytest.mark.parametrize("command", list(WRITING_FLAGS))
+    def test_a_manifest_lists_exactly_the_files_its_stage_wrote(
+        self, cli_workspace, coverage_dataset, tmp_path, command
+    ):
+        inputs = writing_inputs(cli_workspace)[command]
+        if command in ("synthesize", "sweep"):  # a two-round dataset: round-2 programs and a round-2 chain log
+            config = tmp_path / "coverage.json"
+            save_config(config, TaskConfig(task_kind="unlabeled-goals", n_agents_per_group=3, horizon=2), RewardParams())
+            inputs = [coverage_dataset if x == cli_workspace / "data.jsonl" else config if x == cli_workspace / "task.json"
+                      else x for x in inputs]
+        out = tmp_path / "outputs"
+        out.mkdir()
+        argv = [command, *map(str, inputs)] + [str(x) for f in WRITING_FLAGS[command] for x in (f, out / f.strip("-"))]
+        assert cli.main(argv) == 0
+        manifest = out / ("out-dir/sweep.manifest.json" if command == "sweep" else "out.manifest.json")
+        written = {str(p) for p in out.rglob("*") if p.is_file()} - {str(manifest)}
+        assert set(json.loads(manifest.read_text())["outputs"]) == written
+        assert len(written) == self.WRITTEN[command]
+
+    # every option's dest and default, per subcommand: a manifest records them all
+    OPTION_DEFAULTS = {
+        "train-oracle": {"config": None, "out": None, "rollouts": 2000, "batch": 16, "lr": 1e-3, "discount": 0.99,
+                         "clip": 10.0, "curve": None, "seed": None},
+        "collect": {"params": None, "config": None, "rollouts": 300, "out": None, "seed": None},
+        "synthesize": {"dataset": None, "tradeoff": 0.5, "rules": 2, "steps": 3000, "features": "v1", "beta": 5.0,
+                       "det_only": False, "samples": 1, "out": "program.txt", "chain_log": None, "seed": None},
+        "retrain": {"params": None, "program": None, "config": None, "out": None, "rollouts": 500, "batch": 16,
+                    "lr": 1e-3, "discount": 0.99, "clip": 10.0, "curve": None, "seed": None},
+        "evaluate": {"params": None, "config": None, "policy": "tf-full", "k": None, "program": None, "rollouts": 100,
+                     "comm_weight": 1.0, "gamma": 0.99, "out": None, "report_dir": None, "seed": None},
+        "sweep": {"dataset": None, "config": None, "steps": 500, "val_rollouts": 20, "comm_weight": 1.0,
+                  "out_dir": None, "seed": None},
+        "attn-dump": {"params": None, "config": None, "policy": "tf-full", "k": None, "program": None, "out": None,
+                      "seed": None},
+        "rerun": {"manifest": None},
+    }
+
+    def test_every_option_keeps_its_dest_and_default(self):
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        defaults = {
+            command: {a.dest: a.default for a in parser._actions if a.dest != "help"}
+            for command, parser in commands.choices.items()
+        }
+        assert defaults == self.OPTION_DEFAULTS
+        # as a manifest writes them: a float default stays a float
+        assert json.dumps(defaults, sort_keys=True) == json.dumps(self.OPTION_DEFAULTS, sort_keys=True)
 
     def test_malformed_config_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
