@@ -329,7 +329,9 @@ class PolicyStep:
     actions: Tensor  # (B, N, action_dim); coverage weights in global goal order
     delivered: list[Array]  # per round, (B, N, N) bool: [b, i, j] = receiver i got sender j's message
     attentions: list[Array]  # per round, (B, N, N) rows actually applied
-    messages: list[Array]  # per round, (B, N, N, msg_dim), [b, j, i] = sender j -> receiver i
+    # per round, (B, N, N, msg_dim), [b, j, i] = sender j -> receiver i; a policy whose senders are fixed before
+    # attention computes only the delivered pairs' messages and leaves zeros at the pairs that carried nothing
+    messages: list[Array]
 
 
 class Policy(Protocol):

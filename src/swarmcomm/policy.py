@@ -9,7 +9,10 @@ attention scores), and ``NoCommPolicy`` never communicates.
 Every policy steps B stacked worlds at once. Each round it builds a (B, N, N)
 request mask (entry [b, i, j]: receiver i asks sender j), drops failed links
 with ``env.apply_link_failure``, and only delivered links carry messages or
-count toward degrees.
+count toward degrees. A policy whose masks do not read the soft attention
+(``combined``, ``dist``, ``no-comm``) builds every round's mask before the
+forward pass, so its rounds run the key and message networks on the delivered
+pairs alone; ``tf-full`` and ``hard-attn`` harden the dense round.
 """
 
 from __future__ import annotations
@@ -54,12 +57,14 @@ class _TransformerPolicy:
 
     name = "transformer"
     full_comm = False
+    fixed_senders = True  # masks fixed before attention: the rounds run on the delivered pairs alone
 
     def __init__(self, params: TransformerParams, v_max: Optional[float] = None):
         self.params = params
         self.v_max = v_max
 
-    def request_mask(self, round_index: int, soft: Array, states: Array, obs: Array, rngs) -> Array:
+    def request_mask(self, round_index: int, soft: Optional[Array], states: Array, obs: Array, rngs) -> Array:
+        """(B, N, N) requests; soft is the round's soft attention, None when fixed_senders is set."""
         raise NotImplementedError
 
     def _attention_mask(self, delivered: Array, p_fail: float) -> Optional[Array]:
@@ -68,19 +73,25 @@ class _TransformerPolicy:
     def step(self, states, obs, rngs, p_fail, goal_perm_inv=None, weights=None) -> PolicyStep:
         delivered: list[Array] = []
 
-        def select(round_index: int, soft: Array) -> Optional[Array]:
+        def deliver(round_index: int, soft: Optional[Array]) -> Array:
             requested = self.request_mask(round_index, soft, states.data, obs.data, rngs)
             delivered.append(apply_link_failure(requested, p_fail, rngs))
-            return self._attention_mask(delivered[-1], p_fail)
+            return delivered[-1]
 
+        def select(round_index: int, soft: Array) -> Optional[Array]:
+            return self._attention_mask(deliver(round_index, soft), p_fail)
+
+        # round by round, rule uniforms then link failures: the draws of the dense route, in its order
+        senders = [deliver(r, None) for r in range(self.params.rounds)] if self.fixed_senders else None
         result = forward_policy(
             self.params,
             states,
             obs,
             v_max=self.v_max,
-            select_fn=select,
+            select_fn=None if self.fixed_senders else select,
             goal_perm_inv=goal_perm_inv,
             weights=weights,
+            senders=senders,
         )
         return PolicyStep(
             actions=result.actions,
@@ -99,6 +110,7 @@ class TfFullPolicy(_TransformerPolicy):
 
     name = "tf-full"
     full_comm = True
+    fixed_senders = False  # its rows stay soft, or are hardened over delivered senders plus self
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
         return np.broadcast_to(~np.eye(soft.shape[-1], dtype=bool), soft.shape)
@@ -156,7 +168,7 @@ class DistMaskPolicy(_TransformerPolicy):
         self.k = k
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
-        return dist_mask(states[..., :2], min(self.k, soft.shape[-1] - 1))
+        return dist_mask(states[..., :2], min(self.k, states.shape[1] - 1))
 
 
 class TopKAttnPolicy(_TransformerPolicy):
@@ -167,6 +179,7 @@ class TopKAttnPolicy(_TransformerPolicy):
     """
 
     name = "hard-attn"
+    fixed_senders = False  # it ranks every soft score
 
     def __init__(self, params: TransformerParams, k: int, v_max: Optional[float] = None):
         super().__init__(params, v_max)
@@ -184,7 +197,7 @@ class NoCommPolicy(_TransformerPolicy):
     name = "no-comm"
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
-        return np.zeros(soft.shape, dtype=bool)
+        return np.zeros(obs.shape[:3], dtype=bool)
 
 
 class StackedPolicy(_TransformerPolicy):
@@ -209,8 +222,8 @@ class StackedPolicy(_TransformerPolicy):
         self._bounds = [0, *np.cumsum(counts).tolist()]
 
     def request_mask(self, round_index, soft, states, obs, rngs) -> Array:
-        if soft.shape[0] != self._bounds[-1]:
-            raise ValueError(f"stacked policy expects {self._bounds[-1]} worlds, got {soft.shape[0]}")
+        if states.shape[0] != self._bounds[-1]:
+            raise ValueError(f"stacked policy expects {self._bounds[-1]} worlds, got {states.shape[0]}")
         fmaps = [part.programs[round_index].feature_map for part in self.parts]
         feats = {fmap: dsl.featurize_agents(states, obs, fmap) for fmap in set(fmaps)}
         return np.concatenate([

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -169,9 +169,9 @@ def _net(weights: dict[str, ad.TensorLike], net: str) -> list[ad.TensorLike]:
 @dataclass
 class RoundState:
     queries: Tensor  # (B, N, dk)
-    keys: Tensor  # (B, N, N, dk)
-    messages: Tensor  # (B, N, N, dm), [b, i, j] = message i -> j
-    soft: Tensor  # (B, N, N) softmax rows
+    keys: Tensor  # (B, N, N, dk); zero at pairs that carried nothing when senders were fixed (_selected_round)
+    messages: Tensor  # (B, N, N, dm), [b, i, j] = message i -> j; zero there too
+    soft: Tensor  # (B, N, N) softmax rows; the applied rows when senders were fixed
     attention: Tensor  # (B, N, N) rows actually applied (hardened when masked)
     msg_sum: Tensor  # (B, N, dm)
     internal: Optional[Tensor] = None  # (B, N, internal_dim), rounds >= 2 only
@@ -201,10 +201,13 @@ def _harden(soft: Array, mask: Array) -> tuple[Array, Array, Array]:
     """(masked rows, normalizers, hardened rows): attention rows masked to the selected senders, renormalized.
 
     A row whose kept mass z is > 0 is divided by exactly z; a row with z == 0
-    (nothing selected) comes out all-zero, and the agent then acts on its
-    state plus a zero message sum. Training and rollouts harden inside
-    forward_round; the synthesis surrogate calls this directly. The hardened
-    rows are checked like the chain's div.
+    (nothing selected, or every selected weight underflowed to 0) comes out
+    all-zero, and the agent then acts on its state plus a zero message sum.
+    The dense forward_round hardens with it when select_fn returns a mask
+    (tf-full under lossy links, hard-attn); the synthesis surrogate calls it
+    directly. A round whose senders are fixed before attention softmaxes its
+    selected logits instead (_selected_round). The hardened rows are checked
+    like the chain's div.
     """
     masked = soft * mask
     z = masked.sum(axis=-1, keepdims=True)
@@ -310,12 +313,16 @@ def forward_round(
     internal: Optional[Tensor] = None,
     select_fn=None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
+    senders: Optional[Array] = None,
 ) -> RoundState:
     """One communication round: keys, queries, messages, attention, message sum.
 
     select_fn(round_index, soft_rows) may return a (B, N, N) mask from the soft
     attention; the rows are then hardened to it in-graph. The message sum and
     the queries' gradient are ad.weighted_sum, the surrogate's kernel.
+    A (B, N, N) senders mask, fixed before attention, instead runs the round
+    on the selected pairs alone (see _selected_round); select_fn is then
+    ignored.
 
     On a tape the round is one record whose output is the round's only input
     to the rest of the network: the internal vectors in the first of two
@@ -339,7 +346,9 @@ def forward_round(
     on the crossing (N = 10), grid (N = 15) and coverage (N = 5) batches of
     16 worlds, against 1.07, 2.38 and 0.60 MB when the record held the two
     pair networks' hidden rows, and 1.57, 3.48 and 0.95 MB when it held
-    their input rows and outputs as well.
+    their input rows and outputs as well. A retrain step under a two-rule
+    program takes the selected-pair route and holds 0.26, 0.45 and 0.20 MB,
+    against 0.29, 0.53 and 0.21 MB when it hardened the dense round.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
@@ -366,6 +375,9 @@ def forward_round(
     b, n, ds = s.shape
     dk, dm = params.key_dim, params.msg_dim
     wk, wm, wq, *wi = [[t.data for t in t_w[4 * k:4 * k + 4]] for k in range(len(nets))]
+    if senders is not None:
+        h = None if round_index == 0 else t_h.data
+        return _selected_round(params, round_index, np.asarray(senders, dtype=bool), tape, uses, t_w, s, o, h, check)
 
     flat = _pairs(s, o)
     keys = ad.mlp_forward(flat, *wk, check)[1].reshape(b, n, n, dk)
@@ -458,6 +470,133 @@ def forward_round(
     return state(tape.emit("forward_round", inputs, out, vjp))
 
 
+def _scatter(rows: Array, index: tuple[Array, ...], shape: tuple[int, ...], fill: float = 0.0) -> Array:
+    """An array of shape filled with fill, rows written at index: one (receiver, sender) pair's row each."""
+    out = np.full(shape, fill)
+    out[index] = rows
+    return out
+
+
+def _selected_round(
+    params: TransformerParams,
+    round_index: int,
+    senders: Array,
+    tape: Optional[ad.Tape],
+    uses: list[Tensor],
+    t_w: list[Tensor],
+    s: Array,
+    o: Array,
+    h: Optional[Array],
+    check: Optional[str],
+) -> RoundState:
+    """forward_round on the pairs of a (B, N, N) bool senders mask fixed before attention: E <= B*N*K rows, not B*N*N.
+
+    The key network runs on [s_i, o_ij], the message network on [s_j, o_ji]
+    ([h_j, o_ji] in round two). A row is the softmax over its selected
+    logits (scattered into -inf), which is _harden of the dense soft row up
+    to rounding, as the dense normalizer cancels; a row that selects nobody
+    is zero. Messages and keys scatter into zeros. On a tape the record
+    holds the pairs' indices and the attention, and its vjp rebuilds the E
+    rows, runs each pair network's mlp_vjp on them, and scatters their
+    gradients into zero pair arrays for _untile, with forward_round's uses.
+    """
+    b, n, ds = s.shape
+    dk, dm = params.key_dim, params.msg_dim
+    to_internal = params.rounds >= 2 and round_index == 0
+    wk, wm, wq, *wi = [[t.data for t in t_w[k:k + 4]] for k in range(0, len(t_w), 4)]
+    pairs = np.nonzero(senders)  # (b, receiver i, sender j) of each selected pair, in C order
+    bi, ri, si = pairs
+    mirrored = (bi, si, ri)  # where a pair's message row sits in the pair arrays
+    x = s if round_index == 0 else h
+
+    def pair_rows() -> tuple[Array, Array]:
+        """The key rows [s_i, o_ij] and the message rows [x_j, o_ji] of the selected pairs."""
+        return (np.concatenate([s[bi, ri], o[bi, ri, si]], axis=-1),
+                np.concatenate([x[bi, si], o[bi, si, ri]], axis=-1))
+
+    key_rows, msg_rows = pair_rows()
+    keys_e = ad.mlp_forward(key_rows, *wk, check)[1]
+    msgs_e = ad.mlp_forward(msg_rows, *wm, check)[1]
+    s_flat = s.reshape(b * n, ds)
+    qh, q_flat = ad.mlp_forward(s_flat, *wq, check)
+    queries = q_flat.reshape(b, n, dk)
+    root_dk = np.asarray(float(np.sqrt(dk)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logits_e = (queries[bi, ri] * keys_e).sum(axis=-1) / root_dk
+    ad.check_finite(logits_e, "div (forward_round)")
+    rows = senders.any(axis=-1)
+    attention = np.zeros((b, n, n))
+    attention[rows] = ad.softmax_forward(_scatter(logits_e, pairs, (b, n, n), -np.inf)[rows])
+    keys = _scatter(keys_e, pairs, (b, n, n, dk))
+    received = _scatter(msgs_e, pairs, (b, n, n, dm))  # [b, i, j] = message j -> i
+    msg_sum = ad.weighted_sum(attention, received)
+    out = msg_sum
+    if to_internal:
+        agg = np.concatenate([s, msg_sum], axis=-1).reshape(b * n, ds + dm)
+        ih, internal_flat = ad.mlp_forward(agg, *wi[0], check)
+        out = internal_flat.reshape(b, n, params.internal_dim)
+    if tape is not None:
+        ad.check_finite(out, "forward_round")
+
+    def state(recorded: Tensor) -> RoundState:
+        fields = [Tensor(a, tape=tape) for a in (queries, keys, received.transpose(0, 2, 1, 3), attention, attention)]
+        if to_internal:
+            return RoundState(*fields, Tensor(msg_sum, tape=tape), recorded)
+        return RoundState(*fields, recorded)
+
+    inputs = uses + t_w
+    if not ad.on_path(tape, inputs):
+        return state(Tensor(out, tape=tape))
+    use_need = [t.node_id is not None for t in uses]
+    w_need = [t.node_id is not None for t in t_w]
+    n_uses = len(uses)
+    q = int(to_internal)  # where the query's use of the states is listed, as in forward_round
+    key_need = use_need[-2] or use_need[-1]
+    msg_need = use_need[q + 1] or use_need[q + 2]
+
+    def untile(parts: list[tuple[tuple[Array, ...], Array]], d: int) -> tuple[Array, Array]:
+        """_untile of one zero (B, N, N, d + 2) pair array with each part's row gradients added at its index."""
+        g_pairs = np.zeros((b, n, n, d + 2))
+        for index, g_rows in parts:
+            g_pairs[index] += g_rows
+        return _untile(g_pairs, b, n, d)
+
+    def vjp(g: Array, need):
+        grads: list[Optional[Array]] = [None] * n_uses
+        if to_internal:
+            g_agg, *g_wi = ad.mlp_vjp(g.reshape(b * n, -1), agg, *wi[0][::2], ih, [True, *w_need[12:]])
+            g_s_agg, g_sum = np.split(g_agg.reshape(b, n, ds + dm), [ds], axis=-1)
+            grads[0] = g_s_agg
+        else:
+            g_sum, g_wi = g, []
+        key_rows, msg_rows = pair_rows()
+        mh, msgs_e = ad.mlp_forward(msg_rows, *wm, None)
+        g_recv = g_sum[bi, ri]  # each pair's receiver's message-sum gradient
+        g_att = _scatter((g_recv * msgs_e).sum(axis=-1), pairs, (b, n, n))
+        g_msg_rows, *g_wm = ad.mlp_vjp(g_recv * attention[pairs][:, None], msg_rows, *wm[::2], mh,
+                                       [msg_need, *w_need[4:8]])
+        del msgs_e, mh
+        g_logits = ad.softmax_vjp(g_att, attention) / root_dk  # zero off the selected pairs
+        kh, keys_e = ad.mlp_forward(key_rows, *wk, None)
+        g_queries = ad.weighted_sum(g_logits, _scatter(keys_e, pairs, (b, n, n, dk))).reshape(b * n, dk)
+        g_sq, *g_wq = ad.mlp_vjp(g_queries, s_flat, *wq[::2], qh, [use_need[q], *w_need[8:12]])
+        if g_sq is not None:
+            grads[q] = g_sq.reshape(b, n, ds)
+        g_key_rows, *g_wk = ad.mlp_vjp(g_logits[pairs][:, None] * queries[bi, ri], key_rows, *wk[::2], kh,
+                                       [key_need, *w_need[0:4]])
+        if round_index == 0:
+            if key_need:  # both networks read one pair array, as in the dense round
+                grads[q + 1], grads[q + 2] = untile([(pairs, g_key_rows), (mirrored, g_msg_rows)], ds)
+        else:
+            if msg_need:
+                grads[2], grads[1] = untile([(mirrored, g_msg_rows)], params.internal_dim)
+            if key_need:
+                grads[4], grads[3] = untile([(pairs, g_key_rows)], ds)
+        return (*(gr if nd else None for gr, nd in zip(grads, need)), *g_wk, *g_wm, *g_wq, *g_wi)
+
+    return state(tape.emit("forward_round", inputs, out, vjp))
+
+
 def forward_policy(
     params: TransformerParams,
     states: ad.TensorLike,
@@ -466,12 +605,15 @@ def forward_policy(
     select_fn=None,
     goal_perm_inv: Optional[Array] = None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
+    senders: Optional[Sequence[Array]] = None,
 ) -> ForwardResult:
     """Full multi-round forward pass for all agents in a batch of worlds.
 
     select_fn(round_index, soft_rows) may return a (B, N, N) 0/1 mask of
     senders to keep; it sees the soft attention as plain numpy so policies can
-    make discrete choices without entering the graph.
+    make discrete choices without entering the graph. senders, one (B, N, N)
+    mask per round fixed before the pass, runs every round on its selected
+    pairs alone instead.
     """
     states_t = states if isinstance(states, Tensor) else Tensor(states)
     obs_t = obs if isinstance(obs, Tensor) else Tensor(obs)
@@ -481,7 +623,8 @@ def forward_policy(
     rounds: list[RoundState] = []
     internal: Optional[Tensor] = None
     for r in range(params.rounds):
-        rs = forward_round(params, states_t, obs_t, r, internal, select_fn=select_fn, weights=weights)
+        rs = forward_round(params, states_t, obs_t, r, internal, select_fn=select_fn, weights=weights,
+                           senders=None if senders is None else senders[r])
         rounds.append(rs)
         internal = rs.internal
 

@@ -287,16 +287,20 @@ def chain_forward_round(
     internal: Optional[Tensor] = None,
     select_fn=None,
     weights: Optional[dict[str, ad.TensorLike]] = None,
+    senders: Optional[Array] = None,
 ) -> RoundState:
     """One communication round: keys, queries, messages, attention, message sum.
 
     select_fn(round_index, soft_rows) may return a (B, N, N) mask from the soft
-    attention; the rows are then hardened to it in-graph.
+    attention; the rows are then hardened to it in-graph. A senders mask runs
+    chain_selected_round instead.
     """
     if round_index >= params.rounds:
         raise ValueError("round_index out of range")
     if weights is None:
         weights = dict(params.store.params)
+    if senders is not None:
+        return chain_selected_round(params, states, obs, round_index, internal, senders, weights)
     states_t = states if isinstance(states, Tensor) else Tensor(states)
     obs_t = obs if isinstance(obs, Tensor) else Tensor(obs)
     b, n = states_t.shape[0], states_t.shape[1]
@@ -342,6 +346,84 @@ def chain_forward_round(
             (b, n, params.internal_dim),
         )
     return RoundState(queries, keys, messages, soft, attention, msg_sum, internal_out)
+
+
+def scatter(a: ad.TensorLike, index: tuple[Array, ...], shape: tuple[int, ...], fill: float = 0.0) -> Tensor:
+    """An array of shape filled with fill and a written at index (distinct positions).
+
+    The fill may be -inf (masked logits), so the output is not checked for
+    non-finite values.
+    """
+    (ta,), tape = ad.coerce(a)
+    out = np.full(shape, fill)
+    out[index] = ta.data
+    if not ad.on_path(tape, (ta,)):
+        return Tensor(out, tape=tape)
+
+    def vjp(g: Array, _need):
+        return (g[index],)
+
+    return tape.emit("scatter", (ta,), out, vjp)
+
+
+def chain_selected_round(
+    params: TransformerParams,
+    states: ad.TensorLike,
+    obs: ad.TensorLike,
+    round_index: int,
+    internal: Optional[Tensor],
+    senders: Array,
+    weights: dict[str, ad.TensorLike],
+) -> RoundState:
+    """A round whose senders are fixed before attention, on the selected pairs only, as ops.
+
+    The pair rows are gathered from chain_forward_round's tiled pair arrays
+    at the selected (b, receiver, sender) positions, the key and message
+    networks run on those rows, and each receiver's attention row is the
+    softmax over its selected logits; a row that selects nobody is zero.
+    """
+    states_t = states if isinstance(states, Tensor) else Tensor(states)
+    obs_t = obs if isinstance(obs, Tensor) else Tensor(obs)
+    b, n = states_t.shape[0], states_t.shape[1]
+    dk, dm = params.key_dim, params.msg_dim
+    suffix = "" if round_index == 0 else "2"
+    pairs = np.nonzero(np.asarray(senders, dtype=bool))
+    bi, ri, si = pairs
+    mirrored = (bi, si, ri)
+
+    pair_state_in = ad.concat([_tile_over_senders(states_t, n), obs_t], axis=-1)
+    keys_e = _mlp(weights, f"key{suffix}", ad.getitem(pair_state_in, pairs))
+    if round_index == 0:
+        msg_rows = ad.getitem(pair_state_in, mirrored)
+    else:
+        if internal is None:
+            raise ValueError("round 2 needs the internal vectors from round 1")
+        msg_rows = ad.getitem(ad.concat([_tile_over_senders(internal, n), obs_t], axis=-1), mirrored)
+    msgs_e = _mlp(weights, "msg" if round_index == 0 else "msg2", msg_rows)
+
+    queries = ad.reshape(
+        _mlp(weights, f"query{suffix}", ad.reshape(states_t, (b * n, params.state_dim))), (b, n, dk)
+    )
+    logits_e = div(ad.tensor_sum(ad.mul(ad.getitem(queries, (bi, ri)), keys_e), axis=-1), float(np.sqrt(dk)))
+    rows = np.asarray(senders, dtype=bool).any(axis=-1)
+    row_of = np.cumsum(rows.ravel()).reshape(rows.shape) - 1  # each selecting receiver's place among them
+    n_rows = int(rows.sum())
+    soft_rows = softmax(scatter(logits_e, (row_of[bi, ri], si), (n_rows, n), -np.inf))
+    attention = scatter(soft_rows, np.nonzero(rows), (b, n, n))
+
+    received = scatter(msgs_e, pairs, (b, n, n, dm))
+    weighted = ad.mul(ad.reshape(attention, (b, n, n, 1)), received)
+    msg_sum = ad.tensor_sum(weighted, axis=2)
+
+    internal_out: Optional[Tensor] = None
+    if params.rounds >= 2 and round_index == 0:
+        agg = ad.concat([states_t, msg_sum], axis=-1)
+        internal_out = ad.reshape(
+            _mlp(weights, "internal", ad.reshape(agg, (b * n, params.state_dim + params.msg_dim))),
+            (b, n, params.internal_dim),
+        )
+    keys = scatter(keys_e, pairs, (b, n, n, dk))
+    return RoundState(queries, keys, transpose(received, (0, 2, 1, 3)), attention, attention, msg_sum, internal_out)
 
 
 def chain_step_rewards(

@@ -19,7 +19,7 @@ import pytest
 from swarmcomm import autodiff as ad
 from swarmcomm import env
 from swarmcomm.autodiff import NonFiniteValue, Tape
-from swarmcomm.dsl import FeatureMap, Program, RandRule, true_predicate
+from swarmcomm.dsl import DetRule, FeatureMap, Program, RandRule, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import RewardParams, TaskConfig
 from swarmcomm.training import sample_world_batch, unroll_score
 from swarmcomm.transformer import forward_round, init_for_task, init_transformer, output_head
@@ -63,10 +63,11 @@ def fixed_mask(seed):
     return mask
 
 
-def run_round(params, round_index, mask, inputs):
+def run_round(params, round_index, mask, inputs, senders=None):
     internal = inputs.get("internal")
     select = (lambda r, soft: mask) if mask is not None else None
-    rs = forward_round(params, inputs["states"], inputs["obs"], round_index, internal, select_fn=select, weights=inputs)
+    rs = forward_round(params, inputs["states"], inputs["obs"], round_index, internal, select_fn=select, weights=inputs,
+                       senders=senders)
     return rs.internal if params.rounds == 2 and round_index == 0 else rs.msg_sum
 
 
@@ -137,6 +138,13 @@ class TestCentralDifferences:
         inputs = round_inputs(params, round_index, seed=3)
         check_against_central_differences(lambda v: run_round(params, round_index, mask, v), inputs, seed=4)
 
+    @pytest.mark.parametrize("kind, round_index", [("formation", 0), ("coverage", 0), ("coverage", 1)])
+    def test_selected_round(self, kind, round_index):
+        params = params_for(kind, seed=1)
+        senders = fixed_mask(2)
+        inputs = round_inputs(params, round_index, seed=3)
+        check_against_central_differences(lambda v: run_round(params, round_index, None, v, senders), inputs, seed=4)
+
     @pytest.mark.parametrize("kind", ["formation", "coverage"])
     def test_output_head(self, kind):
         params = params_for(kind, seed=5)
@@ -195,6 +203,37 @@ class TestBitwiseTheChain:
         for field in ("queries", "keys", "messages", "soft", "attention", "msg_sum", "internal"):
             if getattr(chain, field) is not None:
                 assert getattr(fused, field).data.tobytes() == getattr(chain, field).data.tobytes(), field
+
+        def output(op):
+            def recorded(values):
+                rs = run(op, values)
+                return rs.internal if rs.internal is not None else rs.msg_sum
+
+            return recorded
+
+        fused_out, fused_grads = _taped(output(forward_round), inputs)
+        chain_out, chain_grads = _taped(output(reference.chain_forward_round), inputs)
+        assert fused_out.tobytes() == chain_out.tobytes()
+        for name in inputs:
+            assert fused_grads[name].tobytes() == chain_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind, round_index", [("formation", 0), ("coverage", 0), ("coverage", 1)])
+    def test_selected_round(self, kind, round_index):
+        params = params_for(kind, seed=20)
+        senders = fixed_mask(21)
+        inputs = round_inputs(params, round_index, seed=22)
+
+        def run(op, values):
+            return op(params, values["states"], values["obs"], round_index, values.get("internal"), None, values,
+                      senders=senders)
+
+        fused, chain = run(forward_round, inputs), run(reference.chain_forward_round, inputs)
+        for field in ("queries", "keys", "messages", "soft", "attention", "msg_sum", "internal"):
+            if getattr(chain, field) is not None:
+                assert getattr(fused, field).data.tobytes() == getattr(chain, field).data.tobytes(), field
+        assert np.all(fused.attention.data[~senders] == 0.0)
+        assert np.all(fused.keys.data[~senders] == 0.0)
+        assert np.all(fused.messages.data[~senders.transpose(0, 2, 1)] == 0.0)
 
         def output(op):
             def recorded(values):
@@ -348,20 +387,45 @@ class TestTapeBytesPerStep:
         ("unlabeled-goals", 51, 5, 0.23),
     ])
     def test_held_bytes(self, kind, seed, n_agents, bound_mb):
+        assert self._held_mb_per_step(kind, seed, n_agents, retrain=False) < bound_mb
+
+    # A retrain step under a two-rule program runs the pair networks on the selected pairs only; its record
+    # holds the pairs' indices, not the dense hardening's masked rows, normalizers and float mask. Measured
+    # 0.26, 0.45 and 0.20 MB per step; on the dense route 0.29, 0.53 and 0.21 MB.
+    @pytest.mark.parametrize("kind, seed, n_agents, bound_mb", [
+        ("random-cross", 50, 10, 0.28),
+        ("random-grid", 52, 15, 0.50),
+        ("unlabeled-goals", 51, 5, 0.21),
+    ])
+    def test_held_bytes_of_a_retrain_step(self, kind, seed, n_agents, bound_mb):
+        assert self._held_mb_per_step(kind, seed, n_agents, retrain=True) < bound_mb
+
+    @staticmethod
+    def _held_mb_per_step(kind, seed, n_agents, retrain):
         cfg = TaskConfig(task_kind=kind, n_agents_per_group=5, min_groups=2, horizon=10,
                          link_failure_prob=0.3 if kind == "random-grid" else 0.0)
         rng = make_rng(seed)
         params = init_for_task(cfg, rng)
         worlds = sample_world_batch(cfg, 16, rng)
         assert worlds[0].n_agents == n_agents
+        programs = [nearest_and_farthest(cfg.state_dim)] * cfg.comm_rounds if retrain else None
         tracemalloc.start()
         try:
             tape = ad.Tape()
             weights = {name: tape.leaf(value, requires_grad=True) for name, value in params.store.params.items()}
             before = tracemalloc.get_traced_memory()[0]
-            score = unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, tape=tape, weights=weights)
+            score = unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, programs, tape, weights)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(tape.records) > 0 and np.isfinite(score.data)
-        assert held / cfg.horizon / 1e6 < bound_mb
+        return held / cfg.horizon / 1e6
+
+
+def nearest_and_farthest(state_dim):
+    """A two-rule deterministic program: each receiver hears its nearest and its farthest agent."""
+    fmap = FeatureMap("v1")
+    d = np.zeros(fmap.dim(state_dim))
+    d[feature_names(fmap, state_dim).index("d")] = 1.0
+    return Program(tuple(DetRule(ScoreExpr(tuple(sign * d)), true_predicate(fmap, state_dim)) for sign in (-1.0, 1.0)),
+                   fmap)

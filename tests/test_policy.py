@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from swarmcomm import autodiff as ad
+from swarmcomm import env
 from swarmcomm.dsl import (
     DetRule,
     FeatureMap,
@@ -13,9 +15,10 @@ from swarmcomm.dsl import (
 )
 from swarmcomm.autodiff import Tensor
 from swarmcomm.dsl import CommGraph
-from swarmcomm.env import GlobalState, TaskConfig, WorldBatch, rollout
+from swarmcomm.env import GlobalState, RewardParams, TaskConfig, WorldBatch, rollout
 from swarmcomm.policy import (
     CombinedPolicy,
+    DistMaskPolicy,
     NoCommPolicy,
     TfFullPolicy,
     TopKAttnPolicy,
@@ -23,9 +26,10 @@ from swarmcomm.policy import (
     make_policy,
     topk_attention_mask,
 )
-from swarmcomm.transformer import init_transformer
+from swarmcomm.training import sample_world_batch
+from swarmcomm.transformer import forward_round, init_for_task, init_transformer
 
-from conftest import make_rng
+from conftest import make_rng, relative_error
 from reference import graph_mask, harden_row
 
 
@@ -219,6 +223,9 @@ class TestPolicies:
         kept = np.where(hard[:, :, None] > 0, received, 0.0)
         msum_masked = np.einsum("ij,ijd->id", hard, kept)
         np.testing.assert_allclose(msum_full, msum_masked, atol=1e-12)
+        # the selected-pair round computes no message for a pair that carried nothing
+        unselected = ~graph_mask(step.graph).T  # [j, i]: sender j -> receiver i
+        assert np.all(messages[unselected] == 0.0)
 
     def test_topk_out_degree_can_exceed_k(self):
         # uniform attention (zero weights) ties every receiver to the lowest-id
@@ -271,3 +278,128 @@ class TestPolicies:
         for step in traj.steps:
             for i in range(step.state.n_agents):
                 assert graph_mask(step.graph)[i].sum() <= 2
+
+
+def random_and_nearest(state_dim):
+    """A two-rule program: one uniformly random sender, then the nearest one."""
+    fmap = FeatureMap("v1")
+    names = feature_names(fmap, state_dim)
+    w = np.zeros(fmap.dim(state_dim))
+    w[names.index("d")] = -1.0
+    always = true_predicate(fmap, state_dim)
+    return Program((RandRule(always), DetRule(ScoreExpr(tuple(w)), always)), fmap)
+
+
+ROUTE_TASKS = {
+    "formation": dict(task_kind="random-cross", n_agents_per_group=2, group_presence_prob=1.0),
+    "coverage": dict(task_kind="unlabeled-goals", n_agents_per_group=4),
+}
+
+
+def route_policy(kind, task, p_fail, seed=0, horizon=4):
+    cfg = TaskConfig(**ROUTE_TASKS[task], link_failure_prob=p_fail, horizon=horizon)
+    params = init_for_task(cfg, make_rng(seed), key_dim=4, msg_dim=4, hidden_dim=8, internal_dim=4)
+    if kind == "combined":
+        policy = CombinedPolicy(params, [random_and_nearest(cfg.state_dim)] * cfg.comm_rounds, v_max=cfg.v_max)
+    elif kind == "dist":
+        policy = DistMaskPolicy(params, k=2, v_max=cfg.v_max)
+    else:
+        policy = NoCommPolicy(params, v_max=cfg.v_max)
+    return cfg, params, policy
+
+
+def densely(monkeypatch, policy, run):
+    """run() with policy's rounds on the dense route, hardened by _harden as tf-full and hard-attn harden theirs."""
+    with monkeypatch.context() as m:
+        m.setattr(type(policy), "fixed_senders", False)
+        return run()
+
+
+def steps_of(policy, cfg, seed, tape=None, params=None):
+    """A B = 3 unroll's world steps, its generator, and its taped score's weight gradients when given a tape."""
+    rng = make_rng(seed)
+    worlds = sample_world_batch(cfg, 3, rng)
+    weights = None if tape is None else {k: tape.leaf(v, requires_grad=True) for k, v in params.store.params.items()}
+    steps, total = [], None
+    for out, _ in env.simulate(policy, cfg, worlds, [rng] * 3, RewardParams(), tape, weights):
+        steps.append(out)
+        total = out.rewards.total if total is None else ad.add(total, out.rewards.total)
+    grads = None
+    if tape is not None:
+        by_id = ad.backward(tape, total)
+        grads = {k: by_id[w.node_id] for k, w in weights.items()}
+    return steps, rng, grads
+
+
+ROUTE_CASES = [(kind, task, p) for kind in ("combined", "dist", "no-comm") for task in ROUTE_TASKS for p in (0.0, 0.3)]
+
+
+class TestSelectedPairRoute:
+    """combined, dist and no-comm run their rounds on the delivered pairs; the dense _harden route is the law."""
+
+    @pytest.mark.parametrize("kind, task, p_fail", ROUTE_CASES)
+    def test_one_step_matches_the_dense_route(self, monkeypatch, kind, task, p_fail):
+        cfg, _, policy = route_policy(kind, task, p_fail, horizon=1)
+        (sel,), _, _ = steps_of(policy, cfg, 1)
+        (dense,), _, _ = densely(monkeypatch, policy, lambda: steps_of(policy, cfg, 1))
+        for r in range(cfg.comm_rounds):
+            delivered = sel.policy.delivered[r]
+            assert delivered.tobytes() == dense.policy.delivered[r].tobytes()
+            att = sel.policy.attentions[r]
+            assert np.all(att[~delivered] == 0.0)
+            assert relative_error(att, dense.policy.attentions[r]) <= 1e-12
+            assert np.all(sel.policy.messages[r][~delivered.transpose(0, 2, 1)] == 0.0)
+        assert relative_error(sel.policy.actions.data, dense.policy.actions.data) <= 1e-12
+
+    @pytest.mark.parametrize("kind, task, p_fail", ROUTE_CASES)
+    def test_a_retrain_iteration_matches_the_dense_route(self, monkeypatch, kind, task, p_fail):
+        cfg, params, policy = route_policy(kind, task, p_fail, seed=2)
+        sel_steps, _, sel = steps_of(policy, cfg, 3, ad.Tape(), params)
+        dense_steps, _, dense = densely(monkeypatch, policy, lambda: steps_of(policy, cfg, 3, ad.Tape(), params))
+        for a, b in zip(sel_steps, dense_steps):
+            assert relative_error(a.policy.actions.data, b.policy.actions.data) <= 1e-12
+            for att_a, att_b in zip(a.policy.attentions, b.policy.attentions):
+                assert relative_error(att_a, att_b) <= 1e-12
+        # relative to the iteration's gradient norm: the key networks' b2 gradients are 0 up to rounding (a
+        # softmax ignores a shift common to its row), so their own relative error is rounding over rounding
+        scale = ad.global_grad_norm(dense)
+        assert scale > 0.0
+        assert relative_error(np.concatenate([g.ravel() for g in sel.values()]),
+                              np.concatenate([g.ravel() for g in dense.values()])) <= 1e-12
+        for name in sel:
+            assert np.linalg.norm(sel[name] - dense[name]) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("kind, task", sorted({(kind, task) for kind, task, _ in ROUTE_CASES}))
+    def test_a_lossy_rollout_delivers_and_draws_bitwise_the_dense_routes(self, monkeypatch, kind, task):
+        cfg, _, policy = route_policy(kind, task, 0.3, seed=4, horizon=20)
+        sel_steps, sel_rng, _ = steps_of(policy, cfg, 5)
+        dense_steps, dense_rng, _ = densely(monkeypatch, policy, lambda: steps_of(policy, cfg, 5))
+        assert len(sel_steps) == len(dense_steps) == 20
+        for a, b in zip(sel_steps, dense_steps):
+            for da, db in zip(a.policy.delivered, b.policy.delivered):
+                assert da.tobytes() == db.tobytes()
+        assert sel_rng.bit_generator.state == dense_rng.bit_generator.state
+        assert sel_rng.random() == dense_rng.random()
+
+    def test_a_row_whose_soft_weights_underflow_is_a_distribution(self):
+        # self's logit sits 866 above every other sender's (past exp's range near 745), so the dense soft row
+        # puts all its mass on self: _harden then finds zero kept mass and zeroes the selected row, while the
+        # selected-pair round is a softmax over the selected logits alone, uniform here.
+        params = init_transformer("random-cross", 4, 2, 1, make_rng(0), key_dim=3, msg_dim=3, hidden_dim=5)
+        weights = {k: np.zeros_like(v) for k, v in params.store.params.items()}
+        weights["key.w1"][4] = -100.0  # the observation's x: tanh saturates at -1 for every sender to the right
+        weights["key.w2"][:] = 100.0
+        weights["query.b2"][:] = 1.0
+        weights["msg.b2"][:] = 1.0
+        states = np.zeros((1, 3, 4))
+        states[0, :, 0] = [0.0, 1.0, 2.0]
+        obs = states[:, None, :, :2] - states[:, :, None, :2]
+        senders = np.zeros((1, 3, 3), dtype=bool)
+        senders[0, 0, [1, 2]] = True
+        dense = forward_round(params, states, obs, select_fn=lambda r, soft: senders, weights=weights)
+        assert dense.soft.data[0, 0, 0] == 1.0
+        np.testing.assert_array_equal(dense.attention.data[0, 0], [0.0, 0.0, 0.0])
+        selected = forward_round(params, states, obs, weights=weights, senders=senders)
+        np.testing.assert_array_equal(selected.attention.data[0, 0], [0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(selected.msg_sum.data[0, 0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(selected.attention.data[0, 1:], np.zeros((2, 3)))

@@ -26,7 +26,9 @@ memory and minor page faults after each stage and the stage that set the peak,
 and each stage's ``tracemalloc`` peak from runs with ``--traced``. For both
 sides it also records the bytes a taped training unroll holds per world step
 (``tape_bytes``), measured in a child process per checkout at the batches of
-16 worlds that ``tests/test_fused.py`` counts tape records on.
+16 worlds that ``tests/test_fused.py`` counts tape records on: the oracle's
+(``tf-full``) and a retrain unroll's under a fixed two-rule deterministic
+program (``retrain_mb_per_step``).
 Each side also records its checkout's resolved root: ``peak_rss_mb`` moves
 with the length of that path (the same files read 123.9 MB from one
 directory and 117.1 MB from another), so ``roots_equal_length`` says whether
@@ -178,39 +180,55 @@ def compare_chains(parent_logs: list[Path], change_logs: list[Path]) -> dict:
     return out
 
 
-# one taped unroll per task kind, as tests/test_fused.py::TestRecordsPerIteration runs it
+# one taped unroll per task kind, as tests/test_fused.py::TestRecordsPerIteration runs it, and one retrain unroll
+# under the two-rule program of tests/test_fused.py::TestTapeBytesPerStep (the nearest and the farthest sender)
 TAPE_BYTES = """
 import json, sys, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from swarmcomm import autodiff as ad
+from swarmcomm.dsl import DetRule, FeatureMap, Program, ScoreExpr, feature_names, true_predicate
 from swarmcomm.env import RewardParams, TaskConfig
 from swarmcomm.training import sample_world_batch, unroll_score
 from swarmcomm.transformer import init_for_task
 runs = [(dict(task_kind="random-cross", n_agents_per_group=5, min_groups=2, dt=0.4, horizon=50), 50),
         (dict(task_kind="unlabeled-goals", n_agents_per_group=5, horizon=50), 51),
         (dict(task_kind="random-grid", n_agents_per_group=5, horizon=20, link_failure_prob=0.3), 52)]
-out = {}
-for fields, seed in runs:
-    cfg = TaskConfig(**fields)
+
+def nearest_and_farthest(state_dim):
+    fmap = FeatureMap("v1")
+    d = np.zeros(fmap.dim(state_dim))
+    d[feature_names(fmap, state_dim).index("d")] = 1.0
+    return Program(tuple(DetRule(ScoreExpr(tuple(sign * d)), true_predicate(fmap, state_dim)) for sign in (-1.0, 1.0)),
+                   fmap)
+
+def held_per_step(cfg, seed, retrain):
     rng = np.random.Generator(np.random.PCG64(seed))
     params = init_for_task(cfg, rng)
     worlds = sample_world_batch(cfg, 16, rng)
+    programs = [nearest_and_farthest(cfg.state_dim)] * cfg.comm_rounds if retrain else None
     tracemalloc.start()
     tape = ad.Tape()
     weights = {k: tape.leaf(v, requires_grad=True) for k, v in params.store.params.items()}
     before = tracemalloc.get_traced_memory()[0]
-    unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, tape=tape, weights=weights)
+    unroll_score(params, worlds, cfg, RewardParams(), 0.99, rng, programs=programs, tape=tape, weights=weights)
     held = tracemalloc.get_traced_memory()[0] - before
     tracemalloc.stop()
-    out[cfg.task_kind] = {"n_agents": worlds[0].n_agents, "batch": 16, "horizon": cfg.horizon,
-                          "records": len(tape.records), "mb_per_step": held / cfg.horizon / 1e6}
+    return worlds[0].n_agents, len(tape.records), held / cfg.horizon / 1e6
+
+out = {}
+for fields, seed in runs:
+    cfg = TaskConfig(**fields)
+    (n_agents, records, mb), (_, retrain_records, retrain_mb) = (held_per_step(cfg, seed, r) for r in (False, True))
+    out[cfg.task_kind] = {"n_agents": n_agents, "batch": 16, "horizon": cfg.horizon, "records": records,
+                          "mb_per_step": mb, "retrain_records": retrain_records, "retrain_mb_per_step": retrain_mb}
 print(json.dumps(out))
 """
 
 
 def tape_bytes(root: Path) -> dict:
-    """Per task kind, the MB a taped unroll of the checkout at root holds per world step, and its records."""
+    """Per task kind, the MB a taped unroll of the checkout at root holds per world step, and its records: under
+    tf-full, and retraining under a two-rule deterministic program."""
     proc = subprocess.run([sys.executable, "-c", TAPE_BYTES, str(root / "src")], capture_output=True, text=True,
                           timeout=600, env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:

@@ -8,9 +8,14 @@ except the per-run telemetry ``result.json``, ``stages.log`` and
 ``created_unix`` field. For a chain log (a CSV whose header starts with
 ``step,objective_current``) that differs, the report gives the first step
 whose row differs and the largest absolute difference in
-``objective_current`` over the steps both logs hold; for any other file, the
-first line that differs. Prints one line per file and exits 1 on any
-difference, including a file present on one side only. Standard library only.
+``objective_current`` over the steps both logs hold. Two JSON documents of
+one structure whose non-numeric values agree report their numeric drift: two
+parameter documents (``{"meta", "params"}``) the weight with the largest
+absolute difference and that difference, any other JSON (an evaluation's
+metrics) the field with the largest relative difference. For any other
+file, the report is the first line that differs. Prints one line per file
+and exits 1 on any difference, including a file present on one side only.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +67,50 @@ def _chain_report(a: list[list[str]], b: list[list[str]]) -> str:
     return f"chain differs from step {step}, max |objective_current difference| {worst:.3g}{lengths}"
 
 
+def _leaves(doc, path: tuple = ()):
+    """(path, value) of every scalar in a JSON document, objects in key order."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _leaves(doc[key], path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _leaves(value, path + (k,))
+    else:
+        yield path, doc
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_report(a: str, b: str) -> Optional[str]:
+    """The numeric drift between two JSON documents, or None when they differ in more than their numbers."""
+    try:
+        doc_a, doc_b = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    la, lb = dict(_leaves(doc_a)), dict(_leaves(doc_b))
+    if la.keys() != lb.keys():
+        return None
+    pairs = []
+    for path, x in la.items():
+        y = lb[path]
+        if _is_number(x) and _is_number(y):
+            pairs.append((path, x, y))
+        elif x != y:
+            return None
+    weights = isinstance(doc_a, dict) and sorted(doc_a) == ["meta", "params"]
+    if weights:
+        pairs = [(path, x, y) for path, x, y in pairs if path[0] == "params"]
+    if not pairs:
+        return None
+    if weights:
+        worst, path = max((abs(x - y), path) for path, x, y in pairs)
+        return f"weights differ, largest |difference| {worst:.3g} in {path[1]}"
+    worst, path = max((abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0, path) for path, x, y in pairs)
+    return f"numbers differ, largest relative difference {worst:.3g} in {'.'.join(map(str, path))}"
+
+
 def _line_report(a: str, b: str) -> str:
     la, lb = a.splitlines(), b.splitlines()
     for k, (x, y) in enumerate(zip(la, lb)):
@@ -81,6 +130,8 @@ def compare(left: Path, right: Path, name: str) -> Optional[str]:
             return _chain_report(list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b))))
         except (ValueError, IndexError):
             pass  # a malformed row: fall back to the first differing line
+    if name.endswith(".json") and (report := _json_report(a, b)) is not None:
+        return report
     return _line_report(a, b)
 
 
